@@ -137,7 +137,7 @@ def _ladder_norm(t: TrigPoly, p: float, cfg: QuadratureConfig) -> float:
     if t.is_zero():
         return 0.0
     if math.isinf(p):
-        return sup_norm(t, cfg)
+        return sup_norm(t)
     if p == 0:
         return mahler_jensen(t)
     return lp_norm(t, p, cfg)
@@ -197,7 +197,7 @@ def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL,
     if p.is_zero():
         return _degenerate("malik", payload, params)
     n = p.degree
-    scale = sup_norm(p, cfg)
+    scale = sup_norm(p)
     pn = p * (1.0 / scale)
     dp = pn.derivative()
     dq = pn.reciprocal().derivative()
@@ -234,7 +234,7 @@ def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL,
         return rho * np.abs(dp(z)) - np.abs(dq(z))
 
     measured, xmax = circle_max(f, 32 * (n + 1))
-    slack = tol * n * sup_norm(p, cfg)
+    slack = tol * n * sup_norm(p)
     return _report("laguerre", payload, measured, 0.0, tol, abs_slack=slack,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -251,7 +251,7 @@ def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL,
     _require_roots_outside(p, rho)
     n = p.degree
     measured, xmax = sup_norm_argmax(p.derivative())
-    bound = n / (1.0 + rho) * sup_norm(p, cfg)
+    bound = n / (1.0 + rho) * sup_norm(p)
     return _report("lax_malik", payload, measured, bound, tol,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -271,7 +271,7 @@ def check_ankeny_rivlin(p: AlgebraicPoly, rho: float, radius: float,
     _require_roots_outside(p, rho)
     n = p.degree
     measured, xmax = sup_norm_argmax(p.dilate(radius))
-    bound = (radius**n + rho) / (1.0 + rho) * sup_norm(p, cfg)
+    bound = (radius**n + rho) / (1.0 + rho) * sup_norm(p)
     return _report("ankeny_rivlin", payload, measured, bound, tol,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -286,7 +286,7 @@ def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL,
     if not t.is_real_valued():
         raise NotRealValued("the pointwise bound needs a real-valued trig polynomial")
     n = t.degree
-    tn = t * (1.0 / sup_norm(t, cfg))
+    tn = t * (1.0 / sup_norm(t))
     dt = tn.derivative()
 
     def f(x):
@@ -405,7 +405,7 @@ def check_embedding(p: AlgebraicPoly, kind: str, tol: float = DEFAULT_TOL,
     else:
         measured = besov_111_seminorm(p, cfg)
         const = besov_111_bound_constant(n)
-    bound = const * sup_norm(p, cfg)
+    bound = const * sup_norm(p)
     return _report(f"embedding_{kind}", payload, measured, bound, tol, params=params)
 
 
@@ -420,7 +420,7 @@ def check_dominated_derivative(p: AlgebraicPoly, tol: float = DEFAULT_TOL,
         return _degenerate("dominated_derivative", payload, params)
     n = p.degree
     measured, xmax = sup_norm_argmax(p.derivative())
-    bound = n * sup_norm(p, cfg)
+    bound = n * sup_norm(p)
     return _report("dominated_derivative", payload, measured, bound, tol,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -452,6 +452,9 @@ def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
                    params={"v_abs": abs(v), "lhs": quad, "rhs": rhs})
 
 
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(48)
+
+
 def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> VerificationReport:
     """u^p = integral over a > 0 of log+(u/a) p^2 a^(p-1) da.
 
@@ -464,8 +467,7 @@ def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> Verifi
     if u == 0.0:
         quad = 0.0
     else:
-        t, w = np.polynomial.laguerre.laggauss(48)
-        quad = float(u**p * np.sum(w * t))
+        quad = float(u**p * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
     rhs = float(u**p)
     measured = abs(quad - rhs)
     allowance = tol * (1.0 + rhs)

@@ -95,6 +95,43 @@ def _doubled_value(value_at, grid0: int, rel_tol: float, max_doublings: int) -> 
     return prev
 
 
+def _refine_maxima(f, xl, xm, xr, fl, fm, fr, xtol: float = 3e-8, max_iter: int = 80):
+    """Bracketed successive-parabolic refinement of many local maxima at once.
+
+    Each lane holds a bracket xl < xm < xr with fm >= fl, fr; every step moves
+    all lanes in lockstep with one vectorized call of ``f``. Returns the
+    refined (xm, fm).
+    """
+    for it in range(max_iter):
+        span = xr - xl
+        if span.max() <= xtol:
+            break
+        d1 = (xm - xl) * (fm - fr)
+        d2 = (xm - xr) * (fm - fl)
+        denom = 2.0 * (d1 - d2)
+        safe = np.where(denom == 0.0, 1.0, denom)
+        u = xm - ((xm - xl) * d1 - (xm - xr) * d2) / safe
+        mid = np.where((xr - xm) >= (xm - xl), 0.5 * (xm + xr), 0.5 * (xl + xm))
+        bad = (denom == 0.0) | ~np.isfinite(u)
+        bad |= (u <= xl + 1e-3 * span) | (u >= xr - 1e-3 * span)
+        bad |= np.abs(u - xm) < 1e-3 * span
+        if it % 2 == 1:  # forced bisection keeps worst-case convergence geometric
+            bad |= True
+        u = np.where(bad, mid, u)
+        fu = np.asarray(f(u), dtype=np.float64)
+        better = fu >= fm
+        right_side = u >= xm
+        new_xl = np.where(better, np.where(right_side, xm, xl), np.where(right_side, xl, u))
+        new_fl = np.where(better, np.where(right_side, fm, fl), np.where(right_side, fl, fu))
+        new_xr = np.where(better, np.where(right_side, xr, xm), np.where(right_side, u, xr))
+        new_fr = np.where(better, np.where(right_side, fr, fm), np.where(right_side, fu, fr))
+        xm = np.where(better, u, xm)
+        fm = np.where(better, fu, fm)
+        xl, fl, xr, fr = new_xl, new_fl, new_xr, new_fr
+
+    return xm, fm
+
+
 def circle_max(f, grid_size: int, xtol: float = 3e-8, max_iter: int = 80):
     """Max of a real 2*pi-periodic function: uniform grid, then bracketed
     successive-parabolic refinement of every grid-local maximum.
@@ -121,34 +158,7 @@ def circle_max(f, grid_size: int, xtol: float = 3e-8, max_iter: int = 80):
     xl, xm, xr = xs[idx] - h, xs[idx].copy(), xs[idx] + h
     fl, fm, fr = left[idx].copy(), vals[idx].copy(), right[idx].copy()
 
-    for it in range(max_iter):
-        span = xr - xl
-        if span.max() <= xtol:
-            break
-        d1 = (xm - xl) * (fm - fr)
-        d2 = (xm - xr) * (fm - fl)
-        denom = 2.0 * (d1 - d2)
-        safe = np.where(denom == 0.0, 1.0, denom)
-        u = xm - ((xm - xl) * d1 - (xm - xr) * d2) / safe
-        mid = np.where((xr - xm) >= (xm - xl), 0.5 * (xm + xr), 0.5 * (xl + xm))
-        bad = (denom == 0.0) | ~np.isfinite(u)
-        bad |= (u <= xl + 1e-3 * span) | (u >= xr - 1e-3 * span)
-        bad |= np.abs(u - xm) < 1e-3 * span
-        if it % 2 == 1:  # forced bisection keeps worst-case convergence geometric
-            bad |= True
-        u = np.where(bad, mid, u)
-        fu = np.asarray(f(u), dtype=np.float64)
-
-        better = fu >= fm
-        right_side = u >= xm
-        new_xl = np.where(better, np.where(right_side, xm, xl), np.where(right_side, xl, u))
-        new_fl = np.where(better, np.where(right_side, fm, fl), np.where(right_side, fl, fu))
-        new_xr = np.where(better, np.where(right_side, xr, xm), np.where(right_side, u, xr))
-        new_fr = np.where(better, np.where(right_side, fr, fm), np.where(right_side, fu, fr))
-        xm = np.where(better, u, xm)
-        fm = np.where(better, fu, fm)
-        xl, fl, xr, fr = new_xl, new_fl, new_xr, new_fr
-
+    xm, fm = _refine_maxima(f, xl, xm, xr, fl, fm, fr, xtol, max_iter)
     jb = int(np.argmax(fm))
     if fm[jb] >= gmax:
         return float(fm[jb]), float(xm[jb] % _TWO_PI)
@@ -164,12 +174,10 @@ def _as_circle_function(p):
     raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
 
 
-def sup_norm(p, cfg: QuadratureConfig | None = None) -> float:
+def sup_norm(p) -> float:
     """Max of |p| on the circle: 32(n+1)-point grid plus parabolic refinement
     of |p|^2, which restricted to the circle is a trig polynomial of degree 2n.
-
-    The grid density is fixed by the declared degree; cfg is accepted for API
-    uniformity but not consulted.
+    The grid density is fixed by the declared degree.
     """
     if p.is_zero():
         return 0.0
@@ -357,32 +365,7 @@ def _refine_radial_sup(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     def f_at(x):
         return np.abs(_poly_values(coeffs, rr * np.exp(1j * x))) ** 2
 
-    for it in range(80):
-        span = xr - xl
-        if span.max() <= 3e-8:
-            break
-        d1 = (xm - xl) * (fm - fr)
-        d2 = (xm - xr) * (fm - fl)
-        denom = 2.0 * (d1 - d2)
-        safe = np.where(denom == 0.0, 1.0, denom)
-        u = xm - ((xm - xl) * d1 - (xm - xr) * d2) / safe
-        mid = np.where((xr - xm) >= (xm - xl), 0.5 * (xm + xr), 0.5 * (xl + xm))
-        bad = (denom == 0.0) | ~np.isfinite(u)
-        bad |= (u <= xl + 1e-3 * span) | (u >= xr - 1e-3 * span)
-        bad |= np.abs(u - xm) < 1e-3 * span
-        if it % 2 == 1:
-            bad |= True
-        u = np.where(bad, mid, u)
-        fu = f_at(u)
-        better = fu >= fm
-        right_side = u >= xm
-        new_xl = np.where(better, np.where(right_side, xm, xl), np.where(right_side, xl, u))
-        new_fl = np.where(better, np.where(right_side, fm, fl), np.where(right_side, fl, fu))
-        new_xr = np.where(better, np.where(right_side, xr, xm), np.where(right_side, u, xr))
-        new_fr = np.where(better, np.where(right_side, fr, fm), np.where(right_side, fu, fr))
-        xm = np.where(better, u, xm)
-        fm = np.where(better, fu, fm)
-        xl, fl, xr, fr = new_xl, new_fl, new_xr, new_fr
+    xm, fm = _refine_maxima(f_at, xl, xm, xr, fl, fm, fr)
 
     np.maximum.at(sup2, rows, fm)
     return np.sqrt(sup2)
@@ -406,7 +389,7 @@ def norm_value(p, kind: NormKind | str, power: float | None = None,
     if isinstance(kind, str):
         kind = NormKind(kind, power)
     if kind.tag == "sup":
-        return sup_norm(p, cfg)
+        return sup_norm(p)
     if kind.tag == "lp":
         return lp_norm(p, kind.p, cfg)
     if kind.tag == "mahler":

@@ -7,8 +7,9 @@ Known equality witnesses (one per degree) are appended when enabled, and a
 debug bound-scale below 1 turns the sweep into a negative control that must
 fail. Failing reports embed the offending input as JSON.
 
-The trial loop honors POLYNORM_THREADS (default 1) as a worker-count cap;
-output is always written in trial-index order.
+Every check is one entry of ``REGISTRY``: a builder that draws the trial's
+input from its seeded generator, and an evaluator that checks it. A trial
+builds its input once, and a failing report embeds that same input.
 """
 from __future__ import annotations
 
@@ -16,9 +17,8 @@ import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -28,22 +28,6 @@ from .norms import QuadratureConfig
 from .poly import AlgebraicPoly, TrigPoly, generate, poly_to_json
 
 DEFAULT_SEED = 0xBE2257
-
-ALL_CHECKS = (
-    "bernstein",
-    "malik",
-    "laguerre",
-    "lax_malik",
-    "ankeny_rivlin",
-    "svdc",
-    "gauss_lucas",
-    "embedding",
-    "dominated_derivative",
-    "logplus",
-    "power_identity",
-    "chi",
-    "mate_nevai",
-)
 
 
 @dataclass
@@ -124,100 +108,122 @@ def _cycle(values, index):
     return values[index % len(values)]
 
 
-def _run_trial(check_id: str, index: int, sc: SweepConfig) -> C.VerificationReport:
-    seed = trial_seed(sc.seed, check_id, index)
-    rng = np.random.default_rng(seed)
-    n = _cycle(sc.degrees, index)
-    tol = sc.tol_overrides.get(check_id, sc.tol)
-    qcfg = sc.cfg()
-
-    if check_id == "bernstein":
-        p = _cycle(sc.p_list, index)
-        rep = C.check_bernstein(_random_trig(rng, n), p, tol, qcfg)
-    elif check_id == "malik":
-        rep = C.check_malik(_random_alg(rng, n), tol, qcfg)
-    elif check_id == "laguerre":
-        rho = _cycle(sc.rho_list, index)
-        rep = C.check_laguerre(generate("roots-outside", n, seed=seed, rho=rho), rho, tol, qcfg)
-    elif check_id == "lax_malik":
-        rho = _cycle(sc.rho_list, index)
-        rep = C.check_lax_malik(generate("roots-outside", n, seed=seed, rho=rho), rho, tol, qcfg)
-    elif check_id == "ankeny_rivlin":
-        rho = _cycle(sc.rho_list, index)
-        radius = _cycle(sc.radius_list, index // len(sc.rho_list))
-        rep = C.check_ankeny_rivlin(
-            generate("roots-outside", n, seed=seed, rho=rho), rho, radius, tol, qcfg
-        )
-    elif check_id == "svdc":
-        rep = C.check_svdc(_random_real_trig(rng, n), tol, qcfg)
-    elif check_id == "gauss_lucas":
-        rep = C.check_gauss_lucas(_random_alg(rng, max(n, 2)), sc.tol_overrides.get(check_id, sc.hull_tol))
-    elif check_id == "embedding":
-        kind = _cycle(list(C._EMBEDDING_KINDS), index)
-        rep = C.check_embedding(_random_alg(rng, n), kind, tol, qcfg)
-    elif check_id == "dominated_derivative":
-        rep = C.check_dominated_derivative(_random_alg(rng, n), tol, qcfg)
-    elif check_id == "logplus":
-        mod = rng.uniform(0.0, 0.9) if rng.random() < 0.5 else rng.uniform(1.1, 3.0)
-        v = mod * np.exp(2j * np.pi * rng.random())
-        rep = C.check_identity_logplus(complex(v), tol, qcfg)
-    elif check_id == "power_identity":
-        rep = C.check_identity_power(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0)), tol)
-    elif check_id == "chi":
-        chi = C.ChiFunction.parse(_cycle(sc.chi_list, index))
-        rep = C.check_chi_version(_random_trig(rng, n), chi, tol, qcfg)
-    elif check_id == "mate_nevai":
-        power = float(rng.uniform(0.05, 0.95))
-        cmpres = C.mate_nevai_compare(_random_alg(rng, n), power, qcfg)
-        rep = C.VerificationReport(
-            check_id="mate_nevai",
-            digest=cmpres.digest,
-            measured=cmpres.measured,
-            bound=cmpres.mate_nevai_bound,
-            tol=tol,
-            passed=cmpres.measured <= cmpres.mate_nevai_bound * (1 + tol),
-            margin=cmpres.mate_nevai_bound - cmpres.measured,
-            params={"n": cmpres.n, "p": cmpres.p, "sharp_bound": cmpres.sharp_bound},
-        )
-    else:
-        raise InvalidParam(f"unknown check {check_id!r}")
-
-    rep.params.setdefault("n", n)
-    rep.params["trial"] = index
-    rep.params["seed"] = seed
-    return rep
+def _roots_outside(seed, n, index, sc):
+    rho = _cycle(sc.rho_list, index)
+    return generate("roots-outside", n, seed=seed, rho=rho), rho
 
 
-def _witness_trials(sc: SweepConfig) -> list:
-    """Known equality witnesses, one per degree (margin must be ~0)."""
-    out = []
-    qcfg = sc.cfg()
-    for n in sorted(set(sc.degrees)):
-        if "bernstein" in sc.checks:
-            t = generate("extremal-exp", n)
-            for p in sc.p_list:
-                rep = C.check_bernstein(t, p, sc.tol_overrides.get("bernstein", sc.tol), qcfg)
-                rep.params["family"] = "extremal-exp"
-                out.append(rep)
-        if "malik" in sc.checks:
-            mono = np.zeros(n + 1, dtype=np.complex128)
-            mono[-1] = 1.0
-            rep = C.check_malik(AlgebraicPoly(mono), sc.tol_overrides.get("malik", sc.tol), qcfg)
-            rep.params["family"] = "monomial"
-            out.append(rep)
-        if "lax_malik" in sc.checks:
-            for rho in sc.rho_list:
-                p = generate("lax-extremal", n, rho=rho)
-                rep = C.check_lax_malik(p, rho, sc.tol_overrides.get("lax_malik", sc.tol), qcfg)
-                rep.params["family"] = "lax-extremal"
-                out.append(rep)
-        if "svdc" in sc.checks:
-            c = np.zeros(2 * n + 1, dtype=np.complex128)
-            c[0] = c[-1] = 0.5  # cos(nx)
-            rep = C.check_svdc(TrigPoly(c), sc.tol_overrides.get("svdc", sc.tol), qcfg)
-            rep.params["family"] = "cos-n"
-            out.append(rep)
-    return out
+def _build_ankeny_rivlin(rng, seed, n, index, sc):
+    radius = _cycle(sc.radius_list, index // len(sc.rho_list))
+    return (*_roots_outside(seed, n, index, sc), radius)
+
+
+def _build_logplus(rng, seed, n, index, sc):
+    mod = rng.uniform(0.0, 0.9) if rng.random() < 0.5 else rng.uniform(1.1, 3.0)
+    return (complex(mod * np.exp(2j * np.pi * rng.random())),)
+
+
+def _build_mate_nevai(rng, seed, n, index, sc):
+    power = float(rng.uniform(0.05, 0.95))
+    return _random_alg(rng, n), power
+
+
+def _evaluate_mate_nevai(args, tol, qcfg) -> C.VerificationReport:
+    """||P'||_p against the sharp bound n ||P||_p (Arestov) for 0 < p < 1; the
+    weaker Mate-Nevai bound n (4e)^(1/p) ||P||_p is kept in the params."""
+    res = C.mate_nevai_compare(*args, qcfg)
+    return C.VerificationReport(
+        check_id="mate_nevai",
+        digest=res.digest,
+        measured=res.measured,
+        bound=res.sharp_bound,
+        tol=tol,
+        passed=res.measured <= res.sharp_bound * (1 + tol),
+        margin=res.sharp_bound - res.measured,
+        params={"n": res.n, "p": res.p, "mate_nevai_bound": res.mate_nevai_bound,
+                "factor": res.factor},
+    )
+
+
+def _extremal_exp_family(n, sc):
+    t = generate("extremal-exp", n)
+    return [(t, p) for p in sc.p_list]
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One sweep check.
+
+    build(rng, seed, n, index, sc) returns the check's arguments, drawing from
+    the trial's generator; evaluate(args, tol, qcfg) returns its report.
+    tol_field names the SweepConfig tolerance used when tol_overrides has no
+    entry. A check with equality witnesses names their family, and
+    family_inputs(n, sc) returns the argument tuples for degree n.
+    """
+
+    build: Callable
+    evaluate: Callable
+    tol_field: str = "tol"
+    family: str | None = None
+    family_inputs: Callable | None = None
+
+
+# Evaluators look each check function up on the checks module at call time,
+# so a function replaced there (a traced wrapper, say) is the one that runs.
+REGISTRY = {
+    "bernstein": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_trig(rng, n), _cycle(sc.p_list, i)),
+        lambda a, tol, q: C.check_bernstein(*a, tol, q),
+        family="extremal-exp", family_inputs=_extremal_exp_family),
+    "malik": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
+        lambda a, tol, q: C.check_malik(*a, tol, q),
+        family="monomial", family_inputs=lambda n, sc: [(AlgebraicPoly([0.0] * n + [1.0]),)]),
+    "laguerre": CheckSpec(
+        lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
+        lambda a, tol, q: C.check_laguerre(*a, tol, q)),
+    "lax_malik": CheckSpec(
+        lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
+        lambda a, tol, q: C.check_lax_malik(*a, tol, q),
+        family="lax-extremal",
+        family_inputs=lambda n, sc: [(generate("lax-extremal", n, rho=rho), rho)
+                                     for rho in sc.rho_list]),
+    "ankeny_rivlin": CheckSpec(
+        _build_ankeny_rivlin,
+        lambda a, tol, q: C.check_ankeny_rivlin(*a, tol, q)),
+    "svdc": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_real_trig(rng, n),),
+        lambda a, tol, q: C.check_svdc(*a, tol, q),
+        family="cos-n",  # cos(nx)
+        family_inputs=lambda n, sc: [(TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5]),)]),
+    "gauss_lucas": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_alg(rng, max(n, 2)),),
+        lambda a, tol, q: C.check_gauss_lucas(*a, tol),
+        tol_field="hull_tol"),
+    "embedding": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i)),
+        lambda a, tol, q: C.check_embedding(*a, tol, q)),
+    "dominated_derivative": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
+        lambda a, tol, q: C.check_dominated_derivative(*a, tol, q)),
+    "logplus": CheckSpec(
+        _build_logplus,
+        lambda a, tol, q: C.check_identity_logplus(*a, tol, q)),
+    "power_identity": CheckSpec(
+        lambda rng, seed, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
+        lambda a, tol, q: C.check_identity_power(*a, tol)),
+    "chi": CheckSpec(
+        lambda rng, seed, n, i, sc: (_random_trig(rng, n),
+                                     C.ChiFunction.parse(_cycle(sc.chi_list, i))),
+        lambda a, tol, q: C.check_chi_version(*a, tol, q)),
+    "mate_nevai": CheckSpec(_build_mate_nevai, _evaluate_mate_nevai),
+}
+
+ALL_CHECKS = tuple(REGISTRY)
+
+
+def _check_tol(check_id: str, sc: SweepConfig) -> float:
+    return sc.tol_overrides.get(check_id, getattr(sc, REGISTRY[check_id].tol_field))
 
 
 def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.VerificationReport:
@@ -234,26 +240,37 @@ def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.Verificatio
     return rep
 
 
-def _attach_witness_input(rep: C.VerificationReport, check_id: str, index: int,
-                          sc: SweepConfig) -> None:
-    """Rebuild the failing trial input deterministically and embed it."""
+def _run_trial(check_id: str, index: int, sc: SweepConfig,
+               qcfg: QuadratureConfig) -> C.VerificationReport:
+    """Build the trial's input once, check it, and embed it if the check fails."""
+    spec = REGISTRY[check_id]
     seed = trial_seed(sc.seed, check_id, index)
-    rng = np.random.default_rng(seed)
     n = _cycle(sc.degrees, index)
-    try:
-        if check_id in ("bernstein", "chi"):
-            rep.params["input"] = poly_to_json(_random_trig(rng, n))
-        elif check_id == "svdc":
-            rep.params["input"] = poly_to_json(_random_real_trig(rng, n))
-        elif check_id in ("laguerre", "lax_malik", "ankeny_rivlin"):
-            rho = _cycle(sc.rho_list, index)
-            rep.params["input"] = poly_to_json(generate("roots-outside", n, seed=seed, rho=rho))
-        elif check_id in ("malik", "gauss_lucas", "dominated_derivative",
-                          "embedding", "mate_nevai"):
-            nn = max(n, 2) if check_id == "gauss_lucas" else n
-            rep.params["input"] = poly_to_json(_random_alg(rng, nn))
-    except Exception:  # diagnostics only, never break the sweep
-        pass
+    args = spec.build(np.random.default_rng(seed), seed, n, index, sc)
+    rep = spec.evaluate(args, _check_tol(check_id, sc), qcfg)
+    rep.params.setdefault("n", n)
+    rep.params["trial"] = index
+    rep.params["seed"] = seed
+    rep = _apply_bound_scale(rep, sc.bound_scale)
+    # the identity checks take scalars, which their params already record
+    if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
+        rep.params["input"] = poly_to_json(args[0])
+    return rep
+
+
+def _witness_trials(sc: SweepConfig, qcfg: QuadratureConfig) -> list:
+    """Known equality witnesses, one family per degree (margin must be ~0)."""
+    out = []
+    for n in sorted(set(sc.degrees)):
+        for check_id, spec in REGISTRY.items():
+            if spec.family is None or check_id not in sc.checks:
+                continue
+            tol = _check_tol(check_id, sc)
+            for args in spec.family_inputs(n, sc):
+                rep = spec.evaluate(args, tol, qcfg)
+                rep.params["family"] = spec.family
+                out.append(_apply_bound_scale(rep, sc.bound_scale))
+    return out
 
 
 @dataclass
@@ -267,30 +284,11 @@ class SweepResult:
 
 
 def run_sweep(sc: SweepConfig) -> SweepResult:
-    tasks = [(check_id, i) for check_id in sc.checks for i in range(sc.trials)]
-    workers = max(1, int(os.environ.get("POLYNORM_THREADS", "1")))
-
-    def work(task):
-        check_id, i = task
-        return check_id, i, _run_trial(check_id, i, sc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-
-    reports = []
-    for check_id, i, rep in results:
-        rep = _apply_bound_scale(rep, sc.bound_scale)
-        if not rep.passed:
-            _attach_witness_input(rep, check_id, i, sc)
-        reports.append(rep)
-
+    qcfg = sc.cfg()
+    reports = [_run_trial(check_id, i, sc, qcfg)
+               for check_id in sc.checks for i in range(sc.trials)]
     if sc.include_witness_families:
-        for rep in _witness_trials(sc):
-            reports.append(_apply_bound_scale(rep, sc.bound_scale))
-
+        reports += _witness_trials(sc, qcfg)
     all_passed = all(r.passed for r in reports)
     return SweepResult(reports=reports, all_passed=all_passed, summary=_summarize(reports))
 

@@ -8,7 +8,8 @@ import pytest
 from polynorm import sweep
 from polynorm.cli import main
 from polynorm.errors import InvalidParam
-from polynorm.poly import TrigPoly, poly_to_json
+from polynorm.norms import QuadratureConfig
+from polynorm.poly import AlgebraicPoly, TrigPoly, poly_from_json, poly_to_json
 
 
 def _small_config(**overrides):
@@ -52,16 +53,6 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_sweep_threads_match_serial(tmp_path, monkeypatch):
-    sc = _small_config()
-    serial = sweep.run_sweep(sc)
-    monkeypatch.setenv("POLYNORM_THREADS", "4")
-    threaded = sweep.run_sweep(sc)
-    a = [json.dumps(r.to_json(), sort_keys=True) for r in serial.reports]
-    b = [json.dumps(r.to_json(), sort_keys=True) for r in threaded.reports]
-    assert a == b
-
-
 def test_sweep_negative_control_fails_with_witness():
     sc = _small_config(bound_scale=0.99)
     res = sweep.run_sweep(sc)
@@ -75,6 +66,36 @@ def test_sweep_negative_control_fails_with_witness():
     assert family_fails
     for rep in random_fails:
         assert rep.params["input"]["type"] in ("alg", "trig")
+
+
+def test_sweep_failing_inputs_replay():
+    # every failing random trial embeds the very input it checked
+    sc = sweep.SweepConfig(degrees=[1, 2], trials=20, bound_scale=0.99,
+                           include_witness_families=False)
+    res = sweep.run_sweep(sc)
+    trials = [(check_id, i) for check_id in sc.checks for i in range(sc.trials)]
+    assert len(res.reports) == len(trials)
+    replayed = set()
+    for (check_id, i), rep in zip(trials, res.reports):
+        if rep.passed:
+            continue
+        spec = sweep.REGISTRY[check_id]
+        seed = rep.params["seed"]
+        args = spec.build(np.random.default_rng(seed), seed, sc.degrees[i % len(sc.degrees)], i, sc)
+        again = spec.evaluate((poly_from_json(rep.params["input"]),) + args[1:], rep.tol, sc.cfg())
+        assert (again.measured, again.digest) == (rep.measured, rep.digest), check_id
+        replayed.add(check_id)
+    assert {"malik", "svdc", "mate_nevai"} <= replayed
+
+
+def test_mate_nevai_uses_sharp_bound():
+    # z^4 attains ||P'||_p = n ||P||_p, so a 1% shrink of the sharp bound fails it
+    rep = sweep.REGISTRY["mate_nevai"].evaluate((AlgebraicPoly([0, 0, 0, 0, 1]), 0.5), 1e-8,
+                                                QuadratureConfig())
+    assert rep.passed
+    assert rep.bound == pytest.approx(4.0, rel=1e-10)
+    assert rep.params["mate_nevai_bound"] == pytest.approx(4.0 * (4.0 * math.e) ** 2, rel=1e-10)
+    assert not sweep._apply_bound_scale(rep, 0.99).passed
 
 
 def test_sweep_per_trial_seed_independent_of_order():
