@@ -27,7 +27,9 @@ from .kernels import (
 from .norms import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _abs2_coeffs,
     _doubled_value,
+    _trig_max,
     besov_111_seminorm,
     besov_inf1_seminorm,
     circle_max,
@@ -188,8 +190,7 @@ def _require_roots_outside(p: AlgebraicPoly, rho: float):
         )
 
 
-def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL,
-                cfg: QuadratureConfig | None = None) -> VerificationReport:
+def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|P'(z)| + |Q'(z)| <= n on the circle after normalizing sup|P| to 1,
     Q the reciprocal polynomial."""
     payload = {"op": "malik", "poly": _poly_payload(p)}
@@ -211,8 +212,7 @@ def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL,
                    witnesses=[(xmax, measured)], params=params)
 
 
-def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL,
-                   cfg: QuadratureConfig | None = None) -> VerificationReport:
+def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> VerificationReport:
     """rho |P'(z)| <= |Q'(z)| on the circle for P with all roots of modulus >= rho.
 
     Additive form: measured is the max of rho|P'| - |Q'|, bounded by zero with
@@ -239,8 +239,7 @@ def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL,
                    witnesses=[(xmax, measured)], params=params)
 
 
-def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL,
-                    cfg: QuadratureConfig | None = None) -> VerificationReport:
+def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> VerificationReport:
     """||P'||_inf <= n/(1+rho) * ||P||_inf for P with all roots of modulus >= rho."""
     if rho < 1.0:
         raise InvalidParam("rho >= 1 required")
@@ -257,8 +256,7 @@ def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL,
 
 
 def check_ankeny_rivlin(p: AlgebraicPoly, rho: float, radius: float,
-                        tol: float = DEFAULT_TOL,
-                        cfg: QuadratureConfig | None = None) -> VerificationReport:
+                        tol: float = DEFAULT_TOL) -> VerificationReport:
     """max_{|z|=R} |P(z)| <= (R^n + rho)/(1 + rho) * ||P||_inf for root-free rho-disk."""
     if rho < 1.0:
         raise InvalidParam("rho >= 1 required")
@@ -276,8 +274,7 @@ def check_ankeny_rivlin(p: AlgebraicPoly, rho: float, radius: float,
                    witnesses=[(xmax, measured)], params=params)
 
 
-def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL,
-               cfg: QuadratureConfig | None = None) -> VerificationReport:
+def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """(T')^2 + n^2 T^2 <= n^2 pointwise for real-valued T normalized to sup 1."""
     payload = {"op": "svdc", "poly": _poly_payload(t)}
     params = {"n": t.degree}
@@ -287,13 +284,11 @@ def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL,
         raise NotRealValued("the pointwise bound needs a real-valued trig polynomial")
     n = t.degree
     tn = t * (1.0 / sup_norm(t))
-    dt = tn.derivative()
-
-    def f(x):
-        xv = np.asarray(x, dtype=np.float64)
-        return np.real(dt(xv)) ** 2 + n * n * np.real(tn(xv)) ** 2
-
-    measured, xmax = circle_max(f, 32 * (2 * n + 1))
+    # (Re T')^2 + n^2 (Re T)^2 as an exact trig polynomial of degree 2n
+    c_re = (tn.coeffs + np.conj(tn.coeffs[::-1])) / 2.0
+    c_dre = 1j * np.arange(-n, n + 1) * c_re
+    g, x = _trig_max(_abs2_coeffs(c_dre) + n * n * _abs2_coeffs(c_re), 32 * (2 * n + 1))
+    measured, xmax = float(g[0]), float(x[0])
     return _report("svdc", payload, measured, float(n * n), tol,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -409,8 +404,7 @@ def check_embedding(p: AlgebraicPoly, kind: str, tol: float = DEFAULT_TOL,
     return _report(f"embedding_{kind}", payload, measured, bound, tol, params=params)
 
 
-def check_dominated_derivative(p: AlgebraicPoly, tol: float = DEFAULT_TOL,
-                               cfg: QuadratureConfig | None = None) -> VerificationReport:
+def check_dominated_derivative(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Term-by-term domination with the canonical majorant sup|P| * z^n:
     |P| <= |F| on the circle and F root-free outside the closed disk force
     |P'| <= |F'| = n sup|P| there."""

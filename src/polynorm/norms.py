@@ -6,6 +6,13 @@ the disk. Circle integrals use uniform angular grids: the N-point rule is
 exact for trigonometric polynomials of degree < N by discrete orthogonality,
 and grid doubling with a relative-change stop covers the remaining
 integrands. Area integrals are Gauss-Legendre in the radius.
+
+Maxima over the circle of polynomial objectives (|p|^2 for the sup norm and
+the radial sups, and the pointwise bound of the svdc check) go through one
+exact engine, _trig_max: the objective is a real trig polynomial whose
+coefficients are known exactly, so grid maxima are refined by Newton steps
+on its exact derivatives. circle_max, a bracketing parabolic refiner, serves
+the objectives that are not polynomials.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import AlgebraicPoly, TrigPoly, _poly_values, roots
+from .poly import AlgebraicPoly, TrigPoly, roots
 
 _TWO_PI = 2.0 * np.pi
 
@@ -95,13 +102,47 @@ def _doubled_value(value_at, grid0: int, rel_tol: float, max_doublings: int) -> 
     return prev
 
 
-def _refine_maxima(f, xl, xm, xr, fl, fm, fr, xtol: float = 3e-8, max_iter: int = 80):
-    """Bracketed successive-parabolic refinement of many local maxima at once.
+def _grid_candidates(vals: np.ndarray):
+    """Grid maxima and refinement candidates of periodic functions sampled one
+    per row of ``vals`` on a uniform grid.
 
-    Each lane holds a bracket xl < xm < xr with fm >= fl, fr; every step moves
-    all lanes in lockstep with one vectorized call of ``f``. Returns the
-    refined (xm, fm).
+    Returns each row's grid argmax and max, then the (row, column) of every
+    grid-local maximum within the top quarter of its row's spread: with at
+    least 16 samples per oscillation, refinement lifts a value by well under
+    1% of the spread, so only near-top maxima can compete. A row whose spread
+    is negligible or not finite is flat to working precision and gets none.
     """
+    jbest = np.argmax(vals, axis=1)
+    gmax = vals[np.arange(vals.shape[0]), jbest]
+    spread = gmax - vals.min(axis=1)
+    active = np.isfinite(spread) & (spread > 1e-14 * np.maximum(1.0, np.abs(gmax)))
+    cand = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+    cand &= vals >= (gmax - 0.25 * spread)[:, None]
+    cand &= active[:, None]
+    rows, cols = np.nonzero(cand)
+    return jbest, gmax, rows, cols
+
+
+def circle_max(f, grid_size: int, xtol: float = 3e-8, max_iter: int = 80):
+    """Max of a real 2*pi-periodic function: uniform grid, then bracketed
+    successive-parabolic refinement of every near-top grid-local maximum.
+
+    ``f`` must map an ndarray of angles to an ndarray of real values. Each
+    lane holds a bracket xl < xm < xr with fm >= fl, fr, and every step moves
+    all lanes in lockstep with one vectorized call of ``f``. Polynomial
+    objectives use the exact engine of sup_norm instead; this serves the
+    objectives that are not polynomials. Returns (max value, argmax angle).
+    """
+    xs = np.arange(grid_size) * (_TWO_PI / grid_size)
+    vals = np.asarray(f(xs), dtype=np.float64)
+    jbest, gmax, _, idx = _grid_candidates(vals[None, :])
+    jbest, gmax = int(jbest[0]), float(gmax[0])
+    if idx.size == 0:
+        return gmax, float(xs[jbest])
+
+    h = _TWO_PI / grid_size
+    xl, xm, xr = xs[idx] - h, xs[idx], xs[idx] + h
+    fl, fm, fr = vals[idx - 1], vals[idx], vals[(idx + 1) % grid_size]
     for it in range(max_iter):
         span = xr - xl
         if span.max() <= xtol:
@@ -129,55 +170,90 @@ def _refine_maxima(f, xl, xm, xr, fl, fm, fr, xtol: float = 3e-8, max_iter: int 
         fm = np.where(better, fu, fm)
         xl, fl, xr, fr = new_xl, new_fl, new_xr, new_fr
 
-    return xm, fm
-
-
-def circle_max(f, grid_size: int, xtol: float = 3e-8, max_iter: int = 80):
-    """Max of a real 2*pi-periodic function: uniform grid, then bracketed
-    successive-parabolic refinement of every grid-local maximum.
-
-    ``f`` must map an ndarray of angles to an ndarray of real values.
-    Returns (max value, argmax angle).
-    """
-    xs = np.arange(grid_size) * (_TWO_PI / grid_size)
-    vals = np.asarray(f(xs), dtype=np.float64)
-    jbest = int(np.argmax(vals))
-    gmax = float(vals[jbest])
-    spread = gmax - float(vals.min())
-    if not np.isfinite(spread) or spread <= 1e-14 * max(1.0, abs(gmax)):
-        return gmax, float(xs[jbest])
-
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    cand = (vals >= left) & (vals >= right)
-    # with >= 16 samples per oscillation, refinement lifts a value by well
-    # under 1% of the spread, so only near-top local maxima can compete
-    cand &= vals >= gmax - 0.25 * spread
-    idx = np.nonzero(cand)[0]
-    h = _TWO_PI / grid_size
-    xl, xm, xr = xs[idx] - h, xs[idx].copy(), xs[idx] + h
-    fl, fm, fr = left[idx].copy(), vals[idx].copy(), right[idx].copy()
-
-    xm, fm = _refine_maxima(f, xl, xm, xr, fl, fm, fr, xtol, max_iter)
     jb = int(np.argmax(fm))
     if fm[jb] >= gmax:
         return float(fm[jb]), float(xm[jb] % _TWO_PI)
     return gmax, float(xs[jbest])
 
 
-def _as_circle_function(p):
-    """(declared degree, vectorized x -> complex values on e^{ix}) for either type."""
-    if isinstance(p, TrigPoly):
-        return p.degree, p
-    if isinstance(p, AlgebraicPoly):
-        return p.degree, (lambda x: p(np.exp(1j * np.asarray(x, dtype=np.float64))))
-    raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
+_NEWTON_STEPS = 8
+
+
+def _trig_max(b: np.ndarray, grid: int):
+    """Max over the circle of real trig polynomials with exact coefficients.
+
+    Each row of ``b`` (or ``b`` itself, if 1-D) holds b_{-M}..b_M of
+    g(x) = sum_m b_m e^{imx}, Hermitian so that g is real. One FFT gives g on
+    the uniform ``grid`` (at least 2M+1 points). Every candidate of
+    _grid_candidates, or the grid argmax of a flat row, then takes Newton
+    steps x <- x - g'/g'' on the exact derivatives, clipped to one grid
+    spacing around its start, or a half-spacing ascent step where g'' >= 0.
+    Each iterate is evaluated from the coefficients and the best is kept, so
+    the returned max is g at the returned angle and never below g at the grid
+    argmax. Returns per row (max, argmax) as arrays.
+    """
+    b = np.atleast_2d(b)
+    nrows, width = b.shape
+    m = np.arange(width) - (width - 1) // 2
+    spec = np.zeros((nrows, grid), dtype=np.complex128)
+    spec[:, m % grid] = b
+    vals = np.fft.ifft(spec, norm="forward").real
+    jbest, _, rows, cols = _grid_candidates(vals)
+    flat = np.setdiff1d(np.arange(nrows), rows)
+    rows = np.concatenate([rows, flat])
+    h = _TWO_PI / grid
+    x0 = np.concatenate([cols, jbest[flat]]) * h
+
+    coef = np.stack([b, 1j * m * b, -(m * m) * b], axis=-1)[rows]
+
+    def g_and_derivs(x):
+        return np.einsum("kj,kjs->sk", np.exp(1j * np.multiply.outer(x, m)), coef).real
+
+    x = x0
+    g, g1, g2 = g_and_derivs(x)
+    top_x, top_g = x, g
+    for _ in range(_NEWTON_STEPS):
+        concave = g2 < 0.0
+        move = np.where(concave, -g1 / np.where(concave, g2, -1.0), 0.5 * h * np.sign(g1))
+        x_next = np.clip(x + move, x0 - h, x0 + h)
+        if np.abs(x_next - x).max() <= 1e-13:
+            break
+        x = x_next
+        g, g1, g2 = g_and_derivs(x)
+        up = g > top_g
+        top_x = np.where(up, x, top_x)
+        top_g = np.where(up, g, top_g)
+
+    # per row, the first candidate (in grid order) holding the row's best value
+    order = np.lexsort((-top_g, rows))
+    first = order[np.unique(rows[order], return_index=True)[1]]
+    return top_g[first], top_x[first] % _TWO_PI
+
+
+def _abs2_coeffs(c: np.ndarray) -> np.ndarray:
+    """Coefficients b_{-M}..b_M of |sum_k c_k e^{ikx}|^2, M = len(c) - 1."""
+    return np.convolve(c, np.conj(c[::-1]))
+
+
+def _abs_max(c: np.ndarray, grid: int):
+    """Per row of ``c``: max over x of |sum_k c_k e^{ikx}| and an angle attaining it.
+
+    Every row is first scaled by the same power of two, which is exact, so
+    squaring neither overflows nor underflows; the result is scaled back.
+    """
+    c = np.atleast_2d(c)
+    e = int(np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max())[1])
+    c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
+    g, x = _trig_max(np.stack([_abs2_coeffs(row) for row in c]), grid)
+    return np.ldexp(np.sqrt(np.maximum(g, 0.0)), e), x
 
 
 def sup_norm(p) -> float:
-    """Max of |p| on the circle: 32(n+1)-point grid plus parabolic refinement
-    of |p|^2, which restricted to the circle is a trig polynomial of degree 2n.
-    The grid density is fixed by the declared degree.
+    """Max of |p| on the circle: the exact sup engine on |p|^2, which restricted
+    to the circle is a trig polynomial of degree 2n (n for an algebraic p)
+    with coefficients convolve(c, conj(c[::-1])). Grid-local maxima of a
+    32(n+1)-point grid, n the declared degree, take clipped Newton steps on
+    its exact derivatives.
     """
     if p.is_zero():
         return 0.0
@@ -187,10 +263,10 @@ def sup_norm(p) -> float:
 
 def sup_norm_argmax(p):
     """(sup norm, an angle attaining it)."""
-    n, f = _as_circle_function(p)
-    sq = lambda x: np.abs(f(x)) ** 2
-    val, x = circle_max(sq, 32 * (n + 1))
-    return float(np.sqrt(max(val, 0.0))), x
+    if not isinstance(p, (TrigPoly, AlgebraicPoly)):
+        raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
+    val, x = _abs_max(p.coeffs, 32 * (p.degree + 1))
+    return float(val[0]), float(x[0])
 
 
 def _grid_values_for(p, grid: int) -> np.ndarray:
@@ -326,54 +402,16 @@ def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) ->
 
 
 def _refine_radial_sup(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """sup over the circle of |q(radii[r] e^{i theta})| for every radius at once.
-
-    Grid scan plus pooled lockstep parabolic refinement (same scheme as
-    circle_max, tagged by radius so one vector pass serves all rows).
-    """
+    """sup over the circle of |q(radii[r] e^{i theta})| for every radius at once:
+    each radius is one row of the exact sup engine, on the dilated coefficients."""
     m = len(coeffs) - 1
-    grid = max(32 * (m + 1), 64)
-    vals2 = np.abs(_batched_circle_values(coeffs, radii, grid)) ** 2
-    sup2 = vals2.max(axis=1)
-    spread = sup2 - vals2.min(axis=1)
-    active_rows = spread > 1e-14 * np.maximum(1.0, sup2)
-
-    rows_list, cols_list = [], []
-    left = np.roll(vals2, 1, axis=1)
-    right = np.roll(vals2, -1, axis=1)
-    is_max = (vals2 >= left) & (vals2 >= right)
-    is_max &= vals2 >= (sup2 - 0.25 * spread)[:, None]  # near-top maxima only
-    for row in np.nonzero(active_rows)[0]:
-        cols = np.nonzero(is_max[row])[0]
-        if len(cols) > 8:  # refine only the strongest peaks; others cannot win
-            cols = cols[np.argsort(vals2[row, cols])[-8:]]
-        rows_list.append(np.full(len(cols), row))
-        cols_list.append(cols)
-    if not rows_list:
-        return np.sqrt(sup2)
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-
-    h = _TWO_PI / grid
-    xm = cols * h
-    xl, xr = xm - h, xm + h
-    fm = vals2[rows, cols]
-    fl = vals2[rows, (cols - 1) % grid]
-    fr = vals2[rows, (cols + 1) % grid]
-    rr = radii[rows]
-
-    def f_at(x):
-        return np.abs(_poly_values(coeffs, rr * np.exp(1j * x))) ** 2
-
-    xm, fm = _refine_maxima(f_at, xl, xm, xr, fl, fm, fr)
-
-    np.maximum.at(sup2, rows, fm)
-    return np.sqrt(sup2)
+    dilated = coeffs[None, :] * radii[:, None] ** np.arange(m + 1)[None, :]
+    return _abs_max(dilated, max(32 * (m + 1), 64))[0]
 
 
 def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
     """int_0^1 sup_{|z|=1} |p'(rz)| dr by Gauss-Legendre in r, with the sup
-    taken by the same refined grid search as sup_norm on dilated coefficients."""
+    taken by the exact engine of sup_norm on dilated coefficients."""
     cfg = cfg or DEFAULT_CONFIG
     dp = p.derivative()
     if dp.is_zero():

@@ -519,11 +519,17 @@ def expsum_to_json(f: ExponentialSum) -> dict:
     }
 
 
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"{name} must be finite (no NaN or infinity)")
+
+
 def _pairs_to_complex(pairs) -> np.ndarray:
     try:
         arr = np.asarray([[float(re), float(im)] for re, im in pairs], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"coefficients must be [re, im] pairs: {exc}") from exc
+    _require_finite("coefficients", arr)
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -561,11 +567,15 @@ def expsum_from_json(obj: dict) -> ExponentialSum:
         terms = obj["terms"]
         amps = np.asarray([complex(t[0], t[1]) for t in terms])
         freqs = np.asarray([float(t[2]) for t in terms])
+        bw = obj.get("bandwidth")
+        bw = None if bw is None else float(bw)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad expsum JSON: {exc}") from exc
-    bw = obj.get("bandwidth")
+    _require_finite("expsum amplitudes", amps)
+    _require_finite("expsum frequencies", freqs)
+    _require_finite("expsum bandwidth", 0.0 if bw is None else bw)
     try:
-        return ExponentialSum(amps, freqs, None if bw is None else float(bw))
+        return ExponentialSum(amps, freqs, bw)
     except InvalidParam as exc:
         raise ParseError(str(exc)) from exc
 

@@ -177,23 +177,23 @@ REGISTRY = {
         family="extremal-exp", family_inputs=_extremal_exp_family),
     "malik": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
-        lambda a, tol, q: C.check_malik(*a, tol, q),
+        lambda a, tol, q: C.check_malik(*a, tol),
         family="monomial", family_inputs=lambda n, sc: [(AlgebraicPoly([0.0] * n + [1.0]),)]),
     "laguerre": CheckSpec(
         lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
-        lambda a, tol, q: C.check_laguerre(*a, tol, q)),
+        lambda a, tol, q: C.check_laguerre(*a, tol)),
     "lax_malik": CheckSpec(
         lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
-        lambda a, tol, q: C.check_lax_malik(*a, tol, q),
+        lambda a, tol, q: C.check_lax_malik(*a, tol),
         family="lax-extremal",
         family_inputs=lambda n, sc: [(generate("lax-extremal", n, rho=rho), rho)
                                      for rho in sc.rho_list]),
     "ankeny_rivlin": CheckSpec(
         _build_ankeny_rivlin,
-        lambda a, tol, q: C.check_ankeny_rivlin(*a, tol, q)),
+        lambda a, tol, q: C.check_ankeny_rivlin(*a, tol)),
     "svdc": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_real_trig(rng, n),),
-        lambda a, tol, q: C.check_svdc(*a, tol, q),
+        lambda a, tol, q: C.check_svdc(*a, tol),
         family="cos-n",  # cos(nx)
         family_inputs=lambda n, sc: [(TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5]),)]),
     "gauss_lucas": CheckSpec(
@@ -205,7 +205,7 @@ REGISTRY = {
         lambda a, tol, q: C.check_embedding(*a, tol, q)),
     "dominated_derivative": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
-        lambda a, tol, q: C.check_dominated_derivative(*a, tol, q)),
+        lambda a, tol, q: C.check_dominated_derivative(*a, tol)),
     "logplus": CheckSpec(
         _build_logplus,
         lambda a, tol, q: C.check_identity_logplus(*a, tol, q)),

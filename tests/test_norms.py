@@ -15,6 +15,7 @@ from polynorm.norms import (
     mahler_jensen,
     mahler_quadrature,
     sup_norm,
+    sup_norm_argmax,
     wiener_norm,
 )
 from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate
@@ -32,16 +33,54 @@ def test_sup_examples():
     assert sup_norm(AlgebraicPoly([1, 1, 1])) == pytest.approx(3.0, rel=1e-10)
 
 
+def _on_circle(p, x):
+    """|p| at the angles x by direct (Horner) evaluation, for either type."""
+    return np.abs(p(x) if isinstance(p, TrigPoly) else p(np.exp(1j * x)))
+
+
 def test_sup_beats_dense_grid():
+    # Szego: |p| >= sup cos(n d) within d of the argmax, so the max over a grid
+    # of spacing h is at least sup * cos(n h / 2); the engine must land in
+    # between, attain its value at its argmax, and never fall below its own
+    # 32(n+1)-point starting grid (up to the rounding of a second evaluation)
     rng = np.random.default_rng(5)
-    for n in (2, 7, 15):
+    dense_x = np.arange(2**16) * (2 * np.pi / 2**16)
+    for n in (1, 4, 16, 64, 128):
+        alg = AlgebraicPoly((rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)) / np.sqrt(2))
+        for p in (_rand_trig(rng, n), alg):
+            val, x = sup_norm_argmax(p)
+            dense = _on_circle(p, dense_x).max()
+            assert dense * (1 - 1e-13) <= val <= dense / math.cos(n * np.pi / 2**16) * (1 + 1e-13)
+            assert _on_circle(p, np.array([x]))[0] == pytest.approx(val, rel=1e-13)
+            grid = 32 * (n + 1)
+            assert val >= _on_circle(p, np.arange(grid) * (2 * np.pi / grid)).max() * (1 - 1e-14)
+
+
+def test_sup_ties_and_flat_tops():
+    for n in (1, 3, 16, 64):
+        mono = AlgebraicPoly([0.0] * n + [1.0])
+        assert sup_norm_argmax(generate("extremal-exp", n)) == (1.0, 0.0)  # |e^{inx}| = 1
+        assert sup_norm_argmax(mono) == (1.0, 0.0)  # |z^n| = 1
+        cos_n = TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5])  # 2n equal peaks
+        val, x = sup_norm_argmax(cos_n)
+        assert val == pytest.approx(1.0, abs=1e-15)
+        assert abs(math.cos(n * x)) == pytest.approx(val, abs=1e-15)
+
+
+def test_sup_extreme_scales():
+    # squaring 1e200 overflows and squaring 1e-200 underflows unless the
+    # coefficients are first scaled by a power of two, which is exact
+    rng = np.random.default_rng(41)
+    for n in (1, 8, 33):
         t = _rand_trig(rng, n)
-        xs = np.linspace(0, 2 * np.pi, 200001)
-        dense = np.abs(t(xs)).max()
-        val = sup_norm(t)
-        assert val >= dense - 1e-12 * dense
-        # the refined value may legitimately beat the dense grid by ~(n h)^2
-        assert val <= dense * (1 + 1e-6)
+        p = AlgebraicPoly(t.coeffs[n:])
+        for q in (t, p):
+            base = sup_norm(q)
+            for k in (-600, 600):
+                assert sup_norm(q * 2.0**k) == 2.0**k * base
+            for scale in (1e200, 1e-200, 1e300, 1e-300):
+                assert sup_norm(q * scale) == pytest.approx(scale * base, rel=1e-14)
+        assert besov_inf1_seminorm(p * 1e200) == pytest.approx(1e200 * besov_inf1_seminorm(p), rel=1e-14)
 
 
 # -------------------------------------------------------------------- lp norm
@@ -148,6 +187,24 @@ def test_besov_inf1_examples():
     assert besov_inf1_seminorm(AlgebraicPoly([5.0])) == 0.0
     assert besov_inf1_seminorm(AlgebraicPoly([0, 1])) == pytest.approx(1.0, rel=1e-12)
     assert besov_inf1_seminorm(AlgebraicPoly([0, 0, 1])) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_besov_inf1_against_dense_radial_sup():
+    # the same Gauss-Legendre rule in r, with each radial sup taken as the max
+    # over 2^14 angles; by the Szego bound of test_sup_beats_dense_grid the
+    # engine's sup lies between that max and the max / cos(m h / 2)
+    t, w = np.polynomial.legendre.leggauss(64)
+    r, w = (t + 1) / 2, w / 2
+    xs = np.arange(2**14) * (2 * np.pi / 2**14)
+    rng = np.random.default_rng(43)
+    for n in (2, 5, 12):
+        p = AlgebraicPoly(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        dp = p.derivative()
+        dense = np.array([np.abs(dp(ri * np.exp(1j * xs))).max() for ri in r])
+        ref = float(np.sum(w * dense))
+        val = besov_inf1_seminorm(p)
+        m = n - 1
+        assert ref * (1 - 1e-13) <= val <= ref / math.cos(m * np.pi / 2**14) * (1 + 1e-13)
 
 
 def test_quadrature_config_round_trip():

@@ -151,6 +151,19 @@ def test_cli_norm_bad_input(tmp_path, capsys):
     bad.write_text('{"type": "alg", "degree": 2, "coeffs": [[1, 0]]}')
     assert main(["norm", str(bad), "--kind", "sup"]) == 2
     assert "error:" in capsys.readouterr().err
+    # non-finite values are rejected when the file is read, not printed as nan
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"type": "alg", "degree": 1, "coeffs": [[NaN, 0], [1, 0]]}')
+    assert main(["norm", str(nan), "--kind", "sup"]) == 2
+    assert "finite" in capsys.readouterr().err
+    inf = tmp_path / "inf.json"
+    inf.write_text('{"type": "trig", "degree": 0, "coeffs": [[1, -Infinity]]}')
+    assert main(["norm", str(inf), "--kind", "sup"]) == 2
+    for terms, bandwidth in (("[[1, 0, NaN]]", 2), ("[[Infinity, 0, 1]]", 2), ("[[1, 0, 1]]", "Infinity")):
+        expsum = tmp_path / "expsum.json"
+        expsum.write_text(f'{{"type": "expsum", "bandwidth": {bandwidth}, "terms": {terms}}}')
+        assert main(["diff", str(expsum), "--method", "direct", "--at", "0.5"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_diff_direct_and_riesz(tmp_path, capsys):
