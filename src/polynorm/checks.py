@@ -28,7 +28,7 @@ from .norms import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _abs2_coeffs,
-    _doubled_value,
+    _circle_means,
     _trig_max,
     besov_111_seminorm,
     besov_inf1_seminorm,
@@ -434,11 +434,8 @@ def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
         raise OnUnitCircle("|v| = 1 is excluded (log singularity on the contour)")
     payload = {"op": "logplus", "v": [v.real, v.imag]}
 
-    def mean_at(grid: int) -> float:
-        w = np.exp(2j * np.pi * np.arange(grid) / grid)
-        return float(np.mean(np.log(np.abs(v + w))))
-
-    quad = _doubled_value(mean_at, 64, cfg.rel_tol, cfg.max_doublings + 4)
+    quad = float(_circle_means(np.array([v, 1.0]), 0, np.log, 64, cfg.rel_tol,
+                               cfg.max_doublings + 4)[0])
     rhs = max(0.0, math.log(abs(v))) if v != 0 else 0.0
     measured = abs(quad - rhs)
     allowance = tol * (1.0 + abs(rhs))
@@ -519,14 +516,9 @@ def check_chi_version(t: TrigPoly, chi: ChiFunction, tol: float = DEFAULT_TOL,
         bound = n * mahler_jensen(t)
         return _report("chi_bound", payload, measured, bound, tol, params=params)
 
-    grid0 = cfg.initial_grid(n)
-
     def mean_of(poly, scale):
-        def at(grid: int) -> float:
-            vals = np.abs(poly.values_on_grid(grid)) * scale
-            return float(np.mean(chi.fn(vals)))
-
-        return _doubled_value(at, grid0, cfg.rel_tol, cfg.max_doublings)
+        return float(_circle_means(poly.coeffs, -n, lambda a: chi.fn(a * scale),
+                                   cfg.initial_grid(n), cfg.rel_tol, cfg.max_doublings)[0])
 
     measured = mean_of(dt, 1.0)
     bound = mean_of(t, float(n))

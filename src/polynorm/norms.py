@@ -3,9 +3,12 @@
 sup, L^p for finite p > 0, the Mahler limit norm at p = 0 (two independent
 evaluations), the Wiener coefficient norm, and two Besov-type seminorms on
 the disk. Circle integrals use uniform angular grids: the N-point rule is
-exact for trigonometric polynomials of degree < N by discrete orthogonality,
-and grid doubling with a relative-change stop covers the remaining
-integrands. Area integrals are Gauss-Legendre in the radius.
+exact for trigonometric polynomials of degree < N by discrete orthogonality.
+The remaining integrands go through one primitive, _circle_means, which
+takes many circles at once, one row of coefficients each, and doubles each
+row's grid until that row's value changes by at most the relative tolerance;
+a doubling evaluates only the new points, and converged rows drop out. Area
+integrals are Gauss-Legendre in the radius over such rows.
 
 Maxima over the circle of polynomial objectives (|p|^2 for the sup norm and
 the radial sups, and the pointwise bound of the svdc check) go through one
@@ -16,6 +19,7 @@ the objectives that are not polynomials.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -85,21 +89,46 @@ class NormKind:
                 raise InvalidParam("lp requires finite p > 0 (mahler covers p = 0)")
 
 
-def _doubled_value(value_at, grid0: int, rel_tol: float, max_doublings: int) -> float:
-    """Double the grid until two successive values agree to rel_tol.
+def _circle_means(rows, kmin: int, integrand, grid0: int, rel_tol: float,
+                  max_doublings: int, finish=None) -> np.ndarray:
+    """For each row c of ``rows``, finish(circle mean of integrand(|T|)) with
+    T(x) = sum_j c_j e^{i(kmin+j)x}, by the trapezoid rule on a uniform grid
+    of grid0 points that doubles until finish(mean) changes by at most
+    rel_tol relative (finish defaults to the identity).
 
-    Returns the last value if the budget runs out (best effort; the stopping
-    rule is sound whenever convergence is geometric).
+    Each row keeps its running sum, so a doubling from N to 2N points
+    evaluates only the N new points, which sit half a spacing off the old
+    ones: one N-point FFT of the coefficients times e^{i pi k/N}. Only rows
+    still changing take part, and the test is applied to each row on its
+    own, because the rule converges at a different rate on each circle. A row
+    that runs out of budget keeps its last value.
     """
-    prev = value_at(grid0)
+    rows = np.atleast_2d(rows)
+    width = rows.shape[1]
+    if grid0 < width:
+        raise InvalidParam(f"grid {grid0} too small for {width} coefficients")
+    k = np.arange(width) + kmin
+
+    def grid_sums(c, grid):
+        spec = np.zeros((c.shape[0], grid), dtype=np.complex128)
+        spec[:, k % grid] = c
+        return integrand(np.abs(np.fft.ifft(spec, norm="forward"))).sum(axis=1)
+
+    finish = finish or (lambda mean: mean)
+    sums = grid_sums(rows, grid0)
     grid = grid0
+    value = finish(sums / grid)
+    active = np.arange(rows.shape[0])
     for _ in range(max_doublings):
+        sums[active] += grid_sums(rows[active] * np.exp(1j * np.pi * k / grid), grid)
         grid *= 2
-        cur = value_at(grid)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
+        cur = finish(sums[active] / grid)
+        done = np.abs(cur - value[active]) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
+        value[active] = cur
+        active = active[~done]
+        if active.size == 0:
+            break
+    return value
 
 
 def _grid_candidates(vals: np.ndarray):
@@ -235,15 +264,22 @@ def _abs2_coeffs(c: np.ndarray) -> np.ndarray:
     return np.convolve(c, np.conj(c[::-1]))
 
 
+def _prescaled(c: np.ndarray):
+    """(c * 2^-e, e), with e the binary exponent of the largest |Re| or |Im| of
+    ``c``: exact, and it brings the largest entry into [1/2, 1), so norms
+    taken of the result neither overflow nor underflow before being scaled
+    back by 2^e."""
+    e = int(np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max())[1])
+    return np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e), e
+
+
 def _abs_max(c: np.ndarray, grid: int):
     """Per row of ``c``: max over x of |sum_k c_k e^{ikx}| and an angle attaining it.
 
     Every row is first scaled by the same power of two, which is exact, so
     squaring neither overflows nor underflows; the result is scaled back.
     """
-    c = np.atleast_2d(c)
-    e = int(np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max())[1])
-    c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
+    c, e = _prescaled(np.atleast_2d(c))
     g, x = _trig_max(np.stack([_abs2_coeffs(row) for row in c]), grid)
     return np.ldexp(np.sqrt(np.maximum(g, 0.0)), e), x
 
@@ -269,9 +305,12 @@ def sup_norm_argmax(p):
     return float(val[0]), float(x[0])
 
 
-def _grid_values_for(p, grid: int) -> np.ndarray:
-    if isinstance(p, (TrigPoly, AlgebraicPoly)):
-        return p.values_on_grid(grid)
+def _circle_row(p):
+    """(coefficients, lowest frequency) of p on the circle, for _circle_means."""
+    if isinstance(p, TrigPoly):
+        return p.coeffs, -p.degree
+    if isinstance(p, AlgebraicPoly):
+        return p.coeffs, 0
     raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
 
 
@@ -279,25 +318,26 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     """(integral of |p|^power dm)^(1/power) for finite power > 0.
 
     For even integer powers the integrand is itself a trig polynomial of
-    degree power*n, so any grid larger than that is exact and no doubling is
-    needed; otherwise the grid doubles until successive norms agree.
+    degree power*n, so one grid larger than that is exact; otherwise the
+    grid doubles, adding only the new points, until successive norms agree
+    to rel_tol. The coefficients are scaled by a power of two first, which
+    is exact, so 1e-200 or 1e200 coefficients neither underflow nor overflow.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (power > 0) or not math.isfinite(power):
         raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
+    coeffs, kmin = _circle_row(p)
     if p.is_zero():
         return 0.0
     n = p.degree
-    grid0 = cfg.initial_grid(n)
-
-    def norm_at(grid: int) -> float:
-        vals = np.abs(_grid_values_for(p, grid))
-        return float(np.mean(vals**power) ** (1.0 / power))
-
+    grid0, budget = cfg.initial_grid(n), cfg.max_doublings
     rounded = round(power)
     if rounded == power and rounded % 2 == 0:
-        return norm_at(max(grid0, int(rounded) * n + 1))
-    return _doubled_value(norm_at, grid0, cfg.rel_tol, cfg.max_doublings)
+        grid0, budget = max(grid0, int(rounded) * n + 1), 0
+    row, e = _prescaled(coeffs)
+    norm = _circle_means(row, kmin, lambda a: a**power, grid0, cfg.rel_tol, budget,
+                         finish=lambda mean: mean ** (1.0 / power))
+    return float(np.ldexp(norm[0], e))
 
 
 def _jensen_from_roots(root_arr: np.ndarray, leading: complex) -> float:
@@ -344,13 +384,9 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
             raise NearCircleRoot(
                 f"a root lies within {gap:.2e} of the unit circle; use mahler_jensen"
             )
-    n = p.degree
-
-    def value_at(grid: int) -> float:
-        vals = np.abs(_grid_values_for(p, grid))
-        return float(np.exp(np.mean(np.log(vals))))
-
-    return _doubled_value(value_at, cfg.initial_grid(n), cfg.rel_tol, cfg.max_doublings)
+    coeffs, kmin = _circle_row(p)
+    return float(_circle_means(coeffs, kmin, np.log, cfg.initial_grid(p.degree), cfg.rel_tol,
+                               cfg.max_doublings, finish=np.exp)[0])
 
 
 def wiener_norm(p: AlgebraicPoly) -> float:
@@ -362,17 +398,20 @@ def wiener_norm(p: AlgebraicPoly) -> float:
     return p.wiener()
 
 
+def _dilated(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Row r holds the coefficients coeffs[k] radii[r]^k of q(radii[r] z)."""
+    return coeffs[None, :] * radii[:, None] ** np.arange(len(coeffs))[None, :]
+
+
+@functools.lru_cache(maxsize=8)
 def _radial_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1], built once per node count
+    and returned read-only, since every caller shares them."""
     t, w = np.polynomial.legendre.leggauss(nodes)
-    return (t + 1.0) / 2.0, w / 2.0
-
-
-def _batched_circle_values(coeffs: np.ndarray, radii: np.ndarray, grid: int) -> np.ndarray:
-    """|row r| values of sum_k coeffs[k] (radii[r] e^{i theta})^k on the angular grid."""
-    powers = radii[:, None] ** np.arange(len(coeffs))[None, :]
-    c = np.zeros((len(radii), grid), dtype=np.complex128)
-    c[:, : len(coeffs)] = coeffs[None, :] * powers
-    return np.fft.ifft(c, axis=1) * grid
+    r, w = (t + 1.0) / 2.0, w / 2.0
+    r.flags.writeable = False
+    w.flags.writeable = False
+    return r, w
 
 
 def disk_mean(p: AlgebraicPoly, power: float = 1.0,
@@ -380,20 +419,19 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
     """integral of |p|^power over the disk against normalized area measure.
 
     Polar form 2 * int_0^1 r * (angular mean of |p(r e^{i theta})|^power) dr
-    with Gauss-Legendre radial nodes; the angular grid doubles until the total
-    stabilizes (|p|^power along a circle is generally not a trig polynomial).
+    with Gauss-Legendre radial nodes. Each node's circle is one row of
+    _circle_means on the dilated coefficients c_k r^k: its angular grid
+    doubles, adding only the new points, until that row's mean changes by at
+    most area_rel_tol (|p|^power along a circle is generally not a trig
+    polynomial), and rows that have converged leave the doubling.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p.is_zero():
         return 0.0
     r, w = _radial_rule(cfg.radial_nodes)
-
-    def total_at(grid: int) -> float:
-        vals = np.abs(_batched_circle_values(p.coeffs, r, grid)) ** power
-        return float(2.0 * np.sum(w * r * vals.mean(axis=1)))
-
-    grid0 = cfg.initial_grid(p.degree)
-    return _doubled_value(total_at, grid0, cfg.area_rel_tol, cfg.max_doublings)
+    means = _circle_means(_dilated(p.coeffs, r), 0, lambda a: a**power,
+                          cfg.initial_grid(p.degree), cfg.area_rel_tol, cfg.max_doublings)
+    return float(2.0 * np.sum(w * r * means))
 
 
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
@@ -404,9 +442,7 @@ def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) ->
 def _refine_radial_sup(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """sup over the circle of |q(radii[r] e^{i theta})| for every radius at once:
     each radius is one row of the exact sup engine, on the dilated coefficients."""
-    m = len(coeffs) - 1
-    dilated = coeffs[None, :] * radii[:, None] ** np.arange(m + 1)[None, :]
-    return _abs_max(dilated, max(32 * (m + 1), 64))[0]
+    return _abs_max(_dilated(coeffs, radii), max(32 * len(coeffs), 64))[0]
 
 
 def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:

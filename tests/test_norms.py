@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polynorm.errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from polynorm.norms import (
     QuadratureConfig,
+    _circle_means,
     besov_111_seminorm,
     besov_inf1_seminorm,
     disk_mean,
@@ -18,7 +19,7 @@ from polynorm.norms import (
     sup_norm_argmax,
     wiener_norm,
 )
-from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate
+from polynorm.poly import AlgebraicPoly, ExponentialSum, TrigPoly, from_roots, generate
 
 
 def _rand_trig(rng, n):
@@ -105,6 +106,26 @@ def test_lp_rejects_nonpositive_p():
         lp_norm(TrigPoly([1, 0, 1]), -2.0)
 
 
+def test_lp_rejects_non_polynomial():
+    with pytest.raises(InvalidParam):
+        lp_norm(ExponentialSum([1.0, 2.0], [0.5, -1.5]), 1.0)
+    with pytest.raises(InvalidParam):
+        lp_norm(np.array([1.0, 2.0, 3.0]), 2.0)
+
+
+def test_lp_extreme_scales():
+    # |T|^p of 1e200 coefficients overflows and of 1e-200 ones underflows
+    # unless the coefficients are first scaled by a power of two, which is exact
+    rng = np.random.default_rng(47)
+    for t in (TrigPoly([1, 2, 3]), _rand_trig(rng, 7), AlgebraicPoly([0.5, -2j, 1.0, 3.0])):
+        for p in (0.25, 1.0, 2.0, 4.0):
+            base = lp_norm(t, p)
+            for scale in (1e-200, 1e200):
+                got = lp_norm(t * scale, p)
+                assert math.isfinite(got)
+                assert got == pytest.approx(scale * base, rel=1e-14)
+
+
 def test_even_p_exactness_against_autocorrelation():
     # independent oracle: ||T||_2^2 = sum |a_k|^2 (Parseval) and
     # ||T||_4^4 = sum_m |c_m|^2 with c_m the coefficient autocorrelation
@@ -118,6 +139,58 @@ def test_even_p_exactness_against_autocorrelation():
         fourth = float(np.sum(np.abs(acf) ** 2)) ** 0.25
         assert lp_norm(t, 2.0) == pytest.approx(parseval, rel=1e-12)
         assert lp_norm(t, 4.0) == pytest.approx(fourth, rel=1e-12)
+
+
+# ---------------------------------------------------------- circle means
+
+def _direct_mean(row, kmin, integrand, grid):
+    x = np.arange(grid) * (2 * np.pi / grid)
+    k = np.arange(len(row)) + kmin
+    return float(np.mean(integrand(np.abs(np.exp(1j * np.outer(x, k)) @ row))))
+
+
+def test_circle_means_doubling_matches_direct_mean():
+    # one doubling adds the half-offset points to the running sum; the result
+    # is the mean over the whole 2N-point grid
+    rng = np.random.default_rng(3)
+    for kmin, width, grid in ((0, 5, 16), (-6, 13, 40), (-2, 5, 8)):
+        row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        for integrand in (lambda a: a**1.3, np.log):
+            got = _circle_means(row, kmin, integrand, grid, 1e-300, 1)[0]
+            assert got == pytest.approx(_direct_mean(row, kmin, integrand, 2 * grid), rel=1e-15)
+
+
+def _recording(integrand, shapes):
+    def wrapped(a):
+        shapes.append(a.shape)
+        return integrand(a)
+    return wrapped
+
+
+def test_circle_means_rows_converge_alone():
+    # a smooth row next to slow rows whose roots nearly touch the circle: each
+    # row's value is the one it gets alone, and after the first doubling only
+    # the rows still changing are evaluated, at the new points only
+    fast = np.array([1.0, 0.3, 0.0])
+    slow = [np.array([1.0, -0.995, 0.0]), np.array([0.0, 1.0, 0.995j])]
+    rows = np.stack([fast, slow[0], fast * 2j, slow[1]])
+    shapes = []
+    integrand = _recording(lambda a: a**0.5, shapes)
+    batch = _circle_means(rows, 0, integrand, 32, 1e-10, 6)
+    for i, row in enumerate(rows):
+        assert batch[i] == _circle_means(row, 0, lambda a: a**0.5, 32, 1e-10, 6)[0]
+    # the slow rows use the whole budget: grids 64, 128, ..., 2048
+    assert shapes == [(4, 32), (4, 32)] + [(2, 32 * 2**d) for d in range(1, 6)]
+
+
+def test_circle_means_zero_budget_is_one_grid():
+    shapes = []
+    row = np.array([1.0, -0.97])
+    got = _circle_means(row, 0, _recording(np.sqrt, shapes), 24, 1e-10, 0)[0]
+    assert shapes == [(1, 24)]
+    assert got == pytest.approx(_direct_mean(row, 0, np.sqrt, 24), rel=1e-15)
+    with pytest.raises(InvalidParam):
+        _circle_means(row, 0, np.sqrt, 1, 1e-10, 0)
 
 
 # ----------------------------------------------------------------- mahler norm
@@ -218,11 +291,34 @@ def test_quadrature_config_round_trip():
 
 
 def test_disk_mean_monomials():
-    # integral of |z^k|^2 over the disk (normalized area) is 1/(k+1)
+    # integral of |z^k|^power over the disk (normalized area) is 2/(k*power + 2)
     for k in (0, 1, 3, 6):
         mono = np.zeros(k + 1)
         mono[-1] = 1.0
         assert disk_mean(AlgebraicPoly(mono), 2.0) == pytest.approx(1 / (k + 1), rel=1e-10)
+        assert disk_mean(AlgebraicPoly(mono), 1.0) == pytest.approx(2 / (k + 2), rel=1e-10)
+
+
+def _dense_disk_mean(coeffs, power, nodes=64, grid=2**16):
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for r, wr in zip((t + 1) / 2, w / 2):
+        spec = np.zeros(grid, dtype=np.complex128)
+        spec[: len(coeffs)] = coeffs * r ** np.arange(len(coeffs))
+        total += wr * r * np.mean(np.abs(np.fft.ifft(spec, norm="forward")) ** power)
+    return 2 * total
+
+
+@pytest.mark.parametrize("seed, n", [(7, 6), (12, 12), (42, 8), (35, 12)])
+def test_besov_111_stops_per_radius(seed, n):
+    # a radius near a root modulus of p'' converges slowly, and changes of
+    # opposite sign at different radii cancel in the total over all radii, so
+    # each radius must stop on its own change (a stop on the total is off by
+    # 4e-8 to 9e-8 on these inputs)
+    rng = np.random.default_rng(seed)
+    p = AlgebraicPoly((rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)) / np.sqrt(2))
+    ref = _dense_disk_mean(p.derivative().derivative().coeffs, 1.0)
+    assert besov_111_seminorm(p) == pytest.approx(ref, rel=1e-8)
 
 
 # ------------------------------------------------------------------ invariants
