@@ -27,9 +27,7 @@ from .kernels import (
 from .norms import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _abs2_coeffs,
     _circle_means,
-    _trig_max,
     besov_111_seminorm,
     besov_inf1_seminorm,
     circle_max,
@@ -190,6 +188,13 @@ def _require_roots_outside(p: AlgebraicPoly, rho: float):
         )
 
 
+def _derivative_terms(p: AlgebraicPoly) -> np.ndarray:
+    """Coefficients of zP'(z) and nP(z) - zP'(z): on the circle their moduli
+    are |P'| and |Q'|, Q the reciprocal polynomial."""
+    k = np.arange(p.degree + 1)
+    return np.stack([k * p.coeffs, (p.degree - k) * p.coeffs])
+
+
 def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|P'(z)| + |Q'(z)| <= n on the circle after normalizing sup|P| to 1,
     Q the reciprocal polynomial."""
@@ -198,16 +203,8 @@ def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationRepor
     if p.is_zero():
         return _degenerate("malik", payload, params)
     n = p.degree
-    scale = sup_norm(p)
-    pn = p * (1.0 / scale)
-    dp = pn.derivative()
-    dq = pn.reciprocal().derivative()
-
-    def f(x):
-        z = np.exp(1j * np.asarray(x, dtype=np.float64))
-        return np.abs(dp(z)) + np.abs(dq(z))
-
-    measured, xmax = circle_max(f, 32 * (n + 1))
+    val, x = circle_max(_derivative_terms(p * (1.0 / sup_norm(p)))[None], 32 * (n + 1), (1.0, 1.0))
+    measured, xmax = float(val[0]), float(x[0])
     return _report("malik", payload, measured, n, tol,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -226,14 +223,8 @@ def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> Ve
         return _degenerate("laguerre", payload, params)
     _require_roots_outside(p, rho)
     n = p.degree
-    dp = p.derivative()
-    dq = p.reciprocal().derivative()
-
-    def f(x):
-        z = np.exp(1j * np.asarray(x, dtype=np.float64))
-        return rho * np.abs(dp(z)) - np.abs(dq(z))
-
-    measured, xmax = circle_max(f, 32 * (n + 1))
+    val, x = circle_max(_derivative_terms(p)[None], 32 * (n + 1), (rho, -1.0))
+    measured, xmax = float(val[0]), float(x[0])
     slack = tol * n * sup_norm(p)
     return _report("laguerre", payload, measured, 0.0, tol, abs_slack=slack,
                    witnesses=[(xmax, measured)], params=params)
@@ -284,11 +275,11 @@ def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
         raise NotRealValued("the pointwise bound needs a real-valued trig polynomial")
     n = t.degree
     tn = t * (1.0 / sup_norm(t))
-    # (Re T')^2 + n^2 (Re T)^2 as an exact trig polynomial of degree 2n
+    # (Re T')^2 + n^2 (Re T)^2 = |Re T' + i n Re T|^2, both parts real
     c_re = (tn.coeffs + np.conj(tn.coeffs[::-1])) / 2.0
     c_dre = 1j * np.arange(-n, n + 1) * c_re
-    g, x = _trig_max(_abs2_coeffs(c_dre) + n * n * _abs2_coeffs(c_re), 32 * (2 * n + 1))
-    measured, xmax = float(g[0]), float(x[0])
+    val, x = circle_max((c_dre + 1j * n * c_re)[None, None], 32 * (2 * n + 1))
+    measured, xmax = float(val[0]) ** 2, float(x[0])
     return _report("svdc", payload, measured, float(n * n), tol,
                    witnesses=[(xmax, measured)], params=params)
 
@@ -434,8 +425,10 @@ def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
         raise OnUnitCircle("|v| = 1 is excluded (log singularity on the contour)")
     payload = {"op": "logplus", "v": [v.real, v.imag]}
 
-    quad = float(_circle_means(np.array([v, 1.0]), 0, np.log, 64, cfg.rel_tol,
-                               cfg.max_doublings + 4)[0])
+    # stop on the Mahler measure exp(mean) = max(1, |v|), not on the mean
+    # itself, which is 0 for |v| < 1 and so never meets a relative test
+    quad = math.log(_circle_means(np.array([v, 1.0]), 0, np.log, 64, cfg.rel_tol,
+                                  cfg.max_doublings + 4, finish=np.exp)[0])
     rhs = max(0.0, math.log(abs(v))) if v != 0 else 0.0
     measured = abs(quad - rhs)
     allowance = tol * (1.0 + abs(rhs))

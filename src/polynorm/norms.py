@@ -10,12 +10,11 @@ row's grid until that row's value changes by at most the relative tolerance;
 a doubling evaluates only the new points, and converged rows drop out. Area
 integrals are Gauss-Legendre in the radius over such rows.
 
-Maxima over the circle of polynomial objectives (|p|^2 for the sup norm and
-the radial sups, and the pointwise bound of the svdc check) go through one
-exact engine, _trig_max: the objective is a real trig polynomial whose
-coefficients are known exactly, so grid maxima are refined by Newton steps
-on its exact derivatives. circle_max, a bracketing parabolic refiner, serves
-the objectives that are not polynomials.
+Maxima over the circle go through one engine, circle_max: each objective
+is a weighted sum of moduli of polynomials with exact coefficients (|p| for
+the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
+|zP'| and |nP - zP'| for the malik and laguerre checks), so grid maxima are
+refined by Newton steps on exact derivatives.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import AlgebraicPoly, TrigPoly, roots
+from .poly import AlgebraicPoly, TrigPoly, _grid_values, roots
 
 _TWO_PI = 2.0 * np.pi
 
@@ -104,15 +103,10 @@ def _circle_means(rows, kmin: int, integrand, grid0: int, rel_tol: float,
     that runs out of budget keeps its last value.
     """
     rows = np.atleast_2d(rows)
-    width = rows.shape[1]
-    if grid0 < width:
-        raise InvalidParam(f"grid {grid0} too small for {width} coefficients")
-    k = np.arange(width) + kmin
+    k = np.arange(rows.shape[1]) + kmin
 
     def grid_sums(c, grid):
-        spec = np.zeros((c.shape[0], grid), dtype=np.complex128)
-        spec[:, k % grid] = c
-        return integrand(np.abs(np.fft.ifft(spec, norm="forward"))).sum(axis=1)
+        return integrand(np.abs(_grid_values(c, kmin, grid))).sum(axis=1)
 
     finish = finish or (lambda mean: mean)
     sums = grid_sums(rows, grid0)
@@ -132,14 +126,15 @@ def _circle_means(rows, kmin: int, integrand, grid0: int, rel_tol: float,
 
 
 def _grid_candidates(vals: np.ndarray):
-    """Grid maxima and refinement candidates of periodic functions sampled one
-    per row of ``vals`` on a uniform grid.
+    """(row, column) of every refinement candidate of periodic functions
+    sampled one per row of ``vals`` on a uniform grid, rows ascending and
+    columns in grid order.
 
-    Returns each row's grid argmax and max, then the (row, column) of every
-    grid-local maximum within the top quarter of its row's spread: with at
-    least 16 samples per oscillation, refinement lifts a value by well under
-    1% of the spread, so only near-top maxima can compete. A row whose spread
-    is negligible or not finite is flat to working precision and gets none.
+    The candidates are the grid-local maxima within the top quarter of their
+    row's spread: with at least 16 samples per oscillation, refinement lifts a
+    value by well under 1% of the spread, so only near-top maxima can compete.
+    A row whose spread is negligible or not finite is flat to working
+    precision, and its only candidate is its grid argmax.
     """
     jbest = np.argmax(vals, axis=1)
     gmax = vals[np.arange(vals.shape[0]), jbest]
@@ -148,120 +143,82 @@ def _grid_candidates(vals: np.ndarray):
     cand = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     cand &= vals >= (gmax - 0.25 * spread)[:, None]
     cand &= active[:, None]
-    rows, cols = np.nonzero(cand)
-    return jbest, gmax, rows, cols
-
-
-def circle_max(f, grid_size: int, xtol: float = 3e-8, max_iter: int = 80):
-    """Max of a real 2*pi-periodic function: uniform grid, then bracketed
-    successive-parabolic refinement of every near-top grid-local maximum.
-
-    ``f`` must map an ndarray of angles to an ndarray of real values. Each
-    lane holds a bracket xl < xm < xr with fm >= fl, fr, and every step moves
-    all lanes in lockstep with one vectorized call of ``f``. Polynomial
-    objectives use the exact engine of sup_norm instead; this serves the
-    objectives that are not polynomials. Returns (max value, argmax angle).
-    """
-    xs = np.arange(grid_size) * (_TWO_PI / grid_size)
-    vals = np.asarray(f(xs), dtype=np.float64)
-    jbest, gmax, _, idx = _grid_candidates(vals[None, :])
-    jbest, gmax = int(jbest[0]), float(gmax[0])
-    if idx.size == 0:
-        return gmax, float(xs[jbest])
-
-    h = _TWO_PI / grid_size
-    xl, xm, xr = xs[idx] - h, xs[idx], xs[idx] + h
-    fl, fm, fr = vals[idx - 1], vals[idx], vals[(idx + 1) % grid_size]
-    for it in range(max_iter):
-        span = xr - xl
-        if span.max() <= xtol:
-            break
-        d1 = (xm - xl) * (fm - fr)
-        d2 = (xm - xr) * (fm - fl)
-        denom = 2.0 * (d1 - d2)
-        safe = np.where(denom == 0.0, 1.0, denom)
-        u = xm - ((xm - xl) * d1 - (xm - xr) * d2) / safe
-        mid = np.where((xr - xm) >= (xm - xl), 0.5 * (xm + xr), 0.5 * (xl + xm))
-        bad = (denom == 0.0) | ~np.isfinite(u)
-        bad |= (u <= xl + 1e-3 * span) | (u >= xr - 1e-3 * span)
-        bad |= np.abs(u - xm) < 1e-3 * span
-        if it % 2 == 1:  # forced bisection keeps worst-case convergence geometric
-            bad |= True
-        u = np.where(bad, mid, u)
-        fu = np.asarray(f(u), dtype=np.float64)
-        better = fu >= fm
-        right_side = u >= xm
-        new_xl = np.where(better, np.where(right_side, xm, xl), np.where(right_side, xl, u))
-        new_fl = np.where(better, np.where(right_side, fm, fl), np.where(right_side, fl, fu))
-        new_xr = np.where(better, np.where(right_side, xr, xm), np.where(right_side, u, xr))
-        new_fr = np.where(better, np.where(right_side, fr, fm), np.where(right_side, fu, fr))
-        xm = np.where(better, u, xm)
-        fm = np.where(better, fu, fm)
-        xl, fl, xr, fr = new_xl, new_fl, new_xr, new_fr
-
-    jb = int(np.argmax(fm))
-    if fm[jb] >= gmax:
-        return float(fm[jb]), float(xm[jb] % _TWO_PI)
-    return gmax, float(xs[jbest])
+    cand[~active, jbest[~active]] = True
+    return np.nonzero(cand)
 
 
 _NEWTON_STEPS = 8
 
 
-def _trig_max(b: np.ndarray, grid: int):
-    """Max over the circle of real trig polynomials with exact coefficients.
+def circle_max(h, grid: int, weights=(1.0,)):
+    """Per row r, the max over x of F(x) = sum_t weights[t] |h_t(x)| and an
+    angle attaining it, where h[r, t] holds the coefficients c_j of
+    h_t(x) = sum_j c_j e^{ijx} (a factor e^{ikx} leaves |h_t| unchanged, so
+    trig coefficients can be passed as they are). Returns per row
+    (max, argmax) as arrays.
 
-    Each row of ``b`` (or ``b`` itself, if 1-D) holds b_{-M}..b_M of
-    g(x) = sum_m b_m e^{imx}, Hermitian so that g is real. One FFT gives g on
-    the uniform ``grid`` (at least 2M+1 points). Every candidate of
-    _grid_candidates, or the grid argmax of a flat row, then takes Newton
-    steps x <- x - g'/g'' on the exact derivatives, clipped to one grid
-    spacing around its start, or a half-spacing ascent step where g'' >= 0.
-    Each iterate is evaluated from the coefficients and the best is kept, so
-    the returned max is g at the returned angle and never below g at the grid
-    argmax. Returns per row (max, argmax) as arrays.
+    All of ``h`` is first scaled by one power of two, which is exact, so
+    nothing overflows or underflows. One FFT of the exact coefficients
+    convolve(c, conj(c[::-1])) of each |h_t|^2 gives F on the uniform
+    ``grid`` (at least 2 * h.shape[-1] - 1 points). Every candidate of
+    _grid_candidates takes Newton steps x <- x - F'/F'' on exact derivatives,
+    clipped to one grid spacing around its start, or a half-spacing ascent
+    step where F'' >= 0, and the best iterate is kept. A single term, whose
+    weight must be positive, steps on |h|^2, which has the same maximizer and
+    costs no square root or division per step. Several terms step on F
+    itself, evaluated from h_t, h_t' and h_t'' (a term has no derivative at
+    its zeros and adds none): square roots of the |h_t|^2 would lose half the
+    digits where a term nearly vanishes.
     """
-    b = np.atleast_2d(b)
-    nrows, width = b.shape
-    m = np.arange(width) - (width - 1) // 2
-    spec = np.zeros((nrows, grid), dtype=np.complex128)
-    spec[:, m % grid] = b
-    vals = np.fft.ifft(spec, norm="forward").real
-    jbest, _, rows, cols = _grid_candidates(vals)
-    flat = np.setdiff1d(np.arange(nrows), rows)
-    rows = np.concatenate([rows, flat])
-    h = _TWO_PI / grid
-    x0 = np.concatenate([cols, jbest[flat]]) * h
+    h, e = _prescaled(np.asarray(h, dtype=np.complex128))
+    width = h.shape[-1]
+    w = np.asarray(weights, dtype=np.float64)
+    b = np.array([[np.convolve(c, np.conj(c[::-1])) for c in row] for row in h])
+    g = _grid_values(b, 1 - width, grid).real
+    single = len(w) == 1
+    vals = g[:, 0] if single else np.sqrt(np.maximum(g, 0.0)).transpose(0, 2, 1) @ w
+    rows, cols = _grid_candidates(vals)
+    dx = _TWO_PI / grid
+    x0 = cols * dx
 
-    coef = np.stack([b, 1j * m * b, -(m * m) * b], axis=-1)[rows]
+    if single:
+        m = np.arange(1 - width, width)
+        coef = np.stack([b[:, 0], 1j * m * b[:, 0], -(m * m) * b[:, 0]], axis=-1)[rows]
 
-    def g_and_derivs(x):
-        return np.einsum("kj,kjs->sk", np.exp(1j * np.multiply.outer(x, m)), coef).real
+        def objective(x):
+            return np.einsum("kj,kjs->sk", np.exp(1j * np.multiply.outer(x, m)), coef).real
+    else:
+        j = np.arange(width)
+        coef = np.stack([h, 1j * j * h, -(j * j) * h], axis=-1)[rows]
+
+        def objective(x):
+            v, v1, v2 = np.einsum("kj,ktjs->skt", np.exp(1j * np.multiply.outer(x, j)), coef)
+            a = np.abs(v)
+            inv = 1.0 / np.where(a > 0.0, a, np.inf)
+            d1 = (np.conj(v) * v1).real * inv
+            d2 = ((v1 * np.conj(v1)).real + (np.conj(v) * v2).real - d1 * d1) * inv
+            return a @ w, d1 @ w, d2 @ w
 
     x = x0
-    g, g1, g2 = g_and_derivs(x)
-    top_x, top_g = x, g
+    f, f1, f2 = objective(x)
+    top_x, top_f = x, f
     for _ in range(_NEWTON_STEPS):
-        concave = g2 < 0.0
-        move = np.where(concave, -g1 / np.where(concave, g2, -1.0), 0.5 * h * np.sign(g1))
-        x_next = np.clip(x + move, x0 - h, x0 + h)
+        concave = f2 < 0.0
+        move = np.where(concave, -f1 / np.where(concave, f2, -1.0), 0.5 * dx * np.sign(f1))
+        x_next = np.clip(x + move, x0 - dx, x0 + dx)
         if np.abs(x_next - x).max() <= 1e-13:
             break
         x = x_next
-        g, g1, g2 = g_and_derivs(x)
-        up = g > top_g
+        f, f1, f2 = objective(x)
+        up = f > top_f
         top_x = np.where(up, x, top_x)
-        top_g = np.where(up, g, top_g)
+        top_f = np.where(up, f, top_f)
 
     # per row, the first candidate (in grid order) holding the row's best value
-    order = np.lexsort((-top_g, rows))
+    order = np.lexsort((-top_f, rows))
     first = order[np.unique(rows[order], return_index=True)[1]]
-    return top_g[first], top_x[first] % _TWO_PI
-
-
-def _abs2_coeffs(c: np.ndarray) -> np.ndarray:
-    """Coefficients b_{-M}..b_M of |sum_k c_k e^{ikx}|^2, M = len(c) - 1."""
-    return np.convolve(c, np.conj(c[::-1]))
+    top = w[0] * np.sqrt(np.maximum(top_f[first], 0.0)) if single else top_f[first]
+    return np.ldexp(top, e), top_x[first] % _TWO_PI
 
 
 def _prescaled(c: np.ndarray):
@@ -273,23 +230,9 @@ def _prescaled(c: np.ndarray):
     return np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e), e
 
 
-def _abs_max(c: np.ndarray, grid: int):
-    """Per row of ``c``: max over x of |sum_k c_k e^{ikx}| and an angle attaining it.
-
-    Every row is first scaled by the same power of two, which is exact, so
-    squaring neither overflows nor underflows; the result is scaled back.
-    """
-    c, e = _prescaled(np.atleast_2d(c))
-    g, x = _trig_max(np.stack([_abs2_coeffs(row) for row in c]), grid)
-    return np.ldexp(np.sqrt(np.maximum(g, 0.0)), e), x
-
-
 def sup_norm(p) -> float:
-    """Max of |p| on the circle: the exact sup engine on |p|^2, which restricted
-    to the circle is a trig polynomial of degree 2n (n for an algebraic p)
-    with coefficients convolve(c, conj(c[::-1])). Grid-local maxima of a
-    32(n+1)-point grid, n the declared degree, take clipped Newton steps on
-    its exact derivatives.
+    """Max of |p| on the circle: circle_max with the one term p, on a
+    32(n+1)-point grid, n the declared degree.
     """
     if p.is_zero():
         return 0.0
@@ -301,7 +244,7 @@ def sup_norm_argmax(p):
     """(sup norm, an angle attaining it)."""
     if not isinstance(p, (TrigPoly, AlgebraicPoly)):
         raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-    val, x = _abs_max(p.coeffs, 32 * (p.degree + 1))
+    val, x = circle_max(p.coeffs[None, None], 32 * (p.degree + 1))
     return float(val[0]), float(x[0])
 
 
@@ -439,12 +382,6 @@ def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) ->
     return disk_mean(p.derivative().derivative(), 1.0, cfg)
 
 
-def _refine_radial_sup(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """sup over the circle of |q(radii[r] e^{i theta})| for every radius at once:
-    each radius is one row of the exact sup engine, on the dilated coefficients."""
-    return _abs_max(_dilated(coeffs, radii), max(32 * len(coeffs), 64))[0]
-
-
 def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
     """int_0^1 sup_{|z|=1} |p'(rz)| dr by Gauss-Legendre in r, with the sup
     taken by the exact engine of sup_norm on dilated coefficients."""
@@ -453,7 +390,8 @@ def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -
     if dp.is_zero():
         return 0.0
     r, w = _radial_rule(cfg.radial_nodes)
-    sups = _refine_radial_sup(dp.coeffs, r)
+    # sup over the circle of |p'(r z)| for every radius at once, one row each
+    sups = circle_max(_dilated(dp.coeffs, r)[:, None], max(32 * len(dp.coeffs), 64))[0]
     return float(np.sum(w * sups))
 
 

@@ -50,17 +50,18 @@ def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
-    """Values of sum_j coeffs[j] e^{i(kmin+j)x} at x = 2*pi*t/grid, t = 0..grid-1.
+    """Values of sum_j coeffs[..., j] e^{i(kmin+j)x} at x = 2*pi*t/grid,
+    t = 0..grid-1, for every row of ``coeffs`` (leading axes are batch axes).
 
-    Uses a zero-padded inverse FFT; requires grid >= len(coeffs) so the
+    Uses one zero-padded inverse FFT; requires grid >= coeffs.shape[-1] so the
     frequency residues mod grid stay distinct.
     """
-    m = len(coeffs)
+    m = coeffs.shape[-1]
     if grid < m:
         raise InvalidParam(f"grid {grid} too small for {m} coefficients")
-    c = np.zeros(grid, dtype=np.complex128)
-    c[(np.arange(m) + kmin) % grid] = coeffs
-    return np.fft.ifft(c) * grid
+    c = np.zeros(coeffs.shape[:-1] + (grid,), dtype=np.complex128)
+    c[..., (np.arange(m) + kmin) % grid] = coeffs
+    return np.fft.ifft(c, norm="forward")
 
 
 @dataclass(frozen=True)

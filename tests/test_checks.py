@@ -10,6 +10,7 @@ from polynorm.errors import (
     OnUnitCircle,
     RootInForbiddenRegion,
 )
+from polynorm.norms import sup_norm
 from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate
 
 
@@ -69,10 +70,12 @@ def test_bernstein_degenerate():
 # ----------------------------------------------------------------- section-3 suite
 
 def test_malik_monomial_equality():
-    for n in (1, 3, 8):
+    # |P'| + |Q'| = n exactly for z^n: the objective is flat, so its value
+    # comes from the coefficients at angle 0 with no rounding
+    for n in range(1, 17):
         rep = C.check_malik(_monomial(n))
         assert rep.passed
-        assert abs(rep.margin) <= 1e-8 * n
+        assert rep.margin == 0.0
 
 
 def test_malik_self_reciprocal():
@@ -96,6 +99,25 @@ def test_laguerre_linear_equality():
     # rho |P'| = 2 = |Q'| on the circle: additive margin ~ 0
     assert rep.passed
     assert abs(rep.measured) <= 1e-9
+
+
+def test_laguerre_double_root_on_circle():
+    # rho = 1 with a double root on the circle: the max of |P'| - |Q'| is 0,
+    # attained where both terms vanish, so it must come from the terms
+    # themselves and not from square roots of |P'|^2 and |Q'|^2
+    p = from_roots([np.exp(0.3j), np.exp(0.3j), 1.5])
+    rep = C.check_laguerre(p, 1.0)
+    assert rep.passed
+    assert abs(rep.measured) <= 1e-14 * p.degree * sup_norm(p)
+
+
+def test_laguerre_scale_invariance():
+    # a tiny or huge P must not look flat: measured scales with P
+    for p, rho in ((from_roots([2.0, -1.5j, 3.0 + 1.0j]), 1.2),
+                   (AlgebraicPoly([3.0, 1.0 - 2.0j, 0.5, 0.1j]), 1.0)):
+        base = C.check_laguerre(p, rho).measured
+        for s in (1e-300, 1e-18, 1e300):
+            assert C.check_laguerre(p * s, rho).measured / s == pytest.approx(base, rel=1e-13)
 
 
 def test_laguerre_generated_family():
@@ -221,6 +243,23 @@ def test_logplus_identity():
         assert rep.passed, (v, rep.measured, rep.bound)
     with pytest.raises(OnUnitCircle):
         C.check_identity_logplus(np.exp(0.4j))
+
+
+def test_logplus_inside_stops_early(monkeypatch):
+    # for |v| < 1 the circle mean is 0, which no relative test can meet; the
+    # Mahler measure exp(mean) = 1 can, so the grid stops doubling early
+    grids = []
+    log = np.log
+
+    def recording(a):  # the integrand sees exactly the points evaluated
+        grids.append(a.shape[-1])
+        return log(a)
+
+    monkeypatch.setattr(np, "log", recording)
+    for v in (0.0, 0.5 + 0.2j, 0.89):
+        grids.clear()
+        assert C.check_identity_logplus(v).passed
+        assert grids and max(grids) <= 1024, (v, grids)
 
 
 def test_power_identity():
