@@ -311,12 +311,24 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
+    """Distance from p to the segment [a, b].
+
+    Where the projection falls inside the segment it is
+    |Im(conj(b-a)(p-a))| / |b-a|. That is exactly 0 for collinear real points
+    such as the roots ±(1 - 4e-16) of z^2 - 1 and the derivative root 0,
+    where the foot-point difference p - (a + s(b-a)) leaves a rounding error.
+    """
     ab = b - a
     denom = abs(ab) ** 2
     if denom == 0.0:
         return abs(p - a)
-    s = min(1.0, max(0.0, ((p - a) * np.conj(ab)).real / denom))
-    return abs(p - (a + s * ab))
+    pa = p - a
+    s = (pa * np.conj(ab)).real / denom
+    if s <= 0.0:
+        return abs(pa)
+    if s >= 1.0:
+        return abs(p - b)
+    return abs((np.conj(ab) * pa).imag) / abs(ab)
 
 
 def _distance_to_hull(p: complex, hull: np.ndarray) -> float:

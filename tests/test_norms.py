@@ -202,6 +202,14 @@ def test_mahler_jensen_examples():
     assert mahler_jensen(p) == pytest.approx(2.0, rel=1e-10)
 
 
+def test_mahler_jensen_multiple_root_off_circle():
+    # (z - 2)^20 from its coefficients alone, so the twenty-fold root has to
+    # be found numerically: M = 2^20.
+    p = AlgebraicPoly(np.asarray(from_roots([2.0] * 20).coeffs))
+    assert p.known_roots is None
+    assert mahler_jensen(p) == pytest.approx(2.0**20, rel=1e-10)
+
+
 def test_mahler_jensen_zero_raises():
     with pytest.raises(ZeroPolynomial):
         mahler_jensen(AlgebraicPoly([0.0]))

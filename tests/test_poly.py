@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polynorm import poly as poly_mod
 from polynorm.errors import InvalidParam, ParseError, ZeroPolynomial
+from polynorm.norms import mahler_jensen
 from polynorm.poly import (
     AlgebraicPoly,
     ExponentialSum,
@@ -148,6 +150,45 @@ def test_root_reconstruction_random():
         rs = roots(p)
         assert rs.residual <= 1e-8
         assert len(rs.roots) == n
+
+
+@pytest.mark.parametrize("d", [poly_mod._EIGVALS_MAX_DEGREE, poly_mod._EIGVALS_MAX_DEGREE + 1])
+def test_root_paths_agree_at_crossover(monkeypatch, d):
+    p = _rand_alg(np.random.default_rng(d), d)
+    calls = []
+    aberth = poly_mod._aberth
+    monkeypatch.setattr(poly_mod, "_aberth", lambda w: calls.append(1) or aberth(w))
+    by_aberth = d > poly_mod._EIGVALS_MAX_DEGREE
+    default = roots(p).roots
+    assert len(calls) == by_aberth
+    m_default = mahler_jensen(p)
+    # the same input through the other path
+    monkeypatch.setattr(poly_mod, "_EIGVALS_MAX_DEGREE", d if by_aberth else 0)
+    calls.clear()
+    other = roots(p).roots
+    assert len(calls) == (not by_aberth)
+    assert np.abs(np.sort(default) - np.sort(other)).max() <= 1e-10
+    assert mahler_jensen(p) == pytest.approx(m_default, rel=1e-12)
+
+
+def test_roots_rebuild_only_when_residual_read(monkeypatch):
+    calls = []
+    rebuild = poly_mod._coeffs_from_roots
+    monkeypatch.setattr(poly_mod, "_coeffs_from_roots",
+                        lambda rts, lead: calls.append(1) or rebuild(rts, lead))
+    rs = roots(_rand_alg(np.random.default_rng(3), 12))
+    assert calls == []
+    assert rs.residual <= 1e-12
+    assert rs.residual <= 1e-12
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_roots_residual_on_high_degree_lifts(n):
+    lift = generate("gaussian-random", n, seed=n).to_algebraic()
+    rs = roots(lift)
+    assert len(rs.roots) == 2 * n
+    assert rs.residual <= 1e-10
 
 
 def test_rootset_clustering():
