@@ -29,12 +29,12 @@ from .norms import (
     QuadratureConfig,
     _circle_means,
     besov_111_seminorm,
-    besov_inf1_seminorm,
+    besov_inf1_seminorms,
     circle_max,
     lp_norm,
     mahler_jensen,
     sup_norm,
-    sup_norm_argmax,
+    sup_norms_argmax,
     wiener_norm,
 )
 from .poly import AlgebraicPoly, TrigPoly, poly_to_json, roots
@@ -143,6 +143,40 @@ def _ladder_norm(t: TrigPoly, p: float, cfg: QuadratureConfig) -> float:
     return lp_norm(t, p, cfg)
 
 
+def _batched(cases, compute) -> list:
+    """Reports for ``cases``, a list of (check_id, payload, params, args)
+    per input, in order. An input whose polynomial args[0] is zero gets a
+    degenerate report; compute(live) returns the reports of the others, given
+    their cases, in one pass over all of them."""
+    out = [_degenerate(cid, payload, params) if args[0].is_zero() else None
+           for cid, payload, params, args in cases]
+    live = [case for case, rep in zip(cases, out) if rep is None]
+    done = iter(compute(live) if live else ())
+    return [rep if rep is not None else next(done) for rep in out]
+
+
+def _sups(polys) -> list:
+    """Sup norms of polynomials of one kind and declared degree, as floats."""
+    return [float(v) for v in sup_norms_argmax(polys)[0]]
+
+
+def _witnessed(check_id, live, measured, xmax, bounds, tol) -> list:
+    """Reports of ``live`` cases with their measured values, argmax angles and
+    bounds, each witnessed by its (argmax, measured) pair."""
+    return [_report(check_id, payload, float(m), b, tol, witnesses=[(float(x), float(m))],
+                    params=params)
+            for (_, payload, params, _), m, x, b in zip(live, measured, xmax, bounds)]
+
+
+def _sup_bound(check_id, live, tol, image, factor) -> list:
+    """Reports of sup|image(*args)| <= factor(*args) * sup|args[0]| for the
+    ``live`` cases, with one circle_max call per norm."""
+    measured, xmax = sup_norms_argmax([image(*args) for *_, args in live])
+    sups = _sups([args[0] for *_, args in live])
+    bounds = [factor(*args) * s for (*_, args), s in zip(live, sups)]
+    return _witnessed(check_id, live, measured, xmax, bounds, tol)
+
+
 def check_bernstein(t: TrigPoly, p, tol: float = DEFAULT_TOL,
                     cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Derivative norm bound: ||T'||_p <= n ||T||_p, n the declared degree.
@@ -150,23 +184,31 @@ def check_bernstein(t: TrigPoly, p, tol: float = DEFAULT_TOL,
     Routes p = 0 through the Mahler (Jensen) norm and p = inf through the
     refined sup norm.
     """
+    return check_bernstein_batch([(t, p)], tol, cfg)[0]
+
+
+def check_bernstein_batch(cases, tol: float = DEFAULT_TOL,
+                          cfg: QuadratureConfig | None = None) -> list:
+    """check_bernstein of each (t, p) in ``cases``, all t of one degree; the
+    p = inf rungs take their sups from one circle_max call per norm."""
     cfg = cfg or DEFAULT_CONFIG
-    p = parse_p(p)
-    payload = {"op": "bernstein", "p": repr(p), "poly": _poly_payload(t)}
-    params = {"n": t.degree, "p": p}
-    if t.is_zero():
-        return _degenerate("bernstein", payload, params)
-    n = t.degree
-    dt = t.derivative()
-    witnesses = []
-    if math.isinf(p):
-        measured, xmax = sup_norm_argmax(dt)
-        witnesses = [(xmax, measured)]
-    else:
-        measured = _ladder_norm(dt, p, cfg)
-    bound = n * _ladder_norm(t, p, cfg)
-    return _report("bernstein", payload, measured, bound, tol,
-                   witnesses=witnesses, params=params)
+    cases = [(t, parse_p(p)) for t, p in cases]
+
+    def compute(live):
+        out = [None if math.isinf(p) else
+               _report("bernstein", payload, _ladder_norm(t.derivative(), p, cfg),
+                       t.degree * _ladder_norm(t, p, cfg), tol, params=params)
+               for _, payload, params, (t, p) in live]
+        rung = [i for i, (*_, (t, p)) in enumerate(live) if math.isinf(p)]
+        if rung:
+            reps = _sup_bound("bernstein", [live[i] for i in rung], tol,
+                              lambda t, p: t.derivative(), lambda t, p: t.degree)
+            for i, rep in zip(rung, reps):
+                out[i] = rep
+        return out
+
+    return _batched([("bernstein", {"op": "bernstein", "p": repr(p), "poly": _poly_payload(t)},
+                      {"n": t.degree, "p": p}, (t, p)) for t, p in cases], compute)
 
 
 def _min_root_modulus(p: AlgebraicPoly) -> float:
@@ -198,15 +240,33 @@ def _derivative_terms(p: AlgebraicPoly) -> np.ndarray:
 def check_malik(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|P'(z)| + |Q'(z)| <= n on the circle after normalizing sup|P| to 1,
     Q the reciprocal polynomial."""
-    payload = {"op": "malik", "poly": _poly_payload(p)}
-    params = {"n": p.degree}
-    if p.is_zero():
-        return _degenerate("malik", payload, params)
-    n = p.degree
-    val, x = circle_max(_derivative_terms(p * (1.0 / sup_norm(p)))[None], 32 * (n + 1), (1.0, 1.0))
-    measured, xmax = float(val[0]), float(x[0])
-    return _report("malik", payload, measured, n, tol,
-                   witnesses=[(xmax, measured)], params=params)
+    return check_malik_batch([(p,)], tol)[0]
+
+
+def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
+    """check_malik of each (p,) in ``cases``, all p of one degree n, with one
+    circle_max call for the sups and one for the maxima."""
+    def compute(live):
+        polys = [args[0] for *_, args in live]
+        n = polys[0].degree
+        terms = [_derivative_terms(p * (1.0 / s)) for p, s in zip(polys, _sups(polys))]
+        val, x = circle_max(np.stack(terms), 32 * (n + 1), (1.0, 1.0))
+        return _witnessed("malik", live, val, x, [n] * len(live), tol)
+
+    return _batched([("malik", {"op": "malik", "poly": _poly_payload(p)}, {"n": p.degree}, (p,))
+                     for p, in cases], compute)
+
+
+def _require_rho(cases):
+    for _, rho, *_ in cases:
+        if rho < 1.0:
+            raise InvalidParam("rho >= 1 required")
+
+
+def _require_live_roots_outside(live):
+    """_require_roots_outside for each of the ``live`` cases, args (p, rho, ...)."""
+    for *_, (p, rho, *_) in live:
+        _require_roots_outside(p, rho)
 
 
 def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -215,73 +275,96 @@ def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> Ve
     Additive form: measured is the max of rho|P'| - |Q'|, bounded by zero with
     absolute slack tol * n * sup|P|.
     """
-    if rho < 1.0:
-        raise InvalidParam("rho >= 1 required")
-    payload = {"op": "laguerre", "rho": rho, "poly": _poly_payload(p)}
-    params = {"n": p.degree, "rho": rho}
-    if p.is_zero():
-        return _degenerate("laguerre", payload, params)
-    _require_roots_outside(p, rho)
-    n = p.degree
-    val, x = circle_max(_derivative_terms(p)[None], 32 * (n + 1), (rho, -1.0))
-    measured, xmax = float(val[0]), float(x[0])
-    slack = tol * n * sup_norm(p)
-    return _report("laguerre", payload, measured, 0.0, tol, abs_slack=slack,
-                   witnesses=[(xmax, measured)], params=params)
+    return check_laguerre_batch([(p, rho)], tol)[0]
+
+
+def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
+    """check_laguerre of each (p, rho) in ``cases``, all p of one degree n:
+    one circle_max call with weights (rho, -1) per row, and one for the sups."""
+    _require_rho(cases)
+
+    def compute(live):
+        _require_live_roots_outside(live)
+        polys = [args[0] for *_, args in live]
+        n = polys[0].degree
+        weights = [(args[1], -1.0) for *_, args in live]
+        val, x = circle_max(np.stack([_derivative_terms(p) for p in polys]), 32 * (n + 1), weights)
+        return [_report("laguerre", payload, float(m), 0.0, tol, abs_slack=tol * n * s,
+                        witnesses=[(float(xm), float(m))], params=params)
+                for (_, payload, params, _), m, xm, s in zip(live, val, x, _sups(polys))]
+
+    return _batched([("laguerre", {"op": "laguerre", "rho": rho, "poly": _poly_payload(p)},
+                      {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], compute)
 
 
 def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> VerificationReport:
     """||P'||_inf <= n/(1+rho) * ||P||_inf for P with all roots of modulus >= rho."""
-    if rho < 1.0:
-        raise InvalidParam("rho >= 1 required")
-    payload = {"op": "lax_malik", "rho": rho, "poly": _poly_payload(p)}
-    params = {"n": p.degree, "rho": rho}
-    if p.is_zero():
-        return _degenerate("lax_malik", payload, params)
-    _require_roots_outside(p, rho)
-    n = p.degree
-    measured, xmax = sup_norm_argmax(p.derivative())
-    bound = n / (1.0 + rho) * sup_norm(p)
-    return _report("lax_malik", payload, measured, bound, tol,
-                   witnesses=[(xmax, measured)], params=params)
+    return check_lax_malik_batch([(p, rho)], tol)[0]
+
+
+def check_lax_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
+    """check_lax_malik of each (p, rho) in ``cases``, all p of one degree, with
+    one circle_max call per norm."""
+    _require_rho(cases)
+
+    def compute(live):
+        _require_live_roots_outside(live)
+        return _sup_bound("lax_malik", live, tol, lambda p, rho: p.derivative(),
+                          lambda p, rho: p.degree / (1.0 + rho))
+
+    return _batched([("lax_malik", {"op": "lax_malik", "rho": rho, "poly": _poly_payload(p)},
+                      {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], compute)
 
 
 def check_ankeny_rivlin(p: AlgebraicPoly, rho: float, radius: float,
                         tol: float = DEFAULT_TOL) -> VerificationReport:
     """max_{|z|=R} |P(z)| <= (R^n + rho)/(1 + rho) * ||P||_inf for root-free rho-disk."""
-    if rho < 1.0:
-        raise InvalidParam("rho >= 1 required")
-    if radius <= 1.0:
+    return check_ankeny_rivlin_batch([(p, rho, radius)], tol)[0]
+
+
+def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
+    """check_ankeny_rivlin of each (p, rho, radius) in ``cases``, all p of one
+    degree, with one circle_max call per norm."""
+    _require_rho(cases)
+    if any(radius <= 1.0 for *_, radius in cases):
         raise InvalidParam("the growth bound is for radii R > 1")
-    payload = {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": _poly_payload(p)}
-    params = {"n": p.degree, "rho": rho, "R": radius}
-    if p.is_zero():
-        return _degenerate("ankeny_rivlin", payload, params)
-    _require_roots_outside(p, rho)
-    n = p.degree
-    measured, xmax = sup_norm_argmax(p.dilate(radius))
-    bound = (radius**n + rho) / (1.0 + rho) * sup_norm(p)
-    return _report("ankeny_rivlin", payload, measured, bound, tol,
-                   witnesses=[(xmax, measured)], params=params)
+
+    def compute(live):
+        _require_live_roots_outside(live)
+        return _sup_bound("ankeny_rivlin", live, tol, lambda p, rho, radius: p.dilate(radius),
+                          lambda p, rho, radius: (radius**p.degree + rho) / (1.0 + rho))
+
+    return _batched([("ankeny_rivlin",
+                      {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": _poly_payload(p)},
+                      {"n": p.degree, "rho": rho, "R": radius}, (p, rho, radius))
+                     for p, rho, radius in cases], compute)
 
 
 def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """(T')^2 + n^2 T^2 <= n^2 pointwise for real-valued T normalized to sup 1."""
-    payload = {"op": "svdc", "poly": _poly_payload(t)}
-    params = {"n": t.degree}
-    if t.is_zero():
-        return _degenerate("svdc", payload, params)
-    if not t.is_real_valued():
-        raise NotRealValued("the pointwise bound needs a real-valued trig polynomial")
-    n = t.degree
-    tn = t * (1.0 / sup_norm(t))
-    # (Re T')^2 + n^2 (Re T)^2 = |Re T' + i n Re T|^2, both parts real
-    c_re = (tn.coeffs + np.conj(tn.coeffs[::-1])) / 2.0
-    c_dre = 1j * np.arange(-n, n + 1) * c_re
-    val, x = circle_max((c_dre + 1j * n * c_re)[None, None], 32 * (2 * n + 1))
-    measured, xmax = float(val[0]) ** 2, float(x[0])
-    return _report("svdc", payload, measured, float(n * n), tol,
-                   witnesses=[(xmax, measured)], params=params)
+    return check_svdc_batch([(t,)], tol)[0]
+
+
+def check_svdc_batch(cases, tol: float = DEFAULT_TOL) -> list:
+    """check_svdc of each (t,) in ``cases``, all t of one degree n, with one
+    circle_max call for the sups and one for the maxima."""
+    def compute(live):
+        ts = [args[0] for *_, args in live]
+        if not all(t.is_real_valued() for t in ts):
+            raise NotRealValued("the pointwise bound needs a real-valued trig polynomial")
+        n = ts[0].degree
+        rows = []
+        for t, s in zip(ts, _sups(ts)):
+            tn = t * (1.0 / s)
+            # (Re T')^2 + n^2 (Re T)^2 = |Re T' + i n Re T|^2, both parts real
+            c_re = (tn.coeffs + np.conj(tn.coeffs[::-1])) / 2.0
+            rows.append(1j * np.arange(-n, n + 1) * c_re + 1j * n * c_re)
+        val, x = circle_max(np.stack(rows)[:, None], 32 * (2 * n + 1))
+        measured = [float(v) ** 2 for v in val]
+        return _witnessed("svdc", live, measured, x, [float(n * n)] * len(live), tol)
+
+    return _batched([("svdc", {"op": "svdc", "poly": _poly_payload(t)}, {"n": t.degree}, (t,))
+                     for t, in cases], compute)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -371,9 +454,13 @@ def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationRe
     measured = max(d for d, _ in dists)
     scale = float(np.abs(base).max())
     slack = tol * (1.0 + scale)
-    worst = max(dists, key=lambda dr: dr[0])[1]
+    witnesses = []
+    if measured > 0.0:  # when every root is inside, no root is worse than another
+        worst = max(dists, key=lambda dr: dr[0])[1]
+        witnesses = [(worst.real, measured)]
+        params["worst_root"] = [worst.real, worst.imag]
     return _report("gauss_lucas", payload, measured, 0.0, tol, abs_slack=slack,
-                   witnesses=[(worst.real, measured)], params=params)
+                   witnesses=witnesses, params=params)
 
 
 _EMBEDDING_KINDS = ("wiener", "besovinf1", "besov111")
@@ -387,39 +474,54 @@ def check_embedding(p: AlgebraicPoly, kind: str, tol: float = DEFAULT_TOL,
     the radial-sup seminorm, (8/pi) sum_{k<n} gamma(k+3/2)^2/(k!(k+1)!) for
     the second-derivative area seminorm.
     """
-    if kind not in _EMBEDDING_KINDS:
+    return check_embedding_batch([(p, kind)], tol, cfg)[0]
+
+
+def check_embedding_batch(cases, tol: float = DEFAULT_TOL,
+                          cfg: QuadratureConfig | None = None) -> list:
+    """check_embedding of each (p, kind) in ``cases``, all p of one degree:
+    one circle_max call for the sups and one for every radial sup of the
+    radial-sup seminorms."""
+    if any(kind not in _EMBEDDING_KINDS for _, kind in cases):
         raise InvalidParam(f"embedding kind must be one of {_EMBEDDING_KINDS}")
-    payload = {"op": f"embedding_{kind}", "poly": _poly_payload(p)}
-    params = {"n": p.degree, "kind": kind}
-    if p.is_zero():
-        return _degenerate(f"embedding_{kind}", payload, params)
-    n = p.degree
-    if kind == "wiener":
-        measured = wiener_norm(p)
-        const = wiener_bound_constant(n)
-    elif kind == "besovinf1":
-        measured = besov_inf1_seminorm(p, cfg)
-        const = besov_inf1_bound_constant(n)
-    else:
-        measured = besov_111_seminorm(p, cfg)
-        const = besov_111_bound_constant(n)
-    bound = const * sup_norm(p)
-    return _report(f"embedding_{kind}", payload, measured, bound, tol, params=params)
+
+    def compute(live):
+        polys = [args[0] for *_, args in live]
+        radial = [i for i, (*_, (_, kind)) in enumerate(live) if kind == "besovinf1"]
+        measured = dict(zip(radial, besov_inf1_seminorms([polys[i] for i in radial], cfg)))
+        out = []
+        for i, ((cid, payload, params, (p, kind)), s) in enumerate(zip(live, _sups(polys))):
+            n = p.degree
+            if kind == "wiener":
+                value, const = wiener_norm(p), wiener_bound_constant(n)
+            elif kind == "besovinf1":
+                value, const = measured[i], besov_inf1_bound_constant(n)
+            else:
+                value, const = besov_111_seminorm(p, cfg), besov_111_bound_constant(n)
+            out.append(_report(cid, payload, value, const * s, tol, params=params))
+        return out
+
+    return _batched([(f"embedding_{kind}", {"op": f"embedding_{kind}", "poly": _poly_payload(p)},
+                      {"n": p.degree, "kind": kind}, (p, kind)) for p, kind in cases], compute)
 
 
 def check_dominated_derivative(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Term-by-term domination with the canonical majorant sup|P| * z^n:
     |P| <= |F| on the circle and F root-free outside the closed disk force
     |P'| <= |F'| = n sup|P| there."""
-    payload = {"op": "dominated_derivative", "poly": _poly_payload(p)}
-    params = {"n": p.degree}
-    if p.is_zero():
-        return _degenerate("dominated_derivative", payload, params)
-    n = p.degree
-    measured, xmax = sup_norm_argmax(p.derivative())
-    bound = n * sup_norm(p)
-    return _report("dominated_derivative", payload, measured, bound, tol,
-                   witnesses=[(xmax, measured)], params=params)
+    return check_dominated_derivative_batch([(p,)], tol)[0]
+
+
+def check_dominated_derivative_batch(cases, tol: float = DEFAULT_TOL) -> list:
+    """check_dominated_derivative of each (p,) in ``cases``, all p of one
+    degree, with one circle_max call per norm."""
+    def compute(live):
+        return _sup_bound("dominated_derivative", live, tol, lambda p: p.derivative(),
+                          lambda p: p.degree)
+
+    return _batched([("dominated_derivative", {"op": "dominated_derivative",
+                                               "poly": _poly_payload(p)}, {"n": p.degree}, (p,))
+                     for p, in cases], compute)
 
 
 def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,

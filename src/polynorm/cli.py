@@ -4,6 +4,7 @@ Subcommands:
   norm       compute one norm of a polynomial file
   diff       differentiate by one of several methods, reporting residuals
   verify     run a randomized verification sweep, writing JSONL + CSV
+             (and, with --profile, wall times per check to a JSON file)
   constants  print the explicit embedding/identity constants for a degree
 
 Exit codes: 0 success, 1 verification failures (witnesses dumped), 2 bad
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -132,9 +134,15 @@ def _cmd_verify(args) -> int:
     out_jsonl = args.out + ".jsonl" if args.out else (sc.out_jsonl or "polynorm_report.jsonl")
     out_csv = args.out + ".csv" if args.out else (sc.out_csv or "polynorm_summary.csv")
 
-    result = sweep.run_sweep(sc)
+    profile = {} if args.profile else None
+    t0 = time.perf_counter()
+    result = sweep.run_sweep(sc, profile)
+    sweep_s = time.perf_counter() - t0
     sweep.write_jsonl(out_jsonl, result.reports)
     sweep.write_csv(out_csv, result.summary)
+    if args.profile:
+        with open(args.profile, "w", encoding="utf-8") as handle:
+            json.dump({"sweep_s": sweep_s, "checks": profile}, handle, indent=1, sort_keys=True)
 
     n_fail = len(result.failures())
     print(f"checks: {len(sc.checks)}  reports: {len(result.reports)}  failures: {n_fail}")
@@ -210,6 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="output path prefix")
     p_verify.add_argument("--debug-shrink-bound", type=float, default=None,
                           help="negative control: multiply every bound by this factor")
+    p_verify.add_argument("--profile", default=None, metavar="PATH",
+                          help="write wall times, group and report counts per check "
+                               "to this JSON file (the reports do not change)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_const = sub.add_parser("constants", help="print explicit constants for degree n")

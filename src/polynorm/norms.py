@@ -151,35 +151,40 @@ _NEWTON_STEPS = 8
 
 
 def circle_max(h, grid: int, weights=(1.0,)):
-    """Per row r, the max over x of F(x) = sum_t weights[t] |h_t(x)| and an
+    """Per row r, the max over x of F(x) = sum_t w[r, t] |h_t(x)| and an
     angle attaining it, where h[r, t] holds the coefficients c_j of
     h_t(x) = sum_j c_j e^{ijx} (a factor e^{ikx} leaves |h_t| unchanged, so
-    trig coefficients can be passed as they are). Returns per row
+    trig coefficients can be passed as they are). ``weights`` has shape (T,),
+    shared by every row, or (R, T), one set per row. Returns per row
     (max, argmax) as arrays.
 
-    All of ``h`` is first scaled by one power of two, which is exact, so
-    nothing overflows or underflows. One FFT of the exact coefficients
-    convolve(c, conj(c[::-1])) of each |h_t|^2 gives F on the uniform
-    ``grid`` (at least 2 * h.shape[-1] - 1 points). Every candidate of
+    Rows are independent: a row's result is the same, bit for bit, whatever
+    other rows share its call, so callers may stack the rows of many inputs
+    of one width. Each row is first scaled by its own power of two, which is
+    exact, so nothing overflows or underflows. One FFT of the exact
+    coefficients convolve(c, conj(c[::-1])) of each |h_t|^2 gives F on the
+    uniform ``grid`` (at least 2 * h.shape[-1] - 1 points). Every candidate of
     _grid_candidates takes Newton steps x <- x - F'/F'' on exact derivatives,
     clipped to one grid spacing around its start, or a half-spacing ascent
-    step where F'' >= 0, and the best iterate is kept. A single term, whose
-    weight must be positive, steps on |h|^2, which has the same maximizer and
-    costs no square root or division per step. Several terms step on F
-    itself, evaluated from h_t, h_t' and h_t'' (a term has no derivative at
-    its zeros and adds none): square roots of the |h_t|^2 would lose half the
-    digits where a term nearly vanishes.
+    step where F'' >= 0, and the best iterate is kept; a row stops stepping
+    once none of its candidates moves by more than 1e-13. A single term,
+    whose weight must be positive, steps on |h|^2, which has the same
+    maximizer and costs no square root or division per step. Several terms
+    step on F itself, evaluated from h_t, h_t' and h_t'' (a term has no
+    derivative at its zeros and adds none): square roots of the |h_t|^2 would
+    lose half the digits where a term nearly vanishes.
     """
-    h, e = _prescaled(np.asarray(h, dtype=np.complex128))
+    h, e = _prescaled(np.ascontiguousarray(h, dtype=np.complex128), axis=(1, 2))
     width = h.shape[-1]
+    single = h.shape[1] == 1
     w = np.asarray(weights, dtype=np.float64)
     b = np.array([[np.convolve(c, np.conj(c[::-1])) for c in row] for row in h])
     g = _grid_values(b, 1 - width, grid).real
-    single = len(w) == 1
-    vals = g[:, 0] if single else np.sqrt(np.maximum(g, 0.0)).transpose(0, 2, 1) @ w
+    vals = g[:, 0] if single else (np.sqrt(np.maximum(g, 0.0)) * w[..., None]).sum(axis=1)
     rows, cols = _grid_candidates(vals)
     dx = _TWO_PI / grid
     x0 = cols * dx
+    wk = w[rows].T if w.ndim == 2 else w[:, None]  # (T, candidates) or (T, 1)
 
     if single:
         m = np.arange(1 - width, width)
@@ -192,22 +197,33 @@ def circle_max(h, grid: int, weights=(1.0,)):
         coef = np.stack([h, 1j * j * h, -(j * j) * h], axis=-1)[rows]
 
         def objective(x):
-            v, v1, v2 = np.einsum("kj,ktjs->skt", np.exp(1j * np.multiply.outer(x, j)), coef)
-            a = np.abs(v)
+            v, v1, v2 = np.einsum("kj,ktjs->stk", np.exp(1j * np.multiply.outer(x, j)), coef)
+            terms = np.empty((3,) + v.shape)  # |h_t| and its two derivatives
+            a = np.abs(v, out=terms[0])
             inv = 1.0 / np.where(a > 0.0, a, np.inf)
-            d1 = (np.conj(v) * v1).real * inv
-            d2 = ((v1 * np.conj(v1)).real + (np.conj(v) * v2).real - d1 * d1) * inv
-            return a @ w, d1 @ w, d2 @ w
+            d1 = np.multiply((np.conj(v) * v1).real, inv, out=terms[1])
+            np.multiply((v1 * np.conj(v1)).real + (np.conj(v) * v2).real - d1 * d1, inv,
+                        out=terms[2])
+            return (terms * wk).sum(axis=1)
 
     x = x0
     f, f1, f2 = objective(x)
     top_x, top_f = x, f
+    # every row has a candidate and rows ascend: row r's run starts at starts[r]
+    starts = np.searchsorted(rows, np.arange(len(h))) if len(h) > 1 else None
     for _ in range(_NEWTON_STEPS):
         concave = f2 < 0.0
         move = np.where(concave, -f1 / np.where(concave, f2, -1.0), 0.5 * dx * np.sign(f1))
         x_next = np.clip(x + move, x0 - dx, x0 + dx)
-        if np.abs(x_next - x).max() <= 1e-13:
+        step = np.abs(x_next - x)
+        if step.max() <= 1e-13:
             break
+        if starts is not None:
+            moving = ~(step <= 1e-13)
+            if not moving.all():
+                # a row none of whose candidates moved keeps its x, so it
+                # computes the same step again and stays stopped
+                x_next = np.where(np.logical_or.reduceat(moving, starts)[rows], x_next, x)
         x = x_next
         f, f1, f2 = objective(x)
         up = f > top_f
@@ -217,16 +233,17 @@ def circle_max(h, grid: int, weights=(1.0,)):
     # per row, the first candidate (in grid order) holding the row's best value
     order = np.lexsort((-top_f, rows))
     first = order[np.unique(rows[order], return_index=True)[1]]
-    top = w[0] * np.sqrt(np.maximum(top_f[first], 0.0)) if single else top_f[first]
-    return np.ldexp(top, e), top_x[first] % _TWO_PI
+    top = w[..., 0] * np.sqrt(np.maximum(top_f[first], 0.0)) if single else top_f[first]
+    return np.ldexp(top, e[:, 0, 0]), top_x[first] % _TWO_PI
 
 
-def _prescaled(c: np.ndarray):
+def _prescaled(c: np.ndarray, axis=None):
     """(c * 2^-e, e), with e the binary exponent of the largest |Re| or |Im| of
-    ``c``: exact, and it brings the largest entry into [1/2, 1), so norms
-    taken of the result neither overflow nor underflow before being scaled
-    back by 2^e."""
-    e = int(np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max())[1])
+    ``c`` (over ``axis``, kept as length-1 axes; all of ``c`` by default):
+    exact, and it brings the largest entry into [1/2, 1), so norms taken of
+    the result neither overflow nor underflow before being scaled back by
+    2^e. ``c`` must be contiguous in its last axis."""
+    e = np.frexp(np.abs(c.view(np.float64)).max(axis=axis, keepdims=True))[1]
     return np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e), e
 
 
@@ -246,6 +263,16 @@ def sup_norm_argmax(p):
         raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
     val, x = circle_max(p.coeffs[None, None], 32 * (p.degree + 1))
     return float(val[0]), float(x[0])
+
+
+def sup_norms_argmax(polys):
+    """sup_norm_argmax of each of ``polys``, polynomials of one kind and
+    declared degree n, as two arrays: one circle_max call on the same
+    32(n+1)-point grid, one row per polynomial."""
+    for p in polys:
+        if not isinstance(p, (TrigPoly, AlgebraicPoly)):
+            raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
+    return circle_max(np.stack([p.coeffs for p in polys])[:, None], 32 * (polys[0].degree + 1))
 
 
 def _circle_row(p):
@@ -280,7 +307,7 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     row, e = _prescaled(coeffs)
     norm = _circle_means(row, kmin, lambda a: a**power, grid0, cfg.rel_tol, budget,
                          finish=lambda mean: mean ** (1.0 / power))
-    return float(np.ldexp(norm[0], e))
+    return float(np.ldexp(norm[0], e[0]))
 
 
 def _jensen_from_roots(root_arr: np.ndarray, leading: complex) -> float:
@@ -385,14 +412,26 @@ def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) ->
 def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
     """int_0^1 sup_{|z|=1} |p'(rz)| dr by Gauss-Legendre in r, with the sup
     taken by the exact engine of sup_norm on dilated coefficients."""
+    return float(besov_inf1_seminorms([p], cfg)[0])
+
+
+def besov_inf1_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """besov_inf1_seminorm of each of the algebraic polynomials ``polys``,
+    all of one declared degree: the sups over every radius of every input
+    come from one circle_max call, one row each."""
     cfg = cfg or DEFAULT_CONFIG
-    dp = p.derivative()
-    if dp.is_zero():
-        return 0.0
+    out = np.zeros(len(polys))
+    derivs = [(i, p.derivative()) for i, p in enumerate(polys)]
+    derivs = [(i, dp) for i, dp in derivs if not dp.is_zero()]
+    if not derivs:
+        return out
     r, w = _radial_rule(cfg.radial_nodes)
-    # sup over the circle of |p'(r z)| for every radius at once, one row each
-    sups = circle_max(_dilated(dp.coeffs, r)[:, None], max(32 * len(dp.coeffs), 64))[0]
-    return float(np.sum(w * sups))
+    width = len(derivs[0][1].coeffs)
+    rows = np.concatenate([_dilated(dp.coeffs, r) for _, dp in derivs])
+    sups = circle_max(rows[:, None], max(32 * width, 64))[0].reshape(len(derivs), len(r))
+    for (i, _), s in zip(derivs, sups):
+        out[i] = np.sum(w * s)
+    return out
 
 
 def norm_value(p, kind: NormKind | str, power: float | None = None,

@@ -8,8 +8,10 @@ debug bound-scale below 1 turns the sweep into a negative control that must
 fail. Failing reports embed the offending input as JSON.
 
 Every check is one entry of ``REGISTRY``: a builder that draws the trial's
-input from its seeded generator, and an evaluator that checks it. A trial
-builds its input once, and a failing report embeds that same input.
+input from its seeded generator, and an evaluator that checks a list of
+inputs of one degree. A trial builds its input once, the trials of one check
+and degree are checked as one group, and a failing report embeds the input
+its trial checked.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable
 
@@ -155,7 +158,8 @@ class CheckSpec:
     """One sweep check.
 
     build(rng, seed, n, index, sc) returns the check's arguments, drawing from
-    the trial's generator; evaluate(args, tol, qcfg) returns its report.
+    the trial's generator; evaluate(args_list, tol, qcfg) takes the argument
+    tuples of inputs of one degree and returns their reports in order.
     tol_field names the SweepConfig tolerance used when tol_overrides has no
     entry. A check with equality witnesses names their family, and
     family_inputs(n, sc) returns the argument tuples for degree n.
@@ -170,53 +174,56 @@ class CheckSpec:
 
 # Evaluators look each check function up on the checks module at call time,
 # so a function replaced there (a traced wrapper, say) is the one that runs.
+# The checks built on circle maxima take a whole group through their batch
+# form; the others check one input at a time.
 REGISTRY = {
     "bernstein": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_trig(rng, n), _cycle(sc.p_list, i)),
-        lambda a, tol, q: C.check_bernstein(*a, tol, q),
+        lambda a, tol, q: C.check_bernstein_batch(a, tol, q),
         family="extremal-exp", family_inputs=_extremal_exp_family),
     "malik": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
-        lambda a, tol, q: C.check_malik(*a, tol),
+        lambda a, tol, q: C.check_malik_batch(a, tol),
         family="monomial", family_inputs=lambda n, sc: [(AlgebraicPoly([0.0] * n + [1.0]),)]),
     "laguerre": CheckSpec(
         lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
-        lambda a, tol, q: C.check_laguerre(*a, tol)),
+        lambda a, tol, q: C.check_laguerre_batch(a, tol)),
     "lax_malik": CheckSpec(
         lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
-        lambda a, tol, q: C.check_lax_malik(*a, tol),
+        lambda a, tol, q: C.check_lax_malik_batch(a, tol),
         family="lax-extremal",
         family_inputs=lambda n, sc: [(generate("lax-extremal", n, rho=rho), rho)
                                      for rho in sc.rho_list]),
     "ankeny_rivlin": CheckSpec(
         _build_ankeny_rivlin,
-        lambda a, tol, q: C.check_ankeny_rivlin(*a, tol)),
+        lambda a, tol, q: C.check_ankeny_rivlin_batch(a, tol)),
     "svdc": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_real_trig(rng, n),),
-        lambda a, tol, q: C.check_svdc(*a, tol),
+        lambda a, tol, q: C.check_svdc_batch(a, tol),
         family="cos-n",  # cos(nx)
         family_inputs=lambda n, sc: [(TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5]),)]),
     "gauss_lucas": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, max(n, 2)),),
-        lambda a, tol, q: C.check_gauss_lucas(*a, tol),
+        lambda a, tol, q: [C.check_gauss_lucas(*x, tol) for x in a],
         tol_field="hull_tol"),
     "embedding": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i)),
-        lambda a, tol, q: C.check_embedding(*a, tol, q)),
+        lambda a, tol, q: C.check_embedding_batch(a, tol, q)),
     "dominated_derivative": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
-        lambda a, tol, q: C.check_dominated_derivative(*a, tol)),
+        lambda a, tol, q: C.check_dominated_derivative_batch(a, tol)),
     "logplus": CheckSpec(
         _build_logplus,
-        lambda a, tol, q: C.check_identity_logplus(*a, tol, q)),
+        lambda a, tol, q: [C.check_identity_logplus(*x, tol, q) for x in a]),
     "power_identity": CheckSpec(
         lambda rng, seed, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
-        lambda a, tol, q: C.check_identity_power(*a, tol)),
+        lambda a, tol, q: [C.check_identity_power(*x, tol) for x in a]),
     "chi": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_trig(rng, n),
                                      C.ChiFunction.parse(_cycle(sc.chi_list, i))),
-        lambda a, tol, q: C.check_chi_version(*a, tol, q)),
-    "mate_nevai": CheckSpec(_build_mate_nevai, _evaluate_mate_nevai),
+        lambda a, tol, q: [C.check_chi_version(*x, tol, q) for x in a]),
+    "mate_nevai": CheckSpec(_build_mate_nevai,
+                            lambda a, tol, q: [_evaluate_mate_nevai(x, tol, q) for x in a]),
 }
 
 ALL_CHECKS = tuple(REGISTRY)
@@ -240,34 +247,64 @@ def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.Verificatio
     return rep
 
 
-def _run_trial(check_id: str, index: int, sc: SweepConfig,
-               qcfg: QuadratureConfig) -> C.VerificationReport:
-    """Build the trial's input once, check it, and embed it if the check fails."""
+def _evaluate(check_id: str, args: list, sc: SweepConfig, qcfg: QuadratureConfig,
+              profile: dict | None) -> list:
+    """The reports of one group: inputs of one check and one degree."""
+    t0 = time.perf_counter()
+    reports = REGISTRY[check_id].evaluate(args, _check_tol(check_id, sc), qcfg)
+    if profile is not None:
+        entry = _profile_entry(profile, check_id)
+        entry["check_s"] += time.perf_counter() - t0
+        entry["groups"] += 1
+        entry["reports"] += len(reports)
+    return reports
+
+
+def _profile_entry(profile: dict, check_id: str) -> dict:
+    return profile.setdefault(check_id, {"build_s": 0.0, "check_s": 0.0, "groups": 0,
+                                         "reports": 0})
+
+
+def _trial_reports(check_id: str, sc: SweepConfig, qcfg: QuadratureConfig,
+                   profile: dict | None) -> list:
+    """Build every trial's input once, check each degree's trials as one
+    group, and return the reports in trial order; a failing report embeds
+    the input its trial checked."""
     spec = REGISTRY[check_id]
-    seed = trial_seed(sc.seed, check_id, index)
-    n = _cycle(sc.degrees, index)
-    args = spec.build(np.random.default_rng(seed), seed, n, index, sc)
-    rep = spec.evaluate(args, _check_tol(check_id, sc), qcfg)
-    rep.params.setdefault("n", n)
-    rep.params["trial"] = index
-    rep.params["seed"] = seed
-    rep = _apply_bound_scale(rep, sc.bound_scale)
-    # the identity checks take scalars, which their params already record
-    if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
-        rep.params["input"] = poly_to_json(args[0])
-    return rep
+    t0 = time.perf_counter()
+    trials, groups = [], {}
+    for index in range(sc.trials):
+        seed = trial_seed(sc.seed, check_id, index)
+        n = _cycle(sc.degrees, index)
+        trials.append((n, seed, spec.build(np.random.default_rng(seed), seed, n, index, sc)))
+        groups.setdefault(n, []).append(index)
+    if profile is not None:
+        _profile_entry(profile, check_id)["build_s"] += time.perf_counter() - t0
+    reports = [None] * sc.trials
+    for indices in groups.values():
+        group = _evaluate(check_id, [trials[i][2] for i in indices], sc, qcfg, profile)
+        for index, rep in zip(indices, group):
+            reports[index] = rep
+    for index, ((n, seed, args), rep) in enumerate(zip(trials, reports)):
+        rep.params.setdefault("n", n)
+        rep.params["trial"] = index
+        rep.params["seed"] = seed
+        _apply_bound_scale(rep, sc.bound_scale)
+        # the identity checks take scalars, which their params already record
+        if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
+            rep.params["input"] = poly_to_json(args[0])
+    return reports
 
 
-def _witness_trials(sc: SweepConfig, qcfg: QuadratureConfig) -> list:
-    """Known equality witnesses, one family per degree (margin must be ~0)."""
+def _witness_trials(sc: SweepConfig, qcfg: QuadratureConfig, profile: dict | None) -> list:
+    """Known equality witnesses, one family per check and degree (margin must
+    be ~0), each family checked as one group."""
     out = []
     for n in sorted(set(sc.degrees)):
         for check_id, spec in REGISTRY.items():
             if spec.family is None or check_id not in sc.checks:
                 continue
-            tol = _check_tol(check_id, sc)
-            for args in spec.family_inputs(n, sc):
-                rep = spec.evaluate(args, tol, qcfg)
+            for rep in _evaluate(check_id, spec.family_inputs(n, sc), sc, qcfg, profile):
                 rep.params["family"] = spec.family
                 out.append(_apply_bound_scale(rep, sc.bound_scale))
     return out
@@ -283,12 +320,18 @@ class SweepResult:
         return [r for r in self.reports if not r.passed]
 
 
-def run_sweep(sc: SweepConfig) -> SweepResult:
+def run_sweep(sc: SweepConfig, profile: dict | None = None) -> SweepResult:
+    """Run the sweep: every check's trials in order, then the witness families.
+
+    Each check's trials are grouped by degree, and each group is checked by
+    one evaluate call. If ``profile`` is a dict, it receives per check id the
+    wall time spent building inputs and checking them, the group count and
+    the report count; the reports do not depend on it.
+    """
     qcfg = sc.cfg()
-    reports = [_run_trial(check_id, i, sc, qcfg)
-               for check_id in sc.checks for i in range(sc.trials)]
+    reports = [rep for check_id in sc.checks for rep in _trial_reports(check_id, sc, qcfg, profile)]
     if sc.include_witness_families:
-        reports += _witness_trials(sc, qcfg)
+        reports += _witness_trials(sc, qcfg, profile)
     all_passed = all(r.passed for r in reports)
     return SweepResult(reports=reports, all_passed=all_passed, summary=_summarize(reports))
 

@@ -11,7 +11,7 @@ from polynorm.errors import (
     RootInForbiddenRegion,
 )
 from polynorm.norms import sup_norm
-from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate
+from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate, roots
 
 
 def _rand_trig(rng, n):
@@ -193,6 +193,21 @@ def test_gauss_lucas_examples():
     assert rep.passed
     rep = C.check_gauss_lucas(AlgebraicPoly([1, 1]))
     assert rep.status == "degenerate"
+
+
+def test_gauss_lucas_witness_names_the_worst_root():
+    # every derivative root inside the hull: no root is worse than another
+    rep = C.check_gauss_lucas(AlgebraicPoly([-1, 0, 1]))
+    assert rep.measured == 0.0 and rep.witnesses == [] and "worst_root" not in rep.params
+    # the double root of 3(z - 1)^2 splits to 1 -+ 2.6e-8 around the hull {1}
+    rep = C.check_gauss_lucas(from_roots([1, 1, 1]))
+    assert rep.measured > 0.0
+    re, im = rep.params["worst_root"]
+    worst = complex(re, im)
+    assert abs(abs(worst - 1.0) - rep.measured) <= 1e-15
+    derivative_roots = roots(from_roots([1, 1, 1]).derivative()).roots
+    assert np.abs(derivative_roots - worst).min() == 0.0
+    assert rep.witnesses == [(re, rep.measured)]
 
 
 def test_gauss_lucas_random():

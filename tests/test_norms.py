@@ -11,6 +11,7 @@ from polynorm.norms import (
     _circle_means,
     besov_111_seminorm,
     besov_inf1_seminorm,
+    circle_max,
     disk_mean,
     lp_norm,
     mahler_jensen,
@@ -82,6 +83,35 @@ def test_sup_extreme_scales():
             for scale in (1e200, 1e-200, 1e300, 1e-300):
                 assert sup_norm(q * scale) == pytest.approx(scale * base, rel=1e-14)
         assert besov_inf1_seminorm(p * 1e200) == pytest.approx(1e200 * besov_inf1_seminorm(p), rel=1e-14)
+
+
+def test_circle_max_rows_are_independent():
+    # a stacked row gives exactly its one-row result: each row has its own
+    # power-of-two prescale (the 1e-300 rows would underflow beside the
+    # 1e300 ones) and its own Newton stop (one row's slow candidates must not
+    # keep another row stepping); weights may differ per row
+    rng = np.random.default_rng(12)
+    scales = [1e-300] * 2 + [1.0] * 24 + [1e300] * 2
+
+    def gauss(scale):
+        return scale * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+
+    one_term = np.array([gauss(s) for s in scales] + [
+        [0.0] * 8 + [1.0],  # z^8: flat
+        [0.5] + [0.0] * 7 + [0.5],  # e^{4ix} cos(4x): eight tied peaks
+        [1.0, 0.05, 0, 0, 0, 0, 1.0, 0, 0],  # six near-equal maxima
+    ])[:, None]
+    k = np.arange(9)
+    two_term = np.array([[k * c, (8 - k) * c] for c in map(gauss, scales)])  # zP', 8P - zP'
+    two_weights = np.stack([rng.uniform(1.0, 2.0, len(scales)), -np.ones(len(scales))], axis=1)
+    two_weights[::5] = [1.0, 1.0]
+    for h, weights, per_row in ((one_term, (1.0,), False), (two_term, two_weights, True)):
+        val, x = circle_max(h, 288, weights)
+        for r in range(len(h)):
+            alone = circle_max(h[r:r + 1], 288, weights[r] if per_row else weights)
+            assert (val[r], x[r]) == (alone[0][0], alone[1][0]), r
+    # the flat and tied rows keep their exact tops
+    assert circle_max(one_term, 288)[0][-3:-1].tolist() == [1.0, 1.0]
 
 
 # -------------------------------------------------------------------- lp norm

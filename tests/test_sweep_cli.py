@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from polynorm import checks as C
 from polynorm import sweep
 from polynorm.cli import main
 from polynorm.errors import InvalidParam
@@ -82,16 +83,66 @@ def test_sweep_failing_inputs_replay():
         spec = sweep.REGISTRY[check_id]
         seed = rep.params["seed"]
         args = spec.build(np.random.default_rng(seed), seed, sc.degrees[i % len(sc.degrees)], i, sc)
-        again = spec.evaluate((poly_from_json(rep.params["input"]),) + args[1:], rep.tol, sc.cfg())
+        again = spec.evaluate([(poly_from_json(rep.params["input"]),) + args[1:]], rep.tol,
+                              sc.cfg())[0]
         assert (again.measured, again.digest) == (rep.measured, rep.digest), check_id
         replayed.add(check_id)
     assert {"malik", "svdc", "mate_nevai"} <= replayed
 
 
+def _one_input(check_id, args, tol, qcfg):
+    """The report of the public per-input check function on one input."""
+    if check_id == "mate_nevai":
+        return sweep._evaluate_mate_nevai(args, tol, qcfg)
+    fn, takes_cfg = {
+        "bernstein": (C.check_bernstein, True), "malik": (C.check_malik, False),
+        "laguerre": (C.check_laguerre, False), "lax_malik": (C.check_lax_malik, False),
+        "ankeny_rivlin": (C.check_ankeny_rivlin, False), "svdc": (C.check_svdc, False),
+        "gauss_lucas": (C.check_gauss_lucas, False), "embedding": (C.check_embedding, True),
+        "dominated_derivative": (C.check_dominated_derivative, False),
+        "logplus": (C.check_identity_logplus, True),
+        "power_identity": (C.check_identity_power, False), "chi": (C.check_chi_version, True),
+    }[check_id]
+    return fn(*args, tol, qcfg) if takes_cfg else fn(*args, tol)
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("bound_scale", [1.0, 0.99])
+def test_sweep_equals_per_input_checks(seed, bound_scale):
+    # grouping trials by degree changes no byte of any report
+    sc = sweep.SweepConfig(trials=40, seed=seed, bound_scale=bound_scale)
+    qcfg = sc.cfg()
+    expected = []
+    for check_id in sc.checks:
+        spec = sweep.REGISTRY[check_id]
+        for i in range(sc.trials):
+            seed_i = sweep.trial_seed(seed, check_id, i)
+            n = sc.degrees[i % len(sc.degrees)]
+            args = spec.build(np.random.default_rng(seed_i), seed_i, n, i, sc)
+            rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
+            rep.params.setdefault("n", n)
+            rep.params.update(trial=i, seed=seed_i)
+            rep = sweep._apply_bound_scale(rep, bound_scale)
+            if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
+                rep.params["input"] = poly_to_json(args[0])
+            expected.append(rep)
+    for n in sorted(set(sc.degrees)):
+        for check_id, spec in sweep.REGISTRY.items():
+            for args in spec.family_inputs(n, sc) if spec.family else ():
+                rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
+                rep.params["family"] = spec.family
+                expected.append(sweep._apply_bound_scale(rep, bound_scale))
+    got = sweep.run_sweep(sc).reports
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+    assert (bound_scale < 1.0) == any(not r.passed for r in got)
+
+
 def test_mate_nevai_uses_sharp_bound():
     # z^4 attains ||P'||_p = n ||P||_p, so a 1% shrink of the sharp bound fails it
-    rep = sweep.REGISTRY["mate_nevai"].evaluate((AlgebraicPoly([0, 0, 0, 0, 1]), 0.5), 1e-8,
-                                                QuadratureConfig())
+    rep = sweep.REGISTRY["mate_nevai"].evaluate([(AlgebraicPoly([0, 0, 0, 0, 1]), 0.5)], 1e-8,
+                                                QuadratureConfig())[0]
     assert rep.passed
     assert rep.bound == pytest.approx(4.0, rel=1e-10)
     assert rep.params["mate_nevai_bound"] == pytest.approx(4.0 * (4.0 * math.e) ** 2, rel=1e-10)
@@ -249,6 +300,28 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
         capsys.readouterr()
         blobs.append(open(prefix + ".jsonl", "rb").read())
     assert blobs[0] == blobs[1]
+
+
+def test_cli_verify_profile_leaves_outputs_alone(tmp_path, capsys):
+    cfg = {"checks": ["bernstein", "malik", "gauss_lucas"], "degrees": [1, 2, 3], "trials": 7,
+           "p_list": [1.0, "inf"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    plain, profiled = str(tmp_path / "plain"), str(tmp_path / "profiled")
+    assert main(["verify", str(cfg_path), "--out", plain]) == 0
+    profile_path = tmp_path / "profile.json"
+    assert main(["verify", str(cfg_path), "--out", profiled, "--profile", str(profile_path)]) == 0
+    capsys.readouterr()
+    for ext in (".jsonl", ".csv"):
+        assert open(plain + ext, "rb").read() == open(profiled + ext, "rb").read()
+    profile = json.loads(profile_path.read_text())
+    assert profile["sweep_s"] > 0.0
+    checks = profile["checks"]
+    assert set(checks) == {"bernstein", "malik", "gauss_lucas"}
+    # three degree groups of trials, plus one witness group per degree
+    assert [checks[c]["groups"] for c in ("bernstein", "malik", "gauss_lucas")] == [6, 6, 3]
+    assert [checks[c]["reports"] for c in ("bernstein", "malik", "gauss_lucas")] == [13, 10, 7]
+    assert all(entry["check_s"] > 0.0 and entry["build_s"] > 0.0 for entry in checks.values())
 
 
 def test_cli_constants(capsys):
