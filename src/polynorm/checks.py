@@ -4,7 +4,14 @@ Every check returns a structured VerificationReport. Bound checks follow the
 rule pass <=> measured <= bound * (1 + tol), except additive-form checks
 (bounded by zero) which use an absolute slack recorded in the report, and
 identity checks, where measured is the absolute discrepancy |lhs - rhs| and
-bound is the allowed discrepancy, so the same rule applies with tol = 0.
+bound is the allowed discrepancy, so the same rule applies with tol = 0;
+``passes`` is that rule.
+
+The derivative bound ||P'||_p <= n ||P||_p is one evaluator,
+_derivative_bound, at every rung p of the ladder: bernstein (trig inputs,
+every p), dominated_derivative (algebraic inputs, p = inf), mate_nevai
+(algebraic inputs, 0 < p < 1) and the log case of chi (trig inputs, p = 0)
+are its aliases, each with its own check id, digest payload and params.
 
 Degenerate inputs (zero polynomial, degree too small) yield a report with
 status "degenerate" instead of a verdict; every inequality is vacuous there.
@@ -37,7 +44,7 @@ from .norms import (
     sup_norms_argmax,
     wiener_norm,
 )
-from .poly import AlgebraicPoly, TrigPoly, poly_to_json, roots
+from .poly import AlgebraicPoly, TrigPoly, poly_to_json, root_array, roots
 
 DEFAULT_TOL = 1e-8
 HULL_TOL = 1e-7
@@ -79,18 +86,18 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _poly_payload(p) -> dict:
-    return poly_to_json(p)
+def passes(measured: float, bound: float, tol: float, abs_slack: float | None = None) -> bool:
+    """The pass rule: measured <= bound + abs_slack for the additive-form
+    checks, which record an absolute slack, else measured <= bound * (1 + tol)."""
+    if abs_slack is not None:
+        return bool(measured <= bound + abs_slack)
+    return bool(measured <= bound * (1.0 + tol))
 
 
 def _report(check_id, payload, measured, bound, tol, *, abs_slack=None,
             witnesses=(), params=None) -> VerificationReport:
     measured = float(measured)
     bound = float(bound)
-    if abs_slack is not None:
-        passed = measured <= bound + abs_slack
-    else:
-        passed = measured <= bound * (1.0 + tol)
     params = dict(params or {})
     if abs_slack is not None:
         params["abs_slack"] = float(abs_slack)
@@ -100,7 +107,7 @@ def _report(check_id, payload, measured, bound, tol, *, abs_slack=None,
         measured=measured,
         bound=bound,
         tol=float(tol),
-        passed=bool(passed),
+        passed=passes(measured, bound, tol, abs_slack),
         margin=bound - measured,
         witnesses=sorted(witnesses, key=lambda wv: bound - wv[1]),
         params=params,
@@ -122,25 +129,23 @@ def _degenerate(check_id, payload, params=None) -> VerificationReport:
 
 
 def parse_p(p) -> float:
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity", "sup"):
-            return math.inf
-        p = float(p)
-    p = float(p)
-    if p < 0:
-        raise InvalidParam("p must be >= 0 or inf")
+    """p as a float: a number or numeric string >= 0, or "sup" for inf."""
+    p = math.inf if isinstance(p, str) and p.lower() == "sup" else float(p)
+    if not p >= 0:  # also refuses nan
+        raise InvalidParam(f"p must be >= 0 or inf, got {p!r}")
     return p
 
 
-def _ladder_norm(t: TrigPoly, p: float, cfg: QuadratureConfig) -> float:
-    """Norm of a trig polynomial at rung p of the ladder (0 = Mahler, inf = sup)."""
-    if t.is_zero():
+def _ladder_norm(poly, p: float, cfg: QuadratureConfig | None) -> float:
+    """Norm of a polynomial on the circle at rung p of the ladder
+    (0 = Mahler, inf = sup)."""
+    if poly.is_zero():
         return 0.0
     if math.isinf(p):
-        return sup_norm(t)
+        return sup_norm(poly)
     if p == 0:
-        return mahler_jensen(t)
-    return lp_norm(t, p, cfg)
+        return mahler_jensen(poly)
+    return lp_norm(poly, p, cfg)
 
 
 def _batched(cases, compute) -> list:
@@ -160,21 +165,43 @@ def _sups(polys) -> list:
     return [float(v) for v in sup_norms_argmax(polys)[0]]
 
 
-def _witnessed(check_id, live, measured, xmax, bounds, tol) -> list:
+def _witnessed(live, measured, xmax, bounds, tol) -> list:
     """Reports of ``live`` cases with their measured values, argmax angles and
     bounds, each witnessed by its (argmax, measured) pair."""
-    return [_report(check_id, payload, float(m), b, tol, witnesses=[(float(x), float(m))],
+    return [_report(cid, payload, float(m), b, tol, witnesses=[(float(x), float(m))],
                     params=params)
-            for (_, payload, params, _), m, x, b in zip(live, measured, xmax, bounds)]
+            for (cid, payload, params, _), m, x, b in zip(live, measured, xmax, bounds)]
 
 
-def _sup_bound(check_id, live, tol, image, factor) -> list:
+def _sup_bound(live, tol, image, factor) -> list:
     """Reports of sup|image(*args)| <= factor(*args) * sup|args[0]| for the
     ``live`` cases, with one circle_max call per norm."""
     measured, xmax = sup_norms_argmax([image(*args) for *_, args in live])
     sups = _sups([args[0] for *_, args in live])
     bounds = [factor(*args) * s for (*_, args), s in zip(live, sups)]
-    return _witnessed(check_id, live, measured, xmax, bounds, tol)
+    return _witnessed(live, measured, xmax, bounds, tol)
+
+
+def _derivative_bound(cases, tol, cfg) -> list:
+    """Reports of ||P'||_p <= n ||P||_p, n the declared degree, for ``cases``
+    of one degree whose args are (P, p), P a TrigPoly or an AlgebraicPoly
+    (its analytic embedding): p = inf rungs take their sups from one
+    circle_max call per norm, p = 0 is the Mahler norm through Jensen, and
+    other p the L^p norm."""
+    def compute(live):
+        out = [None if math.isinf(p) else
+               _report(cid, payload, _ladder_norm(t.derivative(), p, cfg),
+                       t.degree * _ladder_norm(t, p, cfg), tol, params=params)
+               for cid, payload, params, (t, p) in live]
+        rung = [i for i, (*_, (t, p)) in enumerate(live) if math.isinf(p)]
+        if rung:
+            reps = _sup_bound([live[i] for i in rung], tol,
+                              lambda t, p: t.derivative(), lambda t, p: t.degree)
+            for i, rep in zip(rung, reps):
+                out[i] = rep
+        return out
+
+    return _batched(cases, compute)
 
 
 def check_bernstein(t: TrigPoly, p, tol: float = DEFAULT_TOL,
@@ -189,35 +216,17 @@ def check_bernstein(t: TrigPoly, p, tol: float = DEFAULT_TOL,
 
 def check_bernstein_batch(cases, tol: float = DEFAULT_TOL,
                           cfg: QuadratureConfig | None = None) -> list:
-    """check_bernstein of each (t, p) in ``cases``, all t of one degree; the
-    p = inf rungs take their sups from one circle_max call per norm."""
-    cfg = cfg or DEFAULT_CONFIG
+    """check_bernstein of each (t, p) in ``cases``, all t of one degree."""
     cases = [(t, parse_p(p)) for t, p in cases]
-
-    def compute(live):
-        out = [None if math.isinf(p) else
-               _report("bernstein", payload, _ladder_norm(t.derivative(), p, cfg),
-                       t.degree * _ladder_norm(t, p, cfg), tol, params=params)
-               for _, payload, params, (t, p) in live]
-        rung = [i for i, (*_, (t, p)) in enumerate(live) if math.isinf(p)]
-        if rung:
-            reps = _sup_bound("bernstein", [live[i] for i in rung], tol,
-                              lambda t, p: t.derivative(), lambda t, p: t.degree)
-            for i, rep in zip(rung, reps):
-                out[i] = rep
-        return out
-
-    return _batched([("bernstein", {"op": "bernstein", "p": repr(p), "poly": _poly_payload(t)},
-                      {"n": t.degree, "p": p}, (t, p)) for t, p in cases], compute)
+    return _derivative_bound([("bernstein",
+                               {"op": "bernstein", "p": repr(p), "poly": poly_to_json(t)},
+                               {"n": t.degree, "p": p}, (t, p)) for t, p in cases], tol, cfg)
 
 
 def _min_root_modulus(p: AlgebraicPoly) -> float:
     if p.effective_degree in (None, 0):
         return math.inf
-    if p.known_roots is not None and len(p.known_roots) == p.effective_degree:
-        mods = np.abs(np.asarray(p.known_roots, dtype=np.complex128))
-    else:
-        mods = np.abs(roots(p).roots)
+    mods = np.abs(root_array(p))
     return float(mods.min()) if mods.size else math.inf
 
 
@@ -251,9 +260,9 @@ def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
         n = polys[0].degree
         terms = [_derivative_terms(p * (1.0 / s)) for p, s in zip(polys, _sups(polys))]
         val, x = circle_max(np.stack(terms), 32 * (n + 1), (1.0, 1.0))
-        return _witnessed("malik", live, val, x, [n] * len(live), tol)
+        return _witnessed(live, val, x, [n] * len(live), tol)
 
-    return _batched([("malik", {"op": "malik", "poly": _poly_payload(p)}, {"n": p.degree}, (p,))
+    return _batched([("malik", {"op": "malik", "poly": poly_to_json(p)}, {"n": p.degree}, (p,))
                      for p, in cases], compute)
 
 
@@ -293,7 +302,7 @@ def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
                         witnesses=[(float(xm), float(m))], params=params)
                 for (_, payload, params, _), m, xm, s in zip(live, val, x, _sups(polys))]
 
-    return _batched([("laguerre", {"op": "laguerre", "rho": rho, "poly": _poly_payload(p)},
+    return _batched([("laguerre", {"op": "laguerre", "rho": rho, "poly": poly_to_json(p)},
                       {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], compute)
 
 
@@ -309,10 +318,10 @@ def check_lax_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
 
     def compute(live):
         _require_live_roots_outside(live)
-        return _sup_bound("lax_malik", live, tol, lambda p, rho: p.derivative(),
+        return _sup_bound(live, tol, lambda p, rho: p.derivative(),
                           lambda p, rho: p.degree / (1.0 + rho))
 
-    return _batched([("lax_malik", {"op": "lax_malik", "rho": rho, "poly": _poly_payload(p)},
+    return _batched([("lax_malik", {"op": "lax_malik", "rho": rho, "poly": poly_to_json(p)},
                       {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], compute)
 
 
@@ -331,11 +340,11 @@ def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
 
     def compute(live):
         _require_live_roots_outside(live)
-        return _sup_bound("ankeny_rivlin", live, tol, lambda p, rho, radius: p.dilate(radius),
+        return _sup_bound(live, tol, lambda p, rho, radius: p.dilate(radius),
                           lambda p, rho, radius: (radius**p.degree + rho) / (1.0 + rho))
 
     return _batched([("ankeny_rivlin",
-                      {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": _poly_payload(p)},
+                      {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": poly_to_json(p)},
                       {"n": p.degree, "rho": rho, "R": radius}, (p, rho, radius))
                      for p, rho, radius in cases], compute)
 
@@ -361,9 +370,9 @@ def check_svdc_batch(cases, tol: float = DEFAULT_TOL) -> list:
             rows.append(1j * np.arange(-n, n + 1) * c_re + 1j * n * c_re)
         val, x = circle_max(np.stack(rows)[:, None], 32 * (2 * n + 1))
         measured = [float(v) ** 2 for v in val]
-        return _witnessed("svdc", live, measured, x, [float(n * n)] * len(live), tol)
+        return _witnessed(live, measured, x, [float(n * n)] * len(live), tol)
 
-    return _batched([("svdc", {"op": "svdc", "poly": _poly_payload(t)}, {"n": t.degree}, (t,))
+    return _batched([("svdc", {"op": "svdc", "poly": poly_to_json(t)}, {"n": t.degree}, (t,))
                      for t, in cases], compute)
 
 
@@ -440,14 +449,11 @@ def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationRe
     measured is the largest distance from a derivative root to the hull;
     bound is zero with absolute slack tol * (1 + root scale).
     """
-    payload = {"op": "gauss_lucas", "poly": _poly_payload(p)}
+    payload = {"op": "gauss_lucas", "poly": poly_to_json(p)}
     params = {"n": p.degree}
     if p.effective_degree is None or p.effective_degree < 2:
         return _degenerate("gauss_lucas", payload, params)
-    if p.known_roots is not None and len(p.known_roots) == p.effective_degree:
-        base = np.asarray(p.known_roots, dtype=np.complex128)
-    else:
-        base = roots(p).roots
+    base = root_array(p)
     deriv_roots = roots(p.derivative()).roots
     hull = _convex_hull(base)
     dists = [(_distance_to_hull(complex(r), hull), complex(r)) for r in deriv_roots]
@@ -501,7 +507,7 @@ def check_embedding_batch(cases, tol: float = DEFAULT_TOL,
             out.append(_report(cid, payload, value, const * s, tol, params=params))
         return out
 
-    return _batched([(f"embedding_{kind}", {"op": f"embedding_{kind}", "poly": _poly_payload(p)},
+    return _batched([(f"embedding_{kind}", {"op": f"embedding_{kind}", "poly": poly_to_json(p)},
                       {"n": p.degree, "kind": kind}, (p, kind)) for p, kind in cases], compute)
 
 
@@ -514,14 +520,10 @@ def check_dominated_derivative(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> Ve
 
 def check_dominated_derivative_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_dominated_derivative of each (p,) in ``cases``, all p of one
-    degree, with one circle_max call per norm."""
-    def compute(live):
-        return _sup_bound("dominated_derivative", live, tol, lambda p: p.derivative(),
-                          lambda p: p.degree)
-
-    return _batched([("dominated_derivative", {"op": "dominated_derivative",
-                                               "poly": _poly_payload(p)}, {"n": p.degree}, (p,))
-                     for p, in cases], compute)
+    degree: the derivative-bound evaluator at p = inf."""
+    return _derivative_bound([("dominated_derivative",
+                               {"op": "dominated_derivative", "poly": poly_to_json(p)},
+                               {"n": p.degree}, (p, math.inf)) for p, in cases], tol, None)
 
 
 def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
@@ -606,83 +608,41 @@ def check_chi_version(t: TrigPoly, chi: ChiFunction, tol: float = DEFAULT_TOL,
                       cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Circle mean of chi(|T'|) <= circle mean of chi(n |T|).
 
-    The log case routes through exp of the means, i.e. the Mahler comparison
-    ||T'||_0 <= n ||T||_0 via the Jensen evaluation, avoiding -inf samples.
+    The log case compares exp of the means, i.e. the Mahler comparison
+    ||T'||_0 <= n ||T||_0: the derivative-bound evaluator at p = 0, whose
+    Jensen evaluation avoids -inf samples.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not chi.monotone_hypothesis:
         raise InvalidParam("chi must assert the monotonicity hypothesis")
-    payload = {"op": "chi", "chi": chi.name, "poly": _poly_payload(t)}
+    payload = {"op": "chi", "chi": chi.name, "poly": poly_to_json(t)}
     params = {"n": t.degree, "chi": chi.name}
+    if chi.is_log:
+        return _derivative_bound([("chi_bound", payload, params, (t, 0.0))], tol, cfg)[0]
     if t.is_zero():
         return _degenerate("chi_bound", payload, params)
+    cfg = cfg or DEFAULT_CONFIG
     n = t.degree
-    dt = t.derivative()
-    if chi.is_log:
-        measured = 0.0 if dt.is_zero() else mahler_jensen(dt)
-        bound = n * mahler_jensen(t)
-        return _report("chi_bound", payload, measured, bound, tol, params=params)
 
     def mean_of(poly, scale):
         return float(_circle_means(poly.coeffs, -n, lambda a: chi.fn(a * scale),
                                    cfg.initial_grid(n), cfg.rel_tol, cfg.max_doublings)[0])
 
-    measured = mean_of(dt, 1.0)
+    measured = mean_of(t.derivative(), 1.0)
     bound = mean_of(t, float(n))
     return _report("chi_bound", payload, measured, bound, tol, params=params)
 
 
-@dataclass
-class MateNevaiComparison:
-    """Derivative norm against the two explicit bounds available for 0 < p < 1."""
-
-    p: float
-    n: int
-    measured: float
-    sharp_bound: float        # n ||P||_p
-    mate_nevai_bound: float   # n (4e)^(1/p) ||P||_p
-    factor: float             # (4e)^(1/p)
-    digest: str
-
-    @property
-    def consistent(self) -> bool:
-        return self.measured <= self.sharp_bound * (1 + DEFAULT_TOL) and (
-            self.sharp_bound <= self.mate_nevai_bound
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "check_id": "mate_nevai",
-            "p": self.p,
-            "n": self.n,
-            "measured": self.measured,
-            "sharp_bound": self.sharp_bound,
-            "mate_nevai_bound": self.mate_nevai_bound,
-            "factor": self.factor,
-            "digest": self.digest,
-        }
-
-
-def mate_nevai_compare(p: AlgebraicPoly, power: float,
-                       cfg: QuadratureConfig | None = None) -> MateNevaiComparison:
-    """Report ||P'||_p next to n ||P||_p and n (4e)^(1/p) ||P||_p for 0 < p < 1,
-    exhibiting the (4e)^(1/p) improvement factor of the sharp constant."""
-    cfg = cfg or DEFAULT_CONFIG
+def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,
+                       cfg: QuadratureConfig | None = None) -> VerificationReport:
+    """||P'||_p <= n ||P||_p for 0 < p < 1, the sharp bound (Arestov, 1981):
+    the derivative-bound evaluator at (P, p). The params keep the Mate-Nevai
+    factor (4e)^(1/p) and the weaker bound n (4e)^(1/p) ||P||_p it gives."""
     if not (0.0 < power < 1.0):
         raise InvalidParam("the comparison is for 0 < p < 1")
-    payload = {"op": "mate_nevai", "p": power, "poly": _poly_payload(p)}
-    t = TrigPoly.from_algebraic(p)
-    dt = TrigPoly.from_algebraic(p.derivative())
-    base = lp_norm(t, power, cfg) if not p.is_zero() else 0.0
-    measured = lp_norm(dt, power, cfg) if not p.derivative().is_zero() else 0.0
     factor = (4.0 * math.e) ** (1.0 / power)
-    n = p.degree
-    return MateNevaiComparison(
-        p=power,
-        n=n,
-        measured=measured,
-        sharp_bound=n * base,
-        mate_nevai_bound=n * factor * base,
-        factor=factor,
-        digest=_digest(payload),
-    )
+    rep = _derivative_bound([("mate_nevai",
+                              {"op": "mate_nevai", "p": power, "poly": poly_to_json(p)},
+                              {"n": p.degree, "p": power, "factor": factor}, (p, power))],
+                            tol, cfg)[0]
+    rep.params["mate_nevai_bound"] = factor * rep.bound
+    return rep

@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import AlgebraicPoly, TrigPoly, _grid_values, roots
+from .poly import AlgebraicPoly, TrigPoly, _grid_values, root_array, roots
 
 _TWO_PI = 2.0 * np.pi
 
@@ -310,14 +310,6 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     return float(np.ldexp(norm[0], e[0]))
 
 
-def _jensen_from_roots(root_arr: np.ndarray, leading: complex) -> float:
-    log_val = math.log(abs(leading))
-    if root_arr.size:
-        mods = np.abs(np.asarray(root_arr, dtype=np.complex128))
-        log_val += float(np.log(np.maximum(1.0, mods)).sum())
-    return math.exp(log_val)
-
-
 def mahler_jensen(p) -> float:
     """Mahler norm via roots: |leading| * prod max(1, |z_j|).
 
@@ -330,10 +322,9 @@ def mahler_jensen(p) -> float:
     d_eff = p.effective_degree
     if d_eff is None:
         raise ZeroPolynomial("mahler norm of the zero polynomial")
-    leading = complex(p.coeffs[d_eff])
-    if p.known_roots is not None and len(p.known_roots) == d_eff:
-        return _jensen_from_roots(np.asarray(p.known_roots), leading)
-    return _jensen_from_roots(roots(p).roots, leading)
+    log_val = math.log(abs(complex(p.coeffs[d_eff])))
+    log_val += float(np.log(np.maximum(1.0, np.abs(root_array(p)))).sum())
+    return math.exp(log_val)
 
 
 def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:

@@ -469,6 +469,14 @@ def roots(p: AlgebraicPoly) -> RootSet:
     return RootSet(found, c)
 
 
+def root_array(p: AlgebraicPoly) -> np.ndarray:
+    """The roots of p as a complex array: the generator's ``known_roots``
+    when they cover the effective degree, else ``roots(p).roots``."""
+    if p.known_roots is not None and len(p.known_roots) == p.effective_degree:
+        return np.asarray(p.known_roots, dtype=np.complex128)
+    return roots(p).roots
+
+
 _GENERATE_KINDS = (
     "gaussian-random",
     "unimodular-random",

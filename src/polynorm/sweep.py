@@ -131,23 +131,6 @@ def _build_mate_nevai(rng, seed, n, index, sc):
     return _random_alg(rng, n), power
 
 
-def _evaluate_mate_nevai(args, tol, qcfg) -> C.VerificationReport:
-    """||P'||_p against the sharp bound n ||P||_p (Arestov) for 0 < p < 1; the
-    weaker Mate-Nevai bound n (4e)^(1/p) ||P||_p is kept in the params."""
-    res = C.mate_nevai_compare(*args, qcfg)
-    return C.VerificationReport(
-        check_id="mate_nevai",
-        digest=res.digest,
-        measured=res.measured,
-        bound=res.sharp_bound,
-        tol=tol,
-        passed=res.measured <= res.sharp_bound * (1 + tol),
-        margin=res.sharp_bound - res.measured,
-        params={"n": res.n, "p": res.p, "mate_nevai_bound": res.mate_nevai_bound,
-                "factor": res.factor},
-    )
-
-
 def _extremal_exp_family(n, sc):
     t = generate("extremal-exp", n)
     return [(t, p) for p in sc.p_list]
@@ -223,7 +206,7 @@ REGISTRY = {
                                      C.ChiFunction.parse(_cycle(sc.chi_list, i))),
         lambda a, tol, q: [C.check_chi_version(*x, tol, q) for x in a]),
     "mate_nevai": CheckSpec(_build_mate_nevai,
-                            lambda a, tol, q: [_evaluate_mate_nevai(x, tol, q) for x in a]),
+                            lambda a, tol, q: [C.mate_nevai_compare(*x, tol, q) for x in a]),
 }
 
 ALL_CHECKS = tuple(REGISTRY)
@@ -238,11 +221,7 @@ def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.Verificatio
         return rep
     rep.bound = rep.bound * scale
     rep.margin = rep.bound - rep.measured
-    slack = rep.params.get("abs_slack")
-    if slack is not None:
-        rep.passed = rep.measured <= rep.bound + slack
-    else:
-        rep.passed = rep.measured <= rep.bound * (1.0 + rep.tol)
+    rep.passed = C.passes(rep.measured, rep.bound, rep.tol, rep.params.get("abs_slack"))
     rep.params["bound_scale"] = scale
     return rep
 

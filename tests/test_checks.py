@@ -10,7 +10,7 @@ from polynorm.errors import (
     OnUnitCircle,
     RootInForbiddenRegion,
 )
-from polynorm.norms import sup_norm
+from polynorm.norms import lp_norm, sup_norm
 from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate, roots
 
 
@@ -327,14 +327,41 @@ def test_chi_requires_hypothesis_flag():
 def test_mate_nevai_compare():
     rng = np.random.default_rng(50)
     factor_half = (4 * math.e) ** 2
-    cmp1 = C.mate_nevai_compare(_rand_alg(rng, 6), 0.5)
-    assert cmp1.factor == pytest.approx(factor_half, rel=1e-12)
-    assert cmp1.consistent
-    cmp2 = C.mate_nevai_compare(_rand_alg(rng, 6), 0.999)
-    assert cmp2.factor == pytest.approx(4 * math.e, rel=1e-2)
-    assert cmp2.sharp_bound <= cmp2.mate_nevai_bound
+    rep1 = C.mate_nevai_compare(_rand_alg(rng, 6), 0.5)
+    assert rep1.params["factor"] == pytest.approx(factor_half, rel=1e-12)
+    assert rep1.passed and rep1.bound <= rep1.params["mate_nevai_bound"]
+    rep2 = C.mate_nevai_compare(_rand_alg(rng, 6), 0.999)
+    assert rep2.params["factor"] == pytest.approx(4 * math.e, rel=1e-2)
+    assert rep2.bound <= rep2.params["mate_nevai_bound"]
     with pytest.raises(InvalidParam):
         C.mate_nevai_compare(_rand_alg(rng, 3), 1.5)
+
+
+def test_mate_nevai_zero_polynomial_is_degenerate():
+    rep = C.mate_nevai_compare(AlgebraicPoly(np.zeros(4)), 0.5)
+    assert rep.status == "degenerate" and rep.check_id == "mate_nevai"
+
+
+def _same_verdict(a, b):
+    assert (a.measured, a.bound, a.margin, a.passed) == (b.measured, b.bound, b.margin, b.passed)
+    assert a.witnesses == b.witnesses
+
+
+def test_derivative_bound_aliases():
+    # dominated_derivative, chi's log case and mate_nevai are the Bernstein
+    # evaluator at p = inf, p = 0 and 0 < p < 1, bit for bit
+    rng = np.random.default_rng(52)
+    for n in (1, 2, 5, 9, 16):
+        p = _rand_alg(rng, n)
+        t = _rand_trig(rng, n)
+        dom = C.check_dominated_derivative(p)
+        _same_verdict(dom, C.check_bernstein(p, "inf"))
+        assert dom.witnesses
+        _same_verdict(C.check_chi_version(t, C.ChiFunction.log()), C.check_bernstein(t, 0.0))
+        power = float(rng.uniform(0.05, 0.95))
+        rep = C.mate_nevai_compare(p, power)
+        assert rep.measured == lp_norm(p.derivative(), power)
+        _same_verdict(rep, C.check_bernstein(p, power))
 
 
 # ------------------------------------------------------------- scale invariance

@@ -92,8 +92,6 @@ def test_sweep_failing_inputs_replay():
 
 def _one_input(check_id, args, tol, qcfg):
     """The report of the public per-input check function on one input."""
-    if check_id == "mate_nevai":
-        return sweep._evaluate_mate_nevai(args, tol, qcfg)
     fn, takes_cfg = {
         "bernstein": (C.check_bernstein, True), "malik": (C.check_malik, False),
         "laguerre": (C.check_laguerre, False), "lax_malik": (C.check_lax_malik, False),
@@ -102,6 +100,7 @@ def _one_input(check_id, args, tol, qcfg):
         "dominated_derivative": (C.check_dominated_derivative, False),
         "logplus": (C.check_identity_logplus, True),
         "power_identity": (C.check_identity_power, False), "chi": (C.check_chi_version, True),
+        "mate_nevai": (C.mate_nevai_compare, True),
     }[check_id]
     return fn(*args, tol, qcfg) if takes_cfg else fn(*args, tol)
 
@@ -165,6 +164,16 @@ def test_sweep_config_validation_and_round_trip():
     sc = _small_config()
     back = sweep.SweepConfig.from_json(json.loads(json.dumps(sc.to_json())))
     assert back == sc
+
+
+def test_sweep_config_rejects_p_not_at_least_zero():
+    # refused when parsed, not deep inside lp_norm during the sweep
+    for p in ("nan", float("nan"), "-inf", -0.5):
+        with pytest.raises(InvalidParam):
+            C.parse_p(p)
+        with pytest.raises(InvalidParam):
+            sweep.SweepConfig.from_json({"p_list": [p]})
+    assert C.parse_p("sup") == C.parse_p("Infinity") == C.parse_p("inf") == math.inf
 
 
 # ------------------------------------------------------------------------- CLI
