@@ -10,8 +10,9 @@ bound is the allowed discrepancy, so the same rule applies with tol = 0;
 The derivative bound ||P'||_p <= n ||P||_p is one evaluator,
 _derivative_bound, at every rung p of the ladder: bernstein (trig inputs,
 every p), dominated_derivative (algebraic inputs, p = inf), mate_nevai
-(algebraic inputs, 0 < p < 1) and the log case of chi (trig inputs, p = 0)
-are its aliases, each with its own check id, digest payload and params.
+(algebraic inputs, 0 < p < 1) and chi (trig inputs; the log case at p = 0,
+x^e at p = e with both sides raised to the power e) are its aliases, each
+with its own check id, digest payload and params.
 
 Degenerate inputs (zero polynomial, degree too small) yield a report with
 status "degenerate" instead of a verdict; every inequality is vacuous there.
@@ -40,7 +41,6 @@ from .norms import (
     circle_max,
     lp_norm,
     mahler_jensen,
-    sup_norm,
     sup_norms_argmax,
     wiener_norm,
 )
@@ -137,12 +137,10 @@ def parse_p(p) -> float:
 
 
 def _ladder_norm(poly, p: float, cfg: QuadratureConfig | None) -> float:
-    """Norm of a polynomial on the circle at rung p of the ladder
-    (0 = Mahler, inf = sup)."""
+    """Norm of a polynomial on the circle at finite rung p of the ladder
+    (0 = Mahler)."""
     if poly.is_zero():
         return 0.0
-    if math.isinf(p):
-        return sup_norm(poly)
     if p == 0:
         return mahler_jensen(poly)
     return lp_norm(poly, p, cfg)
@@ -268,7 +266,7 @@ def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
 
 def _require_rho(cases):
     for _, rho, *_ in cases:
-        if rho < 1.0:
+        if not (rho >= 1.0):  # also refuses nan
             raise InvalidParam("rho >= 1 required")
 
 
@@ -335,7 +333,7 @@ def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_ankeny_rivlin of each (p, rho, radius) in ``cases``, all p of one
     degree, with one circle_max call per norm."""
     _require_rho(cases)
-    if any(radius <= 1.0 for *_, radius in cases):
+    if any(not (radius > 1.0) for *_, radius in cases):
         raise InvalidParam("the growth bound is for radii R > 1")
 
     def compute(live):
@@ -402,45 +400,29 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array([complex(*q) for q in hull])
 
 
-def _segment_distance(p: complex, a: complex, b: complex) -> float:
-    """Distance from p to the segment [a, b].
-
-    Where the projection falls inside the segment it is
-    |Im(conj(b-a)(p-a))| / |b-a|. That is exactly 0 for collinear real points
-    such as the roots ±(1 - 4e-16) of z^2 - 1 and the derivative root 0,
-    where the foot-point difference p - (a + s(b-a)) leaves a rounding error.
+def _hull_distances(w: np.ndarray, hull: np.ndarray) -> np.ndarray:
+    """Distance from each point p of ``w`` to the hull of _convex_hull, over
+    all points and edges [a, b] at once: 0 when Im(conj(b-a)(p-a)) >= 0 on
+    every edge of a hull of three or more vertices, else the least distance
+    to an edge. Where the projection falls inside an edge that distance is
+    |Im(conj(b-a)(p-a))| / |b-a|, exactly 0 for collinear real points such
+    as the roots ±(1 - 4e-16) of z^2 - 1 and the derivative root 0, where
+    the foot-point difference p - (a + s(b-a)) leaves a rounding error.
     """
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    pa = p - a
-    s = (pa * np.conj(ab)).real / denom
-    if s <= 0.0:
-        return abs(pa)
-    if s >= 1.0:
-        return abs(p - b)
-    return abs((np.conj(ab) * pa).imag) / abs(ab)
-
-
-def _distance_to_hull(p: complex, hull: np.ndarray) -> float:
     if len(hull) == 1:
-        return abs(p - hull[0])
-    if len(hull) == 2:
-        return _segment_distance(p, hull[0], hull[1])
-    inside = True
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        cr = ((b - a).conjugate() * (p - a)).imag
-        if cr < 0.0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(
-        _segment_distance(p, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    )
+        return np.abs(w - hull[0])
+    a = hull if len(hull) > 2 else hull[:1]  # two vertices are one segment [a, b]
+    b = np.roll(hull, -1)[:len(a)]
+    ab = b - a
+    pa = w[:, None] - a
+    cross = (np.conj(ab) * pa).imag
+    s = (pa * np.conj(ab)).real / np.abs(ab) ** 2
+    dist = np.where(s <= 0.0, np.abs(pa),
+                    np.where(s >= 1.0, np.abs(w[:, None] - b), np.abs(cross) / np.abs(ab)))
+    dist = dist.min(axis=1)
+    if len(hull) > 2:
+        dist[(cross >= 0.0).all(axis=1)] = 0.0
+    return dist
 
 
 def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationReport:
@@ -456,13 +438,13 @@ def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationRe
     base = root_array(p)
     deriv_roots = roots(p.derivative()).roots
     hull = _convex_hull(base)
-    dists = [(_distance_to_hull(complex(r), hull), complex(r)) for r in deriv_roots]
-    measured = max(d for d, _ in dists)
+    dists = _hull_distances(deriv_roots, hull)
+    measured = float(dists.max())
     scale = float(np.abs(base).max())
     slack = tol * (1.0 + scale)
     witnesses = []
     if measured > 0.0:  # when every root is inside, no root is worse than another
-        worst = max(dists, key=lambda dr: dr[0])[1]
+        worst = complex(deriv_roots[np.argmax(dists)])
         witnesses = [(worst.real, measured)]
         params["worst_root"] = [worst.real, worst.imag]
     return _report("gauss_lucas", payload, measured, 0.0, tol, abs_slack=slack,
@@ -543,8 +525,8 @@ def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
 
     # stop on the Mahler measure exp(mean) = max(1, |v|), not on the mean
     # itself, which is 0 for |v| < 1 and so never meets a relative test
-    quad = math.log(_circle_means(np.array([v, 1.0]), 0, np.log, 64, cfg.rel_tol,
-                                  cfg.max_doublings + 4, finish=np.exp)[0])
+    quad = math.log(_circle_means(np.array([v, 1.0]), 0, 0.0, 64, cfg.rel_tol,
+                                  cfg.max_doublings + 4)[0])
     rhs = max(0.0, math.log(abs(v))) if v != 0 else 0.0
     measured = abs(quad - rhs)
     allowance = tol * (1.0 + abs(rhs))
@@ -577,23 +559,26 @@ def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> Verifi
 
 @dataclass(frozen=True)
 class ChiFunction:
-    """Evaluator for chi: R+ -> R with the monotonicity hypothesis flag
-    (chi increasing, differentiable, x chi'(x) increasing)."""
+    """chi: R+ -> R as x^exponent, or log for exponent 0. Each one meets the
+    monotonicity hypothesis (chi increasing, differentiable, x chi'(x)
+    increasing: x chi'(x) is exponent * x^exponent, or 1 for log)."""
 
     name: str
-    fn: object = None
-    monotone_hypothesis: bool = True
-    is_log: bool = False
+    exponent: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.exponent) and self.exponent >= 0):
+            raise InvalidParam(f"chi needs a finite exponent >= 0, got {self.exponent!r}")
 
     @staticmethod
     def power(exponent: float) -> "ChiFunction":
         if not (exponent > 0):
             raise InvalidParam("power chi needs a positive exponent")
-        return ChiFunction(name=f"x^{exponent:g}", fn=lambda x: x**exponent)
+        return ChiFunction(name=f"x^{exponent:g}", exponent=exponent)
 
     @staticmethod
     def log() -> "ChiFunction":
-        return ChiFunction(name="log", is_log=True)
+        return ChiFunction(name="log", exponent=0.0)
 
     @staticmethod
     def parse(name: str) -> "ChiFunction":
@@ -606,30 +591,18 @@ class ChiFunction:
 
 def check_chi_version(t: TrigPoly, chi: ChiFunction, tol: float = DEFAULT_TOL,
                       cfg: QuadratureConfig | None = None) -> VerificationReport:
-    """Circle mean of chi(|T'|) <= circle mean of chi(n |T|).
-
-    The log case compares exp of the means, i.e. the Mahler comparison
-    ||T'||_0 <= n ||T||_0: the derivative-bound evaluator at p = 0, whose
-    Jensen evaluation avoids -inf samples.
+    """Circle mean of chi(|T'|) <= circle mean of chi(n |T|): for chi = x^e,
+    ||T'||_e^e <= (n ||T||_e)^e at rung e of the derivative-bound ladder; for
+    log, exp of the means, i.e. the Mahler comparison ||T'||_0 <= n ||T||_0,
+    the derivative-bound evaluator at p = 0.
     """
-    if not chi.monotone_hypothesis:
-        raise InvalidParam("chi must assert the monotonicity hypothesis")
     payload = {"op": "chi", "chi": chi.name, "poly": poly_to_json(t)}
     params = {"n": t.degree, "chi": chi.name}
-    if chi.is_log:
-        return _derivative_bound([("chi_bound", payload, params, (t, 0.0))], tol, cfg)[0]
-    if t.is_zero():
-        return _degenerate("chi_bound", payload, params)
-    cfg = cfg or DEFAULT_CONFIG
-    n = t.degree
-
-    def mean_of(poly, scale):
-        return float(_circle_means(poly.coeffs, -n, lambda a: chi.fn(a * scale),
-                                   cfg.initial_grid(n), cfg.rel_tol, cfg.max_doublings)[0])
-
-    measured = mean_of(t.derivative(), 1.0)
-    bound = mean_of(t, float(n))
-    return _report("chi_bound", payload, measured, bound, tol, params=params)
+    e = chi.exponent
+    if e == 0 or t.is_zero():
+        return _derivative_bound([("chi_bound", payload, params, (t, e))], tol, cfg)[0]
+    return _report("chi_bound", payload, _ladder_norm(t.derivative(), e, cfg) ** e,
+                   (t.degree * _ladder_norm(t, e, cfg)) ** e, tol, params=params)
 
 
 def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,

@@ -112,25 +112,21 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    obj = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 obj = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise PolynormError(f"{args.config}: {exc}") from exc
-        sc = sweep.SweepConfig.from_json(obj)
-    else:
-        sc = sweep.SweepConfig()
-    if args.seed is not None:
-        sc.seed = args.seed
-    if args.trials is not None:
-        sc.trials = args.trials
-    if args.tol is not None:
-        sc.tol = args.tol
-    if args.rho is not None:
-        sc.rho_list = [args.rho]
-    if args.debug_shrink_bound is not None:
-        sc.bound_scale = args.debug_shrink_bound
+        if not isinstance(obj, dict):
+            raise PolynormError(f"{args.config}: a sweep config is a JSON object")
+    # the flags override the file before the config is validated, as one dict
+    overrides = {"seed": args.seed, "trials": args.trials, "tol": args.tol,
+                 "rho_list": None if args.rho is None else [args.rho],
+                 "bound_scale": args.debug_shrink_bound}
+    obj.update({key: value for key, value in overrides.items() if value is not None})
+    sc = sweep.SweepConfig.from_json(obj)
     out_jsonl = args.out + ".jsonl" if args.out else (sc.out_jsonl or "polynorm_report.jsonl")
     out_csv = args.out + ".csv" if args.out else (sc.out_csv or "polynorm_summary.csv")
 

@@ -4,9 +4,10 @@ sup, L^p for finite p > 0, the Mahler limit norm at p = 0 (two independent
 evaluations), the Wiener coefficient norm, and two Besov-type seminorms on
 the disk. Circle integrals use uniform angular grids: the N-point rule is
 exact for trigonometric polynomials of degree < N by discrete orthogonality.
-The remaining integrands go through one primitive, _circle_means, which
-takes many circles at once, one row of coefficients each, and doubles each
-row's grid until that row's value changes by at most the relative tolerance;
+The remaining integrals go through one primitive, _circle_means: the power
+mean M_p of |p| (M_0 = exp of the mean of log|p|) on many circles at once,
+one row of coefficients each, doubling each row's grid until that row's M_p
+changes by at most the relative tolerance;
 a doubling evaluates only the new points, and converged rows drop out. Area
 integrals are Gauss-Legendre in the radius over such rows.
 
@@ -88,12 +89,12 @@ class NormKind:
                 raise InvalidParam("lp requires finite p > 0 (mahler covers p = 0)")
 
 
-def _circle_means(rows, kmin: int, integrand, grid0: int, rel_tol: float,
-                  max_doublings: int, finish=None) -> np.ndarray:
-    """For each row c of ``rows``, finish(circle mean of integrand(|T|)) with
-    T(x) = sum_j c_j e^{i(kmin+j)x}, by the trapezoid rule on a uniform grid
-    of grid0 points that doubles until finish(mean) changes by at most
-    rel_tol relative (finish defaults to the identity).
+def _circle_means(rows, kmin: int, p: float, grid0: int, rel_tol: float,
+                  max_doublings: int) -> np.ndarray:
+    """For each row c of ``rows``, the circle power mean M_p of |T|,
+    T(x) = sum_j c_j e^{i(kmin+j)x}: (mean |T|^p)^(1/p), or exp(mean log|T|)
+    at p = 0, by the trapezoid rule on a uniform grid of grid0 points that
+    doubles until M_p changes by at most rel_tol relative.
 
     Each row keeps its running sum, so a doubling from N to 2N points
     evaluates only the N new points, which sit half a spacing off the old
@@ -106,17 +107,20 @@ def _circle_means(rows, kmin: int, integrand, grid0: int, rel_tol: float,
     k = np.arange(rows.shape[1]) + kmin
 
     def grid_sums(c, grid):
-        return integrand(np.abs(_grid_values(c, kmin, grid))).sum(axis=1)
+        a = np.abs(_grid_values(c, kmin, grid))
+        return (a**p if p != 0 else np.log(a)).sum(axis=1)
 
-    finish = finish or (lambda mean: mean)
+    def power_mean(mean):
+        return mean ** (1.0 / p) if p != 0 else np.exp(mean)
+
     sums = grid_sums(rows, grid0)
     grid = grid0
-    value = finish(sums / grid)
+    value = power_mean(sums / grid)
     active = np.arange(rows.shape[0])
     for _ in range(max_doublings):
         sums[active] += grid_sums(rows[active] * np.exp(1j * np.pi * k / grid), grid)
         grid *= 2
-        cur = finish(sums[active] / grid)
+        cur = power_mean(sums[active] / grid)
         done = np.abs(cur - value[active]) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
         value[active] = cur
         active = active[~done]
@@ -258,10 +262,8 @@ def sup_norm(p) -> float:
 
 
 def sup_norm_argmax(p):
-    """(sup norm, an angle attaining it)."""
-    if not isinstance(p, (TrigPoly, AlgebraicPoly)):
-        raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-    val, x = circle_max(p.coeffs[None, None], 32 * (p.degree + 1))
+    """(sup norm, an angle attaining it): sup_norms_argmax of the one row p."""
+    val, x = sup_norms_argmax([p])
     return float(val[0]), float(x[0])
 
 
@@ -305,8 +307,7 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     if rounded == power and rounded % 2 == 0:
         grid0, budget = max(grid0, int(rounded) * n + 1), 0
     row, e = _prescaled(coeffs)
-    norm = _circle_means(row, kmin, lambda a: a**power, grid0, cfg.rel_tol, budget,
-                         finish=lambda mean: mean ** (1.0 / power))
+    norm = _circle_means(row, kmin, power, grid0, cfg.rel_tol, budget)
     return float(np.ldexp(norm[0], e[0]))
 
 
@@ -346,8 +347,8 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
                 f"a root lies within {gap:.2e} of the unit circle; use mahler_jensen"
             )
     coeffs, kmin = _circle_row(p)
-    return float(_circle_means(coeffs, kmin, np.log, cfg.initial_grid(p.degree), cfg.rel_tol,
-                               cfg.max_doublings, finish=np.exp)[0])
+    return float(_circle_means(coeffs, kmin, 0.0, cfg.initial_grid(p.degree), cfg.rel_tol,
+                               cfg.max_doublings)[0])
 
 
 def wiener_norm(p: AlgebraicPoly) -> float:
@@ -379,20 +380,20 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
               cfg: QuadratureConfig | None = None) -> float:
     """integral of |p|^power over the disk against normalized area measure.
 
-    Polar form 2 * int_0^1 r * (angular mean of |p(r e^{i theta})|^power) dr
-    with Gauss-Legendre radial nodes. Each node's circle is one row of
-    _circle_means on the dilated coefficients c_k r^k: its angular grid
-    doubles, adding only the new points, until that row's mean changes by at
-    most area_rel_tol (|p|^power along a circle is generally not a trig
-    polynomial), and rows that have converged leave the doubling.
+    Polar form 2 * int_0^1 r * M(r)^power dr with Gauss-Legendre radial
+    nodes, M(r) the power mean M_power of |p| on the circle of radius r: one
+    row of _circle_means on the dilated coefficients c_k r^k, whose angular
+    grid doubles, adding only the new points, until M(r) changes by at most
+    area_rel_tol (|p|^power along a circle is generally not a trig
+    polynomial).
     """
     cfg = cfg or DEFAULT_CONFIG
     if p.is_zero():
         return 0.0
     r, w = _radial_rule(cfg.radial_nodes)
-    means = _circle_means(_dilated(p.coeffs, r), 0, lambda a: a**power,
+    means = _circle_means(_dilated(p.coeffs, r), 0, power,
                           cfg.initial_grid(p.degree), cfg.area_rel_tol, cfg.max_doublings)
-    return float(2.0 * np.sum(w * r * means))
+    return float(2.0 * np.sum(w * r * means**power))
 
 
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:

@@ -64,6 +64,14 @@ class SweepConfig:
             raise InvalidParam(f"unknown checks {unknown}; choices: {list(ALL_CHECKS)}")
         if not (0.0 < self.bound_scale <= 1.0 + 1e-12):
             raise InvalidParam("bound_scale must be in (0, 1]")
+        if not _finite(self.rho_list, lambda rho: rho >= 1.0):
+            raise InvalidParam("rho_list values must be finite and >= 1")
+        if not _finite(self.radius_list, lambda radius: radius > 1.0):
+            raise InvalidParam("radius_list values must be finite and > 1")
+        if not _finite([self.tol, self.hull_tol, *self.tol_overrides.values()], lambda t: t >= 0):
+            raise InvalidParam("tol, hull_tol and tol_overrides must be finite and >= 0")
+        for name in self.chi_list:
+            C.ChiFunction.parse(name)
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -82,6 +90,11 @@ class SweepConfig:
 
     def cfg(self) -> QuadratureConfig:
         return QuadratureConfig(**self.quadrature) if self.quadrature else QuadratureConfig()
+
+
+def _finite(values, ok) -> bool:
+    """Whether each of ``values`` is a finite number for which ok holds."""
+    return all(isinstance(v, (int, float)) and math.isfinite(v) and ok(v) for v in values)
 
 
 def trial_seed(master: int, check_id: str, index: int) -> int:

@@ -134,6 +134,14 @@ def test_laguerre_rejects_inside_roots():
         C.check_laguerre(from_roots([0.5, 3.0]), 1.0)
     with pytest.raises(InvalidParam):
         C.check_laguerre(AlgebraicPoly([-2, 1]), 0.5)
+    # a nan rho or radius is refused, not carried into nan reports
+    nan = float("nan")
+    for check in (lambda: C.check_laguerre(AlgebraicPoly([-2, 1]), nan),
+                  lambda: C.check_lax_malik(AlgebraicPoly([-2, 1]), nan),
+                  lambda: C.check_ankeny_rivlin(AlgebraicPoly([-2, 1]), nan, 2.0),
+                  lambda: C.check_ankeny_rivlin(AlgebraicPoly([-2, 1]), 1.0, nan)):
+        with pytest.raises(InvalidParam):
+            check()
 
 
 def test_lax_malik_extremal_equality():
@@ -208,6 +216,58 @@ def test_gauss_lucas_witness_names_the_worst_root():
     derivative_roots = roots(from_roots([1, 1, 1]).derivative()).roots
     assert np.abs(derivative_roots - worst).min() == 0.0
     assert rep.witnesses == [(re, rep.measured)]
+
+
+def _cross(a, b):
+    return (np.conj(a) * b).imag
+
+
+def _brute_hull_distance(p, pts):
+    # 0 when some proper triangle of pts holds p (Caratheodory), else the least
+    # distance to any chord [a, b]: the hull's edges are among the chords, and
+    # every chord lies in the hull
+    pts = np.unique(pts)
+    for i, a in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            for c in pts[j + 1:]:
+                b = pts[j]
+                if _cross(b - a, c - a) == 0:
+                    continue
+                sides = [_cross(b - a, p - a), _cross(c - b, p - b), _cross(a - c, p - c)]
+                if min(sides) >= 0 or max(sides) <= 0:
+                    return 0.0
+    return min(_chord_distance(p, a, b) for a in pts for b in pts)
+
+
+def _chord_distance(p, a, b):
+    if a == b:
+        return abs(p - a)
+    s = min(1.0, max(0.0, ((p - a) * np.conj(b - a)).real / abs(b - a) ** 2))
+    return abs(p - (a + s * (b - a)))
+
+
+def test_hull_distances_against_brute_force():
+    rng = np.random.default_rng(46)
+    tilt = np.exp(0.7j)
+    cases = [
+        rng.standard_normal(9) + 1j * rng.standard_normal(9),  # random
+        rng.standard_normal(6) + 0j,  # collinear on the real axis
+        (rng.standard_normal(5) + 0.5) * tilt,  # collinear, tilted
+        np.array([1 + 1j, 1 + 1j, -2 + 0.5j, -2 + 0.5j, 0.3 - 1j]),  # duplicates
+        np.array([0.4 - 0.2j]),  # a single point
+    ]
+    for pts in cases:
+        hull = C._convex_hull(pts)
+        scale = float(np.abs(pts).max())
+        # points well outside, and points drawn inside (convex combinations)
+        outside = 3 * scale * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
+        weights = rng.random((8, len(pts)))
+        inside = (weights / weights.sum(axis=1, keepdims=True)) @ pts
+        w = np.concatenate([outside, inside, pts])
+        got = C._hull_distances(w, hull)
+        ref = np.array([_brute_hull_distance(p, pts) for p in w])
+        assert np.all(np.abs(got - ref) <= 1e-15 * (1 + scale)), (pts, got - ref)
+        assert np.all(got[len(outside):] <= 1e-15 * (1 + scale))
 
 
 def test_gauss_lucas_random():
@@ -319,9 +379,17 @@ def test_chi_log_equality():
 
 
 def test_chi_requires_hypothesis_flag():
-    bad = C.ChiFunction(name="custom", fn=lambda x: x, monotone_hypothesis=False)
+    # x^-1 is decreasing, outside the monotonicity hypothesis
     with pytest.raises(InvalidParam):
-        C.check_chi_version(TrigPoly([1, 0, 1]), bad)
+        C.check_chi_version(TrigPoly([1, 0, 1]), C.ChiFunction(name="x^-1", exponent=-1.0))
+
+
+def test_chi_refuses_non_finite_exponents():
+    for name in ("x^inf", "x^nan", "x^-inf"):
+        with pytest.raises(InvalidParam):
+            C.ChiFunction.parse(name)
+    with pytest.raises(InvalidParam):
+        C.ChiFunction(name="x^inf", exponent=math.inf)
 
 
 def test_mate_nevai_compare():
@@ -362,6 +430,18 @@ def test_derivative_bound_aliases():
         rep = C.mate_nevai_compare(p, power)
         assert rep.measured == lp_norm(p.derivative(), power)
         _same_verdict(rep, C.check_bernstein(p, power))
+
+
+def test_chi_power_is_the_ladder_rung():
+    # chi = x^e compares ||T'||_e^e with (n ||T||_e)^e, bit for bit
+    rng = np.random.default_rng(53)
+    for n in range(1, 17):
+        t = _rand_trig(rng, n)
+        for e in (0.3, 2.0):
+            rep = C.check_chi_version(t, C.ChiFunction.power(e))
+            assert rep.measured == lp_norm(t.derivative(), e) ** e
+            assert rep.bound == (n * lp_norm(t, e)) ** e
+            assert rep.passed
 
 
 # ------------------------------------------------------------- scale invariance

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polynorm import norms
 from polynorm.errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from polynorm.norms import (
     QuadratureConfig,
@@ -20,7 +21,7 @@ from polynorm.norms import (
     sup_norm_argmax,
     wiener_norm,
 )
-from polynorm.poly import AlgebraicPoly, ExponentialSum, TrigPoly, from_roots, generate
+from polynorm.poly import AlgebraicPoly, ExponentialSum, TrigPoly, _grid_values, from_roots, generate
 
 
 def _rand_trig(rng, n):
@@ -173,10 +174,12 @@ def test_even_p_exactness_against_autocorrelation():
 
 # ---------------------------------------------------------- circle means
 
-def _direct_mean(row, kmin, integrand, grid):
+def _direct_mean(row, kmin, p, grid):
+    # the power mean M_p of |T| over the grid, by dense evaluation
     x = np.arange(grid) * (2 * np.pi / grid)
     k = np.arange(len(row)) + kmin
-    return float(np.mean(integrand(np.abs(np.exp(1j * np.outer(x, k)) @ row))))
+    a = np.abs(np.exp(1j * np.outer(x, k)) @ row)
+    return float(np.mean(a**p) ** (1 / p) if p else np.exp(np.mean(np.log(a))))
 
 
 def test_circle_means_doubling_matches_direct_mean():
@@ -185,42 +188,46 @@ def test_circle_means_doubling_matches_direct_mean():
     rng = np.random.default_rng(3)
     for kmin, width, grid in ((0, 5, 16), (-6, 13, 40), (-2, 5, 8)):
         row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-        for integrand in (lambda a: a**1.3, np.log):
-            got = _circle_means(row, kmin, integrand, grid, 1e-300, 1)[0]
-            assert got == pytest.approx(_direct_mean(row, kmin, integrand, 2 * grid), rel=1e-15)
+        for p in (1.3, 0.0):
+            got = _circle_means(row, kmin, p, grid, 1e-300, 1)[0]
+            assert got == pytest.approx(_direct_mean(row, kmin, p, 2 * grid), rel=1e-15)
 
 
-def _recording(integrand, shapes):
-    def wrapped(a):
-        shapes.append(a.shape)
-        return integrand(a)
-    return wrapped
+@pytest.fixture
+def grid_shapes(monkeypatch):
+    # the shape of every batch of grid values _circle_means evaluates
+    shapes = []
+
+    def recording(c, kmin, grid):
+        values = _grid_values(c, kmin, grid)
+        shapes.append(values.shape)
+        return values
+
+    monkeypatch.setattr(norms, "_grid_values", recording)
+    return shapes
 
 
-def test_circle_means_rows_converge_alone():
+def test_circle_means_rows_converge_alone(grid_shapes):
     # a smooth row next to slow rows whose roots nearly touch the circle: each
     # row's value is the one it gets alone, and after the first doubling only
     # the rows still changing are evaluated, at the new points only
     fast = np.array([1.0, 0.3, 0.0])
     slow = [np.array([1.0, -0.995, 0.0]), np.array([0.0, 1.0, 0.995j])]
     rows = np.stack([fast, slow[0], fast * 2j, slow[1]])
-    shapes = []
-    integrand = _recording(lambda a: a**0.5, shapes)
-    batch = _circle_means(rows, 0, integrand, 32, 1e-10, 6)
-    for i, row in enumerate(rows):
-        assert batch[i] == _circle_means(row, 0, lambda a: a**0.5, 32, 1e-10, 6)[0]
+    batch = _circle_means(rows, 0, 0.5, 32, 1e-10, 6)
     # the slow rows use the whole budget: grids 64, 128, ..., 2048
-    assert shapes == [(4, 32), (4, 32)] + [(2, 32 * 2**d) for d in range(1, 6)]
+    assert grid_shapes == [(4, 32), (4, 32)] + [(2, 32 * 2**d) for d in range(1, 6)]
+    for i, row in enumerate(rows):
+        assert batch[i] == _circle_means(row, 0, 0.5, 32, 1e-10, 6)[0]
 
 
-def test_circle_means_zero_budget_is_one_grid():
-    shapes = []
+def test_circle_means_zero_budget_is_one_grid(grid_shapes):
     row = np.array([1.0, -0.97])
-    got = _circle_means(row, 0, _recording(np.sqrt, shapes), 24, 1e-10, 0)[0]
-    assert shapes == [(1, 24)]
-    assert got == pytest.approx(_direct_mean(row, 0, np.sqrt, 24), rel=1e-15)
+    got = _circle_means(row, 0, 0.5, 24, 1e-10, 0)[0]
+    assert grid_shapes == [(1, 24)]
+    assert got == pytest.approx(_direct_mean(row, 0, 0.5, 24), rel=1e-15)
     with pytest.raises(InvalidParam):
-        _circle_means(row, 0, np.sqrt, 1, 1e-10, 0)
+        _circle_means(row, 0, 0.5, 1, 1e-10, 0)
 
 
 # ----------------------------------------------------------------- mahler norm

@@ -176,6 +176,18 @@ def test_sweep_config_rejects_p_not_at_least_zero():
     assert C.parse_p("sup") == C.parse_p("Infinity") == C.parse_p("inf") == math.inf
 
 
+def test_sweep_config_rejects_bad_rho_radius_tol_and_chi():
+    nan, inf = float("nan"), float("inf")
+    bad = [{"rho_list": [nan]}, {"rho_list": [0.5]}, {"rho_list": [inf]},
+           {"radius_list": [nan]}, {"radius_list": [1.0]}, {"radius_list": [inf]},
+           {"tol": nan}, {"tol": -1.0}, {"hull_tol": inf}, {"tol_overrides": {"malik": nan}},
+           {"chi_list": ["x^inf"]}, {"chi_list": ["x^nan"]}, {"chi_list": ["x^-1"]}]
+    for fields in bad:
+        with pytest.raises(InvalidParam):
+            sweep.SweepConfig.from_json(fields)
+    sweep.SweepConfig.from_json({"rho_list": [1.0], "radius_list": [1.01], "tol": 0.0})
+
+
 # ------------------------------------------------------------------------- CLI
 
 def _write_poly(tmp_path, name, poly):
@@ -344,4 +356,23 @@ def test_cli_constants(capsys):
     out = capsys.readouterr().out
     assert "besov_111_bound" in out and "= 2" in out
     assert main(["constants", "--n", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_verify_refuses_bad_flags_and_config(tmp_path, capsys):
+    # the flags are validated with the config they override: each bad value exits 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"checks": ["laguerre", "chi"], "degrees": [1], "trials": 2}))
+    out = str(tmp_path / "run")
+    for flags in (["--trials", "0"], ["--trials", "-3"], ["--debug-shrink-bound", "5"],
+                  ["--tol", "nan"], ["--tol", "-1"], ["--rho", "nan"], ["--rho", "0.5"]):
+        assert main(["verify", str(cfg_path), "--out", out, *flags]) == 2, flags
+        assert not os.path.exists(out + ".jsonl")
+    for fields in ({"rho_list": [float("nan")]}, {"chi_list": ["x^inf"]}):
+        cfg_path.write_text(json.dumps({"checks": ["laguerre", "chi"], "degrees": [1],
+                                        "trials": 2, **fields}))
+        assert main(["verify", str(cfg_path), "--out", out]) == 2, fields
+        assert not os.path.exists(out + ".jsonl")
+    cfg_path.write_text("[1, 2]")
+    assert main(["verify", str(cfg_path), "--out", out]) == 2
     capsys.readouterr()
