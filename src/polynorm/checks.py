@@ -36,10 +36,10 @@ from .norms import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _circle_means,
-    besov_111_seminorm,
+    besov_111_seminorms,
     besov_inf1_seminorms,
     circle_max,
-    lp_norm,
+    lp_norms,
     mahler_jensen,
     sup_norms_argmax,
     wiener_norm,
@@ -136,16 +136,6 @@ def parse_p(p) -> float:
     return p
 
 
-def _ladder_norm(poly, p: float, cfg: QuadratureConfig | None) -> float:
-    """Norm of a polynomial on the circle at finite rung p of the ladder
-    (0 = Mahler)."""
-    if poly.is_zero():
-        return 0.0
-    if p == 0:
-        return mahler_jensen(poly)
-    return lp_norm(poly, p, cfg)
-
-
 def _batched(cases, compute) -> list:
     """Reports for ``cases``, a list of (check_id, payload, params, args)
     per input, in order. An input whose polynomial args[0] is zero gets a
@@ -180,17 +170,33 @@ def _sup_bound(live, tol, image, factor) -> list:
     return _witnessed(live, measured, xmax, bounds, tol)
 
 
+def _rung_norms(args, cfg) -> list:
+    """(||P'||_p, n ||P||_p), n the declared degree, as floats, for each (P, p)
+    in ``args`` with finite p: p = 0 is the Mahler norm through Jensen, one
+    input at a time, and every P' and P at p > 0 goes through one lp_norms
+    call."""
+    polys = [t.derivative() for t, _ in args] + [t for t, _ in args]
+    powers = [p for _, p in args] * 2
+    vals = [0.0 if p > 0 or poly.is_zero() else mahler_jensen(poly)
+            for poly, p in zip(polys, powers)]
+    lp = [i for i, p in enumerate(powers) if p > 0]
+    for i, v in zip(lp, lp_norms([polys[i] for i in lp], [powers[i] for i in lp], cfg)):
+        vals[i] = v
+    return [(vals[i], t.degree * vals[len(args) + i]) for i, (t, _) in enumerate(args)]
+
+
 def _derivative_bound(cases, tol, cfg) -> list:
     """Reports of ||P'||_p <= n ||P||_p, n the declared degree, for ``cases``
     of one degree whose args are (P, p), P a TrigPoly or an AlgebraicPoly
     (its analytic embedding): p = inf rungs take their sups from one
-    circle_max call per norm, p = 0 is the Mahler norm through Jensen, and
-    other p the L^p norm."""
+    circle_max call per norm, and the finite rungs their norms from
+    _rung_norms."""
     def compute(live):
-        out = [None if math.isinf(p) else
-               _report(cid, payload, _ladder_norm(t.derivative(), p, cfg),
-                       t.degree * _ladder_norm(t, p, cfg), tol, params=params)
-               for cid, payload, params, (t, p) in live]
+        out = [None] * len(live)
+        finite = [i for i, (*_, (t, p)) in enumerate(live) if not math.isinf(p)]
+        for i, (measured, bound) in zip(finite, _rung_norms([live[i][3] for i in finite], cfg)):
+            cid, payload, params, _ = live[i]
+            out[i] = _report(cid, payload, measured, bound, tol, params=params)
         rung = [i for i, (*_, (t, p)) in enumerate(live) if math.isinf(p)]
         if rung:
             reps = _sup_bound([live[i] for i in rung], tol,
@@ -468,15 +474,19 @@ def check_embedding(p: AlgebraicPoly, kind: str, tol: float = DEFAULT_TOL,
 def check_embedding_batch(cases, tol: float = DEFAULT_TOL,
                           cfg: QuadratureConfig | None = None) -> list:
     """check_embedding of each (p, kind) in ``cases``, all p of one degree:
-    one circle_max call for the sups and one for every radial sup of the
-    radial-sup seminorms."""
+    one circle_max call for the sups, one for every radial sup of the
+    radial-sup seminorms, and one _circle_means call for every circle mean
+    of the area seminorms."""
     if any(kind not in _EMBEDDING_KINDS for _, kind in cases):
         raise InvalidParam(f"embedding kind must be one of {_EMBEDDING_KINDS}")
 
     def compute(live):
         polys = [args[0] for *_, args in live]
-        radial = [i for i, (*_, (_, kind)) in enumerate(live) if kind == "besovinf1"]
-        measured = dict(zip(radial, besov_inf1_seminorms([polys[i] for i in radial], cfg)))
+        measured = {}
+        for kind, seminorms in (("besovinf1", besov_inf1_seminorms),
+                                ("besov111", besov_111_seminorms)):
+            idx = [i for i, (*_, (_, k)) in enumerate(live) if k == kind]
+            measured.update(zip(idx, seminorms([polys[i] for i in idx], cfg)))
         out = []
         for i, ((cid, payload, params, (p, kind)), s) in enumerate(zip(live, _sups(polys))):
             n = p.degree
@@ -485,7 +495,7 @@ def check_embedding_batch(cases, tol: float = DEFAULT_TOL,
             elif kind == "besovinf1":
                 value, const = measured[i], besov_inf1_bound_constant(n)
             else:
-                value, const = besov_111_seminorm(p, cfg), besov_111_bound_constant(n)
+                value, const = measured[i], besov_111_bound_constant(n)
             out.append(_report(cid, payload, value, const * s, tol, params=params))
         return out
 
@@ -517,21 +527,29 @@ def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
     tol * (1 + |log+ |v||); inputs within 1e-6 of the unit circle are
     rejected since the integrand then has a near-contour log singularity.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    v = complex(v)
-    if abs(abs(v) - 1.0) < 1e-6:
-        raise OnUnitCircle("|v| = 1 is excluded (log singularity on the contour)")
-    payload = {"op": "logplus", "v": [v.real, v.imag]}
+    return check_identity_logplus_batch([(v,)], tol, cfg)[0]
 
+
+def check_identity_logplus_batch(cases, tol: float = DEFAULT_TOL,
+                                 cfg: QuadratureConfig | None = None) -> list:
+    """check_identity_logplus of each (v,) in ``cases``: the rows [v, 1] of
+    every v go through one _circle_means call."""
+    cfg = cfg or DEFAULT_CONFIG
+    vs = [complex(v) for v, in cases]
+    if any(abs(abs(v) - 1.0) < 1e-6 for v in vs):
+        raise OnUnitCircle("|v| = 1 is excluded (log singularity on the contour)")
     # stop on the Mahler measure exp(mean) = max(1, |v|), not on the mean
     # itself, which is 0 for |v| < 1 and so never meets a relative test
-    quad = math.log(_circle_means(np.array([v, 1.0]), 0, 0.0, 64, cfg.rel_tol,
-                                  cfg.max_doublings + 4)[0])
-    rhs = max(0.0, math.log(abs(v))) if v != 0 else 0.0
-    measured = abs(quad - rhs)
-    allowance = tol * (1.0 + abs(rhs))
-    return _report("logplus", payload, measured, allowance, 0.0,
-                   params={"v_abs": abs(v), "lhs": quad, "rhs": rhs})
+    rows = np.array([[v, 1.0] for v in vs], dtype=np.complex128).reshape(len(vs), 2)
+    means = _circle_means(rows, 0, 0.0, 64, cfg.rel_tol, cfg.max_doublings + 4)
+    out = []
+    for v, mean in zip(vs, means.tolist()):
+        quad = math.log(mean)
+        rhs = max(0.0, math.log(abs(v))) if v != 0 else 0.0
+        out.append(_report("logplus", {"op": "logplus", "v": [v.real, v.imag]},
+                           abs(quad - rhs), tol * (1.0 + abs(rhs)), 0.0,
+                           params={"v_abs": abs(v), "lhs": quad, "rhs": rhs}))
+    return out
 
 
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(48)
@@ -596,13 +614,25 @@ def check_chi_version(t: TrigPoly, chi: ChiFunction, tol: float = DEFAULT_TOL,
     log, exp of the means, i.e. the Mahler comparison ||T'||_0 <= n ||T||_0,
     the derivative-bound evaluator at p = 0.
     """
-    payload = {"op": "chi", "chi": chi.name, "poly": poly_to_json(t)}
-    params = {"n": t.degree, "chi": chi.name}
-    e = chi.exponent
-    if e == 0 or t.is_zero():
-        return _derivative_bound([("chi_bound", payload, params, (t, e))], tol, cfg)[0]
-    return _report("chi_bound", payload, _ladder_norm(t.derivative(), e, cfg) ** e,
-                   (t.degree * _ladder_norm(t, e, cfg)) ** e, tol, params=params)
+    return check_chi_version_batch([(t, chi)], tol, cfg)[0]
+
+
+def check_chi_version_batch(cases, tol: float = DEFAULT_TOL,
+                            cfg: QuadratureConfig | None = None) -> list:
+    """check_chi_version of each (t, chi) in ``cases``, all t of one degree,
+    with the L^p norms of every x^e case from one lp_norms call."""
+    def compute(live):
+        out = []
+        for (cid, payload, params, (t, e)), (measured, bound) in zip(
+                live, _rung_norms([args for *_, args in live], cfg)):
+            if e:
+                measured, bound = measured ** e, bound ** e
+            out.append(_report(cid, payload, measured, bound, tol, params=params))
+        return out
+
+    return _batched([("chi_bound", {"op": "chi", "chi": chi.name, "poly": poly_to_json(t)},
+                      {"n": t.degree, "chi": chi.name}, (t, chi.exponent))
+                     for t, chi in cases], compute)
 
 
 def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,
@@ -610,12 +640,19 @@ def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,
     """||P'||_p <= n ||P||_p for 0 < p < 1, the sharp bound (Arestov, 1981):
     the derivative-bound evaluator at (P, p). The params keep the Mate-Nevai
     factor (4e)^(1/p) and the weaker bound n (4e)^(1/p) ||P||_p it gives."""
-    if not (0.0 < power < 1.0):
+    return mate_nevai_compare_batch([(p, power)], tol, cfg)[0]
+
+
+def mate_nevai_compare_batch(cases, tol: float = DEFAULT_TOL,
+                             cfg: QuadratureConfig | None = None) -> list:
+    """mate_nevai_compare of each (p, power) in ``cases``, all p of one degree."""
+    if any(not (0.0 < power < 1.0) for _, power in cases):
         raise InvalidParam("the comparison is for 0 < p < 1")
-    factor = (4.0 * math.e) ** (1.0 / power)
-    rep = _derivative_bound([("mate_nevai",
-                              {"op": "mate_nevai", "p": power, "poly": poly_to_json(p)},
-                              {"n": p.degree, "p": power, "factor": factor}, (p, power))],
-                            tol, cfg)[0]
-    rep.params["mate_nevai_bound"] = factor * rep.bound
-    return rep
+    reps = _derivative_bound([("mate_nevai",
+                               {"op": "mate_nevai", "p": power, "poly": poly_to_json(p)},
+                               {"n": p.degree, "p": power,
+                                "factor": (4.0 * math.e) ** (1.0 / power)}, (p, power))
+                              for p, power in cases], tol, cfg)
+    for rep in reps:
+        rep.params["mate_nevai_bound"] = rep.params["factor"] * rep.bound
+    return reps

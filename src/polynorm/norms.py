@@ -6,8 +6,9 @@ the disk. Circle integrals use uniform angular grids: the N-point rule is
 exact for trigonometric polynomials of degree < N by discrete orthogonality.
 The remaining integrals go through one primitive, _circle_means: the power
 mean M_p of |p| (M_0 = exp of the mean of log|p|) on many circles at once,
-one row of coefficients each, doubling each row's grid until that row's M_p
-changes by at most the relative tolerance;
+one row of coefficients (and, if need be, one exponent p) each, doubling
+each row's grid until that row's M_p changes by at most the relative
+tolerance;
 a doubling evaluates only the new points, and converged rows drop out. Area
 integrals are Gauss-Legendre in the radius over such rows.
 
@@ -89,12 +90,13 @@ class NormKind:
                 raise InvalidParam("lp requires finite p > 0 (mahler covers p = 0)")
 
 
-def _circle_means(rows, kmin: int, p: float, grid0: int, rel_tol: float,
+def _circle_means(rows, kmin: int, p, grid0: int, rel_tol: float,
                   max_doublings: int) -> np.ndarray:
     """For each row c of ``rows``, the circle power mean M_p of |T|,
     T(x) = sum_j c_j e^{i(kmin+j)x}: (mean |T|^p)^(1/p), or exp(mean log|T|)
     at p = 0, by the trapezoid rule on a uniform grid of grid0 points that
-    doubles until M_p changes by at most rel_tol relative.
+    doubles until M_p changes by at most rel_tol relative. ``p`` is one
+    exponent for every row, or an array of one exponent per row.
 
     Each row keeps its running sum, so a doubling from N to 2N points
     evaluates only the N new points, which sit half a spacing off the old
@@ -102,31 +104,61 @@ def _circle_means(rows, kmin: int, p: float, grid0: int, rel_tol: float,
     still changing take part, and the test is applied to each row on its
     own, because the rule converges at a different rate on each circle. A row
     that runs out of budget keeps its last value.
+
+    Rows are independent: a row's value is the same, bit for bit, whatever
+    other rows and exponents share its call; the rows of each distinct
+    exponent are raised to it as one scalar (_each_exponent).
     """
     rows = np.atleast_2d(rows)
     k = np.arange(rows.shape[1]) + kmin
+    per_row = not isinstance(p, (int, float))
+    if per_row:
+        p = np.asarray(p, dtype=np.float64)
 
-    def grid_sums(c, grid):
+    def grid_sums(c, p, grid):
         a = np.abs(_grid_values(c, kmin, grid))
-        return (a**p if p != 0 else np.log(a)).sum(axis=1)
+        return _each_exponent(_power_sums, a, p) if per_row else _power_sums(a, p)
 
-    def power_mean(mean):
-        return mean ** (1.0 / p) if p != 0 else np.exp(mean)
+    def power_mean(mean, p):
+        return _each_exponent(_power_means, mean, p) if per_row else _power_means(mean, p)
 
-    sums = grid_sums(rows, grid0)
+    sums = grid_sums(rows, p, grid0)
     grid = grid0
-    value = power_mean(sums / grid)
+    value = power_mean(sums / grid, p)
     active = np.arange(rows.shape[0])
     for _ in range(max_doublings):
-        sums[active] += grid_sums(rows[active] * np.exp(1j * np.pi * k / grid), grid)
+        pa = p[active] if per_row else p
+        sums[active] += grid_sums(rows[active] * np.exp(1j * np.pi * k / grid), pa, grid)
         grid *= 2
-        cur = power_mean(sums[active] / grid)
+        cur = power_mean(sums[active] / grid, pa)
         done = np.abs(cur - value[active]) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
         value[active] = cur
         active = active[~done]
         if active.size == 0:
             break
     return value
+
+
+def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
+    """Row sums of a**p, or of log(a) at p = 0."""
+    return (a**p if p != 0 else np.log(a)).sum(axis=1)
+
+
+def _power_means(mean: np.ndarray, p: float) -> np.ndarray:
+    """mean**(1/p), or exp(mean) at p = 0."""
+    return mean ** (1.0 / p) if p != 0 else np.exp(mean)
+
+
+def _each_exponent(fn, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One value per row of x: fn(x[p == e], e) in the rows where p == e, for
+    each distinct exponent e, passed as a Python float, because numpy's
+    a ** 0.5 and a ** 2.0 take square-root and square paths that a ** array
+    does not."""
+    out = np.empty(len(x))
+    for e in np.unique(p):
+        mask = p == e
+        out[mask] = fn(x[mask], float(e))
+    return out
 
 
 def _grid_candidates(vals: np.ndarray):
@@ -287,7 +319,8 @@ def _circle_row(p):
 
 
 def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
-    """(integral of |p|^power dm)^(1/power) for finite power > 0.
+    """(integral of |p|^power dm)^(1/power) for finite power > 0: lp_norms of
+    the one polynomial p.
 
     For even integer powers the integrand is itself a trig polynomial of
     degree power*n, so one grid larger than that is exact; otherwise the
@@ -295,20 +328,42 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     to rel_tol. The coefficients are scaled by a power of two first, which
     is exact, so 1e-200 or 1e200 coefficients neither underflow nor overflow.
     """
+    return lp_norms([p], [power], cfg)[0]
+
+
+def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
+    """lp_norm of each polys[i] at powers[i], as a list of floats.
+
+    Each row is prescaled on its own, and the rows that share their lowest
+    frequency, width, initial grid and doubling budget go through one
+    _circle_means call, so each value is the same, bit for bit, as the one
+    lp_norm gives alone. The derivative of an algebraic polynomial has a
+    smaller initial grid than the polynomial, and an even integer power has
+    no doublings.
+    """
     cfg = cfg or DEFAULT_CONFIG
-    if not (power > 0) or not math.isfinite(power):
-        raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
-    coeffs, kmin = _circle_row(p)
-    if p.is_zero():
-        return 0.0
-    n = p.degree
-    grid0, budget = cfg.initial_grid(n), cfg.max_doublings
-    rounded = round(power)
-    if rounded == power and rounded % 2 == 0:
-        grid0, budget = max(grid0, int(rounded) * n + 1), 0
-    row, e = _prescaled(coeffs)
-    norm = _circle_means(row, kmin, power, grid0, cfg.rel_tol, budget)
-    return float(np.ldexp(norm[0], e[0]))
+    out = [0.0] * len(polys)
+    groups: dict = {}
+    for i, (p, power) in enumerate(zip(polys, powers)):
+        if not (power > 0) or not math.isfinite(power):
+            raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
+        coeffs, kmin = _circle_row(p)
+        if p.is_zero():
+            continue
+        n = p.degree
+        grid0, budget = cfg.initial_grid(n), cfg.max_doublings
+        rounded = round(power)
+        if rounded == power and rounded % 2 == 0:
+            grid0, budget = max(grid0, int(rounded) * n + 1), 0
+        groups.setdefault((kmin, len(coeffs), grid0, budget), []).append(i)
+    for (kmin, _, grid0, budget), idx in groups.items():
+        rows, e = _prescaled(np.array([polys[i].coeffs for i in idx]), axis=1)
+        exps = [powers[i] for i in idx]
+        exps = float(exps[0]) if len(set(exps)) == 1 else exps
+        norms = np.ldexp(_circle_means(rows, kmin, exps, grid0, cfg.rel_tol, budget), e[:, 0])
+        for i, norm in zip(idx, norms.tolist()):
+            out[i] = norm
+    return out
 
 
 def mahler_jensen(p) -> float:
@@ -387,18 +442,36 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
     area_rel_tol (|p|^power along a circle is generally not a trig
     polynomial).
     """
+    return float(disk_means([p], power, cfg)[0])
+
+
+def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """disk_mean of each of the algebraic polynomials ``polys``, all of one
+    declared degree: the circle means over every radius of every input come
+    from one _circle_means call, one row each."""
     cfg = cfg or DEFAULT_CONFIG
-    if p.is_zero():
-        return 0.0
+    out = np.zeros(len(polys))
+    live = [i for i, p in enumerate(polys) if not p.is_zero()]
+    if not live:
+        return out
     r, w = _radial_rule(cfg.radial_nodes)
-    means = _circle_means(_dilated(p.coeffs, r), 0, power,
-                          cfg.initial_grid(p.degree), cfg.area_rel_tol, cfg.max_doublings)
-    return float(2.0 * np.sum(w * r * means**power))
+    rows = np.concatenate([_dilated(polys[i].coeffs, r) for i in live])
+    means = _circle_means(rows, 0, power, cfg.initial_grid(polys[live[0]].degree),
+                          cfg.area_rel_tol, cfg.max_doublings).reshape(len(live), len(r))
+    for i, m in zip(live, means):
+        out[i] = 2.0 * np.sum(w * r * m**power)
+    return out
 
 
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
     """integral of |p''| over the disk against normalized area measure."""
     return disk_mean(p.derivative().derivative(), 1.0, cfg)
+
+
+def besov_111_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """besov_111_seminorm of each of the algebraic polynomials ``polys``, all
+    of one declared degree, through one disk_means call."""
+    return disk_means([p.derivative().derivative() for p in polys], 1.0, cfg)
 
 
 def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:

@@ -106,7 +106,7 @@ class AlgebraicPoly:
         return int(nz[-1]) if nz.size else None
 
     def is_zero(self) -> bool:
-        return self.effective_degree is None
+        return not self.coeffs.any()
 
     def __call__(self, z):
         scalar = np.isscalar(z)
@@ -161,7 +161,7 @@ class TrigPoly:
         return (len(self.coeffs) - 1) // 2
 
     def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
+        return not self.coeffs.any()
 
     def coefficient(self, k: int) -> complex:
         n = self.degree
@@ -312,24 +312,24 @@ def _leja_order(rts: np.ndarray) -> np.ndarray:
     product of distances to the chosen ones is largest (tracked in logs).
     Plain left-to-right multiplication can lose all precision at degree
     beyond ~100; this ordering keeps the product ladder well conditioned.
+    Row j of the log-distance table holds log|rts - rts[j]|, computed once.
     """
     d = len(rts)
     if d <= 2:
         return rts
+    with np.errstate(divide="ignore"):
+        table = np.log(np.abs(rts[None, :] - rts[:, None]))
     picked = np.zeros(d, dtype=bool)
     order = np.empty(d, dtype=np.intp)
     order[0] = int(np.argmax(np.abs(rts)))
     picked[order[0]] = True
-    with np.errstate(divide="ignore"):
-        logdist = np.log(np.abs(rts - rts[order[0]]))
+    logdist = table[order[0]].copy()
     for i in range(1, d):
         logdist[picked] = -np.inf
         nxt = int(np.argmax(logdist))
         order[i] = nxt
         picked[nxt] = True
-        with np.errstate(divide="ignore"):
-            step = np.log(np.abs(rts - rts[nxt]))
-        logdist = logdist + step
+        logdist = logdist + table[nxt]
     return rts[order]
 
 

@@ -72,6 +72,10 @@ class SweepConfig:
             raise InvalidParam("tol, hull_tol and tol_overrides must be finite and >= 0")
         for name in self.chi_list:
             C.ChiFunction.parse(name)
+        for check_id in self.checks:
+            for name in REGISTRY[check_id].lists:
+                if not getattr(self, name):
+                    raise InvalidParam(f"{name} is empty, but check {check_id!r} reads it")
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -157,25 +161,27 @@ class CheckSpec:
     the trial's generator; evaluate(args_list, tol, qcfg) takes the argument
     tuples of inputs of one degree and returns their reports in order.
     tol_field names the SweepConfig tolerance used when tol_overrides has no
-    entry. A check with equality witnesses names their family, and
-    family_inputs(n, sc) returns the argument tuples for degree n.
+    entry, and lists the SweepConfig lists that build cycles through, which
+    must not be empty. A check with equality witnesses names their family,
+    and family_inputs(n, sc) returns the argument tuples for degree n.
     """
 
     build: Callable
     evaluate: Callable
     tol_field: str = "tol"
+    lists: tuple = ()
     family: str | None = None
     family_inputs: Callable | None = None
 
 
 # Evaluators look each check function up on the checks module at call time,
 # so a function replaced there (a traced wrapper, say) is the one that runs.
-# The checks built on circle maxima take a whole group through their batch
-# form; the others check one input at a time.
+# Every check but gauss_lucas and power_identity takes a whole group through
+# its batch form; those two check one input at a time.
 REGISTRY = {
     "bernstein": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_trig(rng, n), _cycle(sc.p_list, i)),
-        lambda a, tol, q: C.check_bernstein_batch(a, tol, q),
+        lambda a, tol, q: C.check_bernstein_batch(a, tol, q), lists=("p_list",),
         family="extremal-exp", family_inputs=_extremal_exp_family),
     "malik": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
@@ -183,16 +189,17 @@ REGISTRY = {
         family="monomial", family_inputs=lambda n, sc: [(AlgebraicPoly([0.0] * n + [1.0]),)]),
     "laguerre": CheckSpec(
         lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
-        lambda a, tol, q: C.check_laguerre_batch(a, tol)),
+        lambda a, tol, q: C.check_laguerre_batch(a, tol), lists=("rho_list",)),
     "lax_malik": CheckSpec(
         lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
-        lambda a, tol, q: C.check_lax_malik_batch(a, tol),
+        lambda a, tol, q: C.check_lax_malik_batch(a, tol), lists=("rho_list",),
         family="lax-extremal",
         family_inputs=lambda n, sc: [(generate("lax-extremal", n, rho=rho), rho)
                                      for rho in sc.rho_list]),
     "ankeny_rivlin": CheckSpec(
         _build_ankeny_rivlin,
-        lambda a, tol, q: C.check_ankeny_rivlin_batch(a, tol)),
+        lambda a, tol, q: C.check_ankeny_rivlin_batch(a, tol),
+        lists=("rho_list", "radius_list")),
     "svdc": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_real_trig(rng, n),),
         lambda a, tol, q: C.check_svdc_batch(a, tol),
@@ -210,16 +217,16 @@ REGISTRY = {
         lambda a, tol, q: C.check_dominated_derivative_batch(a, tol)),
     "logplus": CheckSpec(
         _build_logplus,
-        lambda a, tol, q: [C.check_identity_logplus(*x, tol, q) for x in a]),
+        lambda a, tol, q: C.check_identity_logplus_batch(a, tol, q)),
     "power_identity": CheckSpec(
         lambda rng, seed, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
         lambda a, tol, q: [C.check_identity_power(*x, tol) for x in a]),
     "chi": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_trig(rng, n),
                                      C.ChiFunction.parse(_cycle(sc.chi_list, i))),
-        lambda a, tol, q: [C.check_chi_version(*x, tol, q) for x in a]),
+        lambda a, tol, q: C.check_chi_version_batch(a, tol, q), lists=("chi_list",)),
     "mate_nevai": CheckSpec(_build_mate_nevai,
-                            lambda a, tol, q: [C.mate_nevai_compare(*x, tol, q) for x in a]),
+                            lambda a, tol, q: C.mate_nevai_compare_batch(a, tol, q)),
 }
 
 ALL_CHECKS = tuple(REGISTRY)

@@ -221,6 +221,34 @@ def test_circle_means_rows_converge_alone(grid_shapes):
         assert batch[i] == _circle_means(row, 0, 0.5, 32, 1e-10, 6)[0]
 
 
+def test_circle_means_exponent_per_row_matches_one_row_calls():
+    # numpy's a ** 0.5 and a ** 2.0 take sqrt/square paths that a ** array
+    # does not, so each row must equal its one-row call bit for bit
+    rng = np.random.default_rng(11)
+    exps = [0.0, 0.25, 0.3, 0.5, 1.0, 2.0, 4.0, 0.437, 0.5, 0.0]
+    rows = rng.standard_normal((len(exps), 7)) + 1j * rng.standard_normal((len(exps), 7))
+    rows[1, 3] = 0.0
+    for budget in (0, 6):
+        batch = _circle_means(rows, -3, np.array(exps), 32, 1e-10, budget)
+        for row, p, got in zip(rows, exps, batch):
+            assert got == _circle_means(row, -3, p, 32, 1e-10, budget)[0], (p, budget)
+
+
+def test_lp_norms_equal_lp_norm_bit_for_bit():
+    # rows of different kinds, widths, grids and budgets share one call, and
+    # zero polynomials come back as 0
+    rng = np.random.default_rng(12)
+    alg = AlgebraicPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    polys = [_rand_trig(rng, 4), _rand_trig(rng, 4).derivative(), alg, alg.derivative(),
+             TrigPoly([0.0, 0.0, 0.0]), _rand_trig(rng, 4) * 1e-200, _rand_trig(rng, 2)]
+    powers = [0.25, 0.25, 2.0, 0.7, 1.0, 4, 3.0]
+    got = norms.lp_norms(polys, powers)
+    assert got == [lp_norm(p, power) for p, power in zip(polys, powers)]
+    assert got[4] == 0.0
+    with pytest.raises(InvalidParam):
+        norms.lp_norms(polys[:2], [1.0, 0.0])
+
+
 def test_circle_means_zero_budget_is_one_grid(grid_shapes):
     row = np.array([1.0, -0.97])
     got = _circle_means(row, 0, 0.5, 24, 1e-10, 0)[0]
@@ -299,6 +327,16 @@ def test_besov_111_examples():
     assert besov_111_seminorm(AlgebraicPoly([2, 3])) == 0.0
     assert besov_111_seminorm(AlgebraicPoly([0, 0, 1])) == pytest.approx(2.0, rel=1e-10)
     assert besov_111_seminorm(AlgebraicPoly([0, 0, 0, 1])) == pytest.approx(4.0, rel=1e-10)
+
+
+def test_besov_111_seminorms_equal_one_input_calls():
+    # every dilated row of every input shares one _circle_means call
+    rng = np.random.default_rng(13)
+    polys = [AlgebraicPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6)) for _ in range(3)]
+    polys.insert(1, AlgebraicPoly([1.0, 2.0, 0, 0, 0, 0]))  # p'' = 0
+    got = norms.besov_111_seminorms(polys)
+    assert got.tolist() == [besov_111_seminorm(p) for p in polys]
+    assert got[1] == 0.0
 
 
 def test_besov_inf1_examples():

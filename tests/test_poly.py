@@ -191,6 +191,32 @@ def test_roots_residual_on_high_degree_lifts(n):
     assert rs.residual <= 1e-10
 
 
+def _leja_order_by_rows(rts):
+    # reference: one log-distance row per step instead of one table
+    d = len(rts)
+    if d <= 2:
+        return rts
+    picked = np.zeros(d, dtype=bool)
+    order = [int(np.argmax(np.abs(rts)))]
+    picked[order[0]] = True
+    with np.errstate(divide="ignore"):
+        logdist = np.log(np.abs(rts - rts[order[0]]))
+        for _ in range(1, d):
+            logdist[picked] = -np.inf
+            order.append(int(np.argmax(logdist)))
+            picked[order[-1]] = True
+            logdist = logdist + np.log(np.abs(rts - rts[order[-1]]))
+    return rts[order]
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 17, 64])
+def test_leja_order_matches_row_by_row_reference(d):
+    rng = np.random.default_rng(d)
+    rts = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    rts[: d // 3] = rts[0]  # repeated roots give -inf distances
+    assert np.array_equal(poly_mod._leja_order(rts), _leja_order_by_rows(rts))
+
+
 def test_rootset_clustering():
     rs = roots(from_roots([2, 2, -1]))
     clusters = sorted(rs.clustered(tol=1e-5), key=lambda cm: cm[0].real)

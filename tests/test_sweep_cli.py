@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polynorm import checks as C
+from polynorm import norms
 from polynorm import sweep
 from polynorm.cli import main
 from polynorm.errors import InvalidParam
@@ -186,6 +187,47 @@ def test_sweep_config_rejects_bad_rho_radius_tol_and_chi():
         with pytest.raises(InvalidParam):
             sweep.SweepConfig.from_json(fields)
     sweep.SweepConfig.from_json({"rho_list": [1.0], "radius_list": [1.01], "tol": 0.0})
+
+
+def test_cli_verify_refuses_empty_list_a_check_reads(tmp_path, capsys):
+    # an empty list is refused when a selected check cycles through it, and
+    # accepted when none does
+    cfg_path = tmp_path / "cfg.json"
+    out = str(tmp_path / "run")
+    for check_id, field in (("laguerre", "rho_list"), ("lax_malik", "rho_list"),
+                            ("ankeny_rivlin", "rho_list"), ("ankeny_rivlin", "radius_list"),
+                            ("bernstein", "p_list"), ("chi", "chi_list")):
+        cfg_path.write_text(json.dumps({"checks": [check_id], field: [], "trials": 2,
+                                        "degrees": [1]}))
+        assert main(["verify", str(cfg_path), "--out", out]) == 2, (check_id, field)
+        assert not os.path.exists(out + ".jsonl")
+    cfg_path.write_text(json.dumps({"checks": ["malik"], "rho_list": [], "p_list": [],
+                                    "trials": 2, "degrees": [1]}))
+    assert main(["verify", str(cfg_path), "--out", out]) == 0
+    capsys.readouterr()
+
+
+def test_sweep_circle_means_calls_do_not_grow_with_trials(monkeypatch):
+    # each group stacks its circle means: mapping a per-input check over a
+    # group would make the count grow with the trials
+    calls = []
+    engine = norms._circle_means
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_circle_means", counted)
+    monkeypatch.setattr(C, "_circle_means", counted)
+    counts = []
+    for trials in (7, 28):
+        calls.clear()
+        sweep.run_sweep(sweep.SweepConfig(
+            checks=["bernstein", "chi", "mate_nevai", "logplus", "embedding"], degrees=[4],
+            trials=trials))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert counts[0] > 0
 
 
 # ------------------------------------------------------------------------- CLI
