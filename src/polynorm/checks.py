@@ -52,18 +52,27 @@ HULL_TOL = 1e-7
 
 @dataclass
 class VerificationReport:
-    """Outcome of one inequality/identity check on one input."""
+    """Outcome of one inequality/identity check on one input. The margin
+    bound - measured and the verdict of ``passes`` are computed from the
+    stored numbers and params["abs_slack"] when read, so they follow any
+    change of the bound."""
 
     check_id: str
     digest: str
     measured: float
     bound: float
     tol: float
-    passed: bool
-    margin: float
     status: str = "ok"
     witnesses: list = field(default_factory=list)
     params: dict = field(default_factory=dict)
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.measured
+
+    @property
+    def passed(self) -> bool:
+        return passes(self.measured, self.bound, self.tol, self.params.get("abs_slack"))
 
     def to_json(self) -> dict:
         out = {
@@ -107,25 +116,15 @@ def _report(check_id, payload, measured, bound, tol, *, abs_slack=None,
         measured=measured,
         bound=bound,
         tol=float(tol),
-        passed=passes(measured, bound, tol, abs_slack),
-        margin=bound - measured,
         witnesses=sorted(witnesses, key=lambda wv: bound - wv[1]),
         params=params,
     )
 
 
 def _degenerate(check_id, payload, params=None) -> VerificationReport:
-    return VerificationReport(
-        check_id=check_id,
-        digest=_digest(payload),
-        measured=0.0,
-        bound=0.0,
-        tol=0.0,
-        passed=True,
-        margin=0.0,
-        status="degenerate",
-        params=dict(params or {}),
-    )
+    rep = _report(check_id, payload, 0.0, 0.0, 0.0, params=params)
+    rep.status = "degenerate"
+    return rep
 
 
 def parse_p(p) -> float:
@@ -227,22 +226,6 @@ def check_bernstein_batch(cases, tol: float = DEFAULT_TOL,
                                {"n": t.degree, "p": p}, (t, p)) for t, p in cases], tol, cfg)
 
 
-def _min_root_modulus(p: AlgebraicPoly) -> float:
-    if p.effective_degree in (None, 0):
-        return math.inf
-    mods = np.abs(root_array(p))
-    return float(mods.min()) if mods.size else math.inf
-
-
-def _require_roots_outside(p: AlgebraicPoly, rho: float):
-    """Reject inputs whose minimal root modulus undercuts rho by > 1e-6."""
-    lo = _min_root_modulus(p)
-    if lo < rho - 1e-6:
-        raise RootInForbiddenRegion(
-            f"root of modulus {lo:.6g} violates the requirement >= {rho:g}"
-        )
-
-
 def _derivative_terms(p: AlgebraicPoly) -> np.ndarray:
     """Coefficients of zP'(z) and nP(z) - zP'(z): on the circle their moduli
     are |P'| and |Q'|, Q the reciprocal polynomial."""
@@ -276,10 +259,15 @@ def _require_rho(cases):
             raise InvalidParam("rho >= 1 required")
 
 
-def _require_live_roots_outside(live):
-    """_require_roots_outside for each of the ``live`` cases, args (p, rho, ...)."""
+def _require_roots_outside(live):
+    """Reject the ``live`` cases, args (p, rho, ...), where p has a root of
+    modulus below rho - 1e-6; a constant p has none."""
     for *_, (p, rho, *_) in live:
-        _require_roots_outside(p, rho)
+        if p.effective_degree:
+            lo = float(np.abs(root_array(p)).min())
+            if lo < rho - 1e-6:
+                raise RootInForbiddenRegion(
+                    f"root of modulus {lo:.6g} violates the requirement >= {rho:g}")
 
 
 def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -297,7 +285,7 @@ def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
     _require_rho(cases)
 
     def compute(live):
-        _require_live_roots_outside(live)
+        _require_roots_outside(live)
         polys = [args[0] for *_, args in live]
         n = polys[0].degree
         weights = [(args[1], -1.0) for *_, args in live]
@@ -321,7 +309,7 @@ def check_lax_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
     _require_rho(cases)
 
     def compute(live):
-        _require_live_roots_outside(live)
+        _require_roots_outside(live)
         return _sup_bound(live, tol, lambda p, rho: p.derivative(),
                           lambda p, rho: p.degree / (1.0 + rho))
 
@@ -343,7 +331,7 @@ def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
         raise InvalidParam("the growth bound is for radii R > 1")
 
     def compute(live):
-        _require_live_roots_outside(live)
+        _require_roots_outside(live)
         return _sup_bound(live, tol, lambda p, rho, radius: p.dilate(radius),
                           lambda p, rho, radius: (radius**p.degree + rho) / (1.0 + rho))
 

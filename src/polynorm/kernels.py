@@ -35,25 +35,20 @@ def grid_size(n: int) -> int:
     return 4 * n + 8
 
 
-def _nodes(grid: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(grid) / grid)
-
-
-def _degree_param(p, n: int | None) -> int:
+def _kernel_mean(p, xi: complex, n: int | None, grid: int | None, kernel) -> complex:
+    """The mean of p(u) * conj(kernel(u, D_n(conj(xi) u))) over the N-point
+    rule: n defaults to max(deg p, 1) and may not be smaller, N defaults to
+    the 4n+8 exactness floor and may not drop below it."""
     if n is None:
         n = max(p.degree, 1)
     if n < max(p.degree, 1):
         raise InvalidParam(f"kernel degree parameter {n} below polynomial degree {p.degree}")
-    return n
-
-
-def _rule_size(n: int, grid: int | None) -> int:
-    """The quadrature rule must not drop below the 4n+8 exactness floor."""
-    if grid is None:
-        return grid_size(n)
-    if grid < grid_size(n):
-        raise InvalidParam(f"grid {grid} below the exactness floor {grid_size(n)}")
-    return grid
+    N = grid_size(n) if grid is None else grid
+    if N < grid_size(n):
+        raise InvalidParam(f"grid {N} below the exactness floor {grid_size(n)}")
+    u = np.exp(2j * np.pi * np.arange(N) / N)
+    vals = p.values_on_grid(N) * np.conj(kernel(u, dirichlet(n, np.conj(xi) * u)))
+    return complex(vals.mean())
 
 
 def deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,
@@ -62,12 +57,7 @@ def deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,
     xi = complex(xi)
     if abs(xi) > 1.0 + _BOUNDARY_TOL:
         raise InvalidParam("the first-derivative representation needs |xi| <= 1")
-    n = _degree_param(p, n)
-    N = _rule_size(n, grid)
-    u = _nodes(N)
-    d = dirichlet(n, np.conj(xi) * u)
-    vals = p.values_on_grid(N) * np.conj(u * d * d)
-    return complex(vals.mean())
+    return _kernel_mean(p, xi, n, grid, lambda u, d: u * d * d)
 
 
 def second_deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,
@@ -76,12 +66,7 @@ def second_deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,
     xi = complex(xi)
     if abs(xi) > 1.0 + _BOUNDARY_TOL:
         raise InvalidParam("the second-derivative representation needs |xi| <= 1")
-    n = _degree_param(p, n)
-    N = _rule_size(n, grid)
-    u = _nodes(N)
-    d = dirichlet(n, np.conj(xi) * u)
-    vals = p.values_on_grid(N) * np.conj(u * u * d * d * d)
-    return complex(2.0 * vals.mean())
+    return 2.0 * _kernel_mean(p, xi, n, grid, lambda u, d: u * u * d * d * d)
 
 
 def trig_deriv_via_kernel(t: TrigPoly, xi: complex, n: int | None = None,
@@ -92,13 +77,8 @@ def trig_deriv_via_kernel(t: TrigPoly, xi: complex, n: int | None = None,
     xi = complex(xi)
     if abs(abs(xi) - 1.0) > _BOUNDARY_TOL:
         raise InvalidParam("the trig kernel is defined for unimodular xi only")
-    n = _degree_param(t, n)
-    N = _rule_size(n, grid)
-    u = _nodes(N)
-    d2 = dirichlet(n, np.conj(xi) * u) ** 2
-    kernel = u * d2 - xi * xi * np.conj(u) * np.conj(d2)
-    vals = t.values_on_grid(N) * np.conj(kernel)
-    return complex(vals.mean())
+    return _kernel_mean(t, xi, n, grid,
+                        lambda u, d: u * d**2 - xi * xi * np.conj(u) * np.conj(d**2))
 
 
 def wiener_bound_constant(n: int) -> float:

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import BandwidthExceeded, InvalidParam
-from .poly import ExponentialSum, TrigPoly
+from .poly import ExponentialSum
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,10 @@ def riesz_measure(n: int) -> DiscreteMeasure:
     return DiscreteMeasure(c.astype(np.complex128), x)
 
 
-def convolve(t: TrigPoly, mu: DiscreteMeasure, x):
-    """sum_r c_r * T(x + t_r) over the atoms; x may be a scalar or an array."""
+def convolve(t: Callable, mu: DiscreteMeasure, x):
+    """The sum of c * t(x + s) over the atoms (c, s) of mu, t any callable of
+    a real array (a TrigPoly or an ExponentialSum); x may be a scalar or an
+    array."""
     scalar = np.isscalar(x)
     xv = np.asarray(x, dtype=np.float64)
     shifted = xv[..., None] + mu.nodes  # (..., atoms)
@@ -114,9 +118,10 @@ def boas_derivative(f: ExponentialSum, trunc: int = 401,
                     measure: DiscreteMeasure | None = None):
     """(approximation, error bound) for f' as a truncated translate series.
 
-    approximation(x) = sum_k c_k f(x + t_k) over the stored atoms; the bound
-    truncation_tail * sum |amplitudes| dominates |approximation(x) - f'(x)|
-    for every real x, since sup|f| <= sum |amplitudes|.
+    approximation(x) = convolve(f, measure, x) = sum_k c_k f(x + t_k) over
+    the stored atoms; the bound truncation_tail * sum |amplitudes| dominates
+    |approximation(x) - f'(x)| for every real x, since sup|f| <= sum
+    |amplitudes|.
     """
     if measure is None:
         measure = boas_measure(f.bandwidth, trunc)
@@ -128,15 +133,7 @@ def boas_derivative(f: ExponentialSum, trunc: int = 401,
             f"{measure.bandwidth:g}"
         )
     error_bound = measure.truncation_tail * f.amplitude_sum()
-
-    def approximation(x):
-        scalar = np.isscalar(x)
-        xv = np.asarray(x, dtype=np.float64)
-        shifted = xv[..., None] + measure.nodes
-        vals = f(shifted.ravel()).reshape(shifted.shape) @ measure.weights
-        return complex(vals) if scalar else vals
-
-    return approximation, float(error_bound)
+    return partial(convolve, f, measure), float(error_bound)
 
 
 def riesz_weight_identity(n: int) -> float:

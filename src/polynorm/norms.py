@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -30,6 +31,11 @@ from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from .poly import AlgebraicPoly, TrigPoly, _grid_values, root_array, roots
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,12 @@ class QuadratureConfig:
     area_rel_tol: float = 1e-8
 
     def __post_init__(self):
+        counts = (self.grid_multiplier, self.max_doublings, self.radial_nodes)
+        if not all(map(_is_integer, counts)):
+            raise InvalidParam("grid_multiplier, max_doublings and radial_nodes must be integers")
         if self.grid_multiplier < 1 or self.max_doublings < 0 or self.radial_nodes < 2:
             raise InvalidParam("bad quadrature configuration")
-        if self.rel_tol <= 0 or self.area_rel_tol <= 0:
+        if not (self.rel_tol > 0 and self.area_rel_tol > 0):  # also refuses nan
             raise InvalidParam("tolerances must be positive")
 
     def initial_grid(self, degree: int) -> int:

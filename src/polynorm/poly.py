@@ -291,19 +291,6 @@ class RootSet:
         rebuilt = _coeffs_from_roots(self.roots, c[-1])
         return float(np.abs(rebuilt - c).max() / max(np.abs(c).max(), 1e-300))
 
-    def clustered(self, tol: float = 1e-7) -> list[tuple[complex, int]]:
-        """Greedy clustering for multiplicity reporting; arithmetic never relies on it."""
-        out: list[tuple[complex, int]] = []
-        taken = np.zeros(len(self.roots), dtype=bool)
-        for i, r in enumerate(self.roots):
-            if taken[i]:
-                continue
-            group = np.abs(self.roots - r) <= tol
-            group &= ~taken
-            taken |= group
-            out.append((complex(self.roots[group].mean()), int(group.sum())))
-        return out
-
 
 def _leja_order(rts: np.ndarray) -> np.ndarray:
     """Order roots so successive partial products stay balanced.
@@ -487,7 +474,9 @@ _GENERATE_KINDS = (
 
 
 def generate(kind: str, n: int, seed: int = 0, rho: float | None = None):
-    """Deterministic structured/random polynomial families.
+    """Deterministic structured/random polynomial families. Random kinds
+    draw from np.random.default_rng(seed), so seed is an integer or a
+    Generator, which is used as it is.
 
     kinds:
       gaussian-random   TrigPoly with standard complex gaussian coefficients
@@ -543,17 +532,6 @@ def poly_to_json(p) -> dict:
         "type": kind,
         "degree": deg,
         "coeffs": [[float(c.real), float(c.imag)] for c in p.coeffs],
-    }
-
-
-def expsum_to_json(f: ExponentialSum) -> dict:
-    return {
-        "type": "expsum",
-        "bandwidth": float(f.bandwidth),
-        "terms": [
-            [float(a.real), float(a.imag), float(l)]
-            for a, l in zip(f.amplitudes, f.frequencies)
-        ],
     }
 
 

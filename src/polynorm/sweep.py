@@ -27,7 +27,7 @@ import numpy as np
 
 from . import checks as C
 from .errors import InvalidParam
-from .norms import QuadratureConfig
+from .norms import QuadratureConfig, _is_integer
 from .poly import AlgebraicPoly, TrigPoly, generate, poly_to_json
 
 DEFAULT_SEED = 0xBE2257
@@ -55,6 +55,9 @@ class SweepConfig:
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (_is_integer(self.trials) and _is_integer(self.seed)
+                and all(map(_is_integer, self.degrees))):
+            raise InvalidParam("trials, seed and degrees must be integers")
         if self.trials < 1:
             raise InvalidParam("trials must be >= 1")
         if not self.degrees or min(self.degrees) < 1:
@@ -76,6 +79,7 @@ class SweepConfig:
             for name in REGISTRY[check_id].lists:
                 if not getattr(self, name):
                     raise InvalidParam(f"{name} is empty, but check {check_id!r} reads it")
+        self.cfg()  # a bad quadrature dict fails here, not in the sweep
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -93,7 +97,7 @@ class SweepConfig:
             raise InvalidParam(f"bad sweep config: {exc}") from exc
 
     def cfg(self) -> QuadratureConfig:
-        return QuadratureConfig(**self.quadrature) if self.quadrature else QuadratureConfig()
+        return QuadratureConfig.from_json(self.quadrature)
 
 
 def _finite(values, ok) -> bool:
@@ -104,12 +108,6 @@ def _finite(values, ok) -> bool:
 def trial_seed(master: int, check_id: str, index: int) -> int:
     blob = f"{master}:{check_id}:{index}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-
-
-def _random_trig(rng, n: int) -> TrigPoly:
-    re = rng.standard_normal(2 * n + 1)
-    im = rng.standard_normal(2 * n + 1)
-    return TrigPoly((re + 1j * im) / np.sqrt(2.0))
 
 
 def _random_alg(rng, n: int) -> AlgebraicPoly:
@@ -180,7 +178,8 @@ class CheckSpec:
 # its batch form; those two check one input at a time.
 REGISTRY = {
     "bernstein": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_trig(rng, n), _cycle(sc.p_list, i)),
+        lambda rng, seed, n, i, sc: (generate("gaussian-random", n, seed=rng),
+                                     _cycle(sc.p_list, i)),
         lambda a, tol, q: C.check_bernstein_batch(a, tol, q), lists=("p_list",),
         family="extremal-exp", family_inputs=_extremal_exp_family),
     "malik": CheckSpec(
@@ -222,7 +221,7 @@ REGISTRY = {
         lambda rng, seed, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
         lambda a, tol, q: [C.check_identity_power(*x, tol) for x in a]),
     "chi": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_trig(rng, n),
+        lambda rng, seed, n, i, sc: (generate("gaussian-random", n, seed=rng),
                                      C.ChiFunction.parse(_cycle(sc.chi_list, i))),
         lambda a, tol, q: C.check_chi_version_batch(a, tol, q), lists=("chi_list",)),
     "mate_nevai": CheckSpec(_build_mate_nevai,
@@ -240,8 +239,6 @@ def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.Verificatio
     if scale == 1.0 or rep.status != "ok":
         return rep
     rep.bound = rep.bound * scale
-    rep.margin = rep.bound - rep.measured
-    rep.passed = C.passes(rep.measured, rep.bound, rep.tol, rep.params.get("abs_slack"))
     rep.params["bound_scale"] = scale
     return rep
 

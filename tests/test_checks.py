@@ -484,3 +484,19 @@ def test_report_serialization_shape():
     for key in ("check_id", "digest", "measured", "bound", "margin", "tol", "pass", "status"):
         assert key in blob
     assert blob["pass"] is True
+
+
+def test_report_margin_and_verdict_follow_its_numbers():
+    rep = C.check_bernstein(TrigPoly([1, 0, 1]), 2.0)
+    assert rep.passed and rep.margin == rep.bound - rep.measured
+    rep.bound = 0.5 * rep.measured
+    assert rep.margin == -0.5 * rep.measured and not rep.passed
+    rep.bound = rep.measured * (1.0 - 0.5 * rep.tol)  # short of it, within tol
+    assert rep.margin < 0.0 and rep.passed
+    # the additive-form checks compare against bound + abs_slack
+    rep = C.check_laguerre(AlgebraicPoly([-2.0, 1]), 2.0)
+    slack = rep.params["abs_slack"]
+    rep.bound = rep.measured - 0.5 * slack
+    assert rep.passed and rep.to_json()["margin"] == rep.bound - rep.measured
+    rep.bound = rep.measured - 2.0 * slack
+    assert not rep.passed and rep.to_json()["pass"] is False

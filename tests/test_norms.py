@@ -373,6 +373,18 @@ def test_quadrature_config_round_trip():
         QuadratureConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"rel_tol": math.nan}, {"area_rel_tol": math.nan}, {"grid_multiplier": 2.5},
+    {"max_doublings": 2.5}, {"max_doublings": 6.0}, {"radial_nodes": 32.5},
+    {"grid_multiplier": True}])
+def test_quadrature_config_refuses_nan_tolerances_and_non_integer_counts(fields):
+    # a NaN rel_tol made every circle mean run its whole doubling budget
+    with pytest.raises(InvalidParam):
+        QuadratureConfig(**fields)
+    with pytest.raises(InvalidParam):
+        QuadratureConfig.from_json(fields)
+
+
 def test_disk_mean_monomials():
     # integral of |z^k|^power over the disk (normalized area) is 2/(k*power + 2)
     for k in (0, 1, 3, 6):

@@ -217,12 +217,6 @@ def test_leja_order_matches_row_by_row_reference(d):
     assert np.array_equal(poly_mod._leja_order(rts), _leja_order_by_rows(rts))
 
 
-def test_rootset_clustering():
-    rs = roots(from_roots([2, 2, -1]))
-    clusters = sorted(rs.clustered(tol=1e-5), key=lambda cm: cm[0].real)
-    assert [m for _, m in clusters] == [1, 2]
-
-
 # -------------------------------------------------------------------- generate
 
 def test_generate_extremal_exp():

@@ -189,6 +189,27 @@ def test_sweep_config_rejects_bad_rho_radius_tol_and_chi():
     sweep.SweepConfig.from_json({"rho_list": [1.0], "radius_list": [1.01], "tol": 0.0})
 
 
+@pytest.mark.parametrize("fields", [
+    {"trials": 2.5}, {"trials": True}, {"degrees": [2.5]}, {"degrees": [1, 2.0]},
+    {"seed": "x"}, {"seed": 1.5}])
+def test_sweep_config_refuses_non_integer_trials_degrees_and_seed(fields):
+    with pytest.raises(InvalidParam):
+        sweep.SweepConfig.from_json(fields)
+
+
+@pytest.mark.parametrize("quadrature", [
+    {"bogus": 1}, {"rel_tol": math.nan}, {"max_doublings": 2.5}, [16]])
+def test_cli_verify_refuses_bad_quadrature_when_read(tmp_path, capsys, quadrature):
+    # refused with the rest of the config (exit 2), before any check runs
+    cfg_path = tmp_path / "cfg.json"
+    out = str(tmp_path / "run")
+    cfg_path.write_text(json.dumps({"checks": ["logplus"], "trials": 2, "degrees": [1],
+                                    "quadrature": quadrature}))
+    assert main(["verify", str(cfg_path), "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out + ".jsonl")
+
+
 def test_cli_verify_refuses_empty_list_a_check_reads(tmp_path, capsys):
     # an empty list is refused when a selected check cycles through it, and
     # accepted when none does
