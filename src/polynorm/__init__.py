@@ -26,7 +26,6 @@ from .poly import (
 )
 from .norms import (
     DEFAULT_CONFIG,
-    NormKind,
     QuadratureConfig,
     besov_111_seminorm,
     besov_inf1_seminorm,

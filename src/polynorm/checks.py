@@ -129,7 +129,10 @@ def _degenerate(check_id, payload, params=None) -> VerificationReport:
 
 def parse_p(p) -> float:
     """p as a float: a number or numeric string >= 0, or "sup" for inf."""
-    p = math.inf if isinstance(p, str) and p.lower() == "sup" else float(p)
+    try:
+        p = math.inf if isinstance(p, str) and p.lower() == "sup" else float(p)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParam(f"p must be a number, 'inf' or 'sup', got {p!r}") from exc
     if not p >= 0:  # also refuses nan
         raise InvalidParam(f"p must be >= 0 or inf, got {p!r}")
     return p
@@ -552,10 +555,7 @@ def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> Verifi
     if u < 0 or not (p > 0) or not math.isfinite(p):
         raise InvalidParam("need u >= 0 and finite p > 0")
     payload = {"op": "power_identity", "u": u, "p": p}
-    if u == 0.0:
-        quad = 0.0
-    else:
-        quad = float(u**p * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
+    quad = float(u**p * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
     rhs = float(u**p)
     measured = abs(quad - rhs)
     allowance = tol * (1.0 + rhs)
@@ -588,6 +588,8 @@ class ChiFunction:
 
     @staticmethod
     def parse(name: str) -> "ChiFunction":
+        if not isinstance(name, str):
+            raise InvalidParam(f"a chi spec is a string, got {name!r}")
         if name == "log":
             return ChiFunction.log()
         if name.startswith("x^"):

@@ -60,55 +60,38 @@ def _cmd_diff(args) -> int:
     obj = load_poly_file(args.poly)
     at = _parse_at(args.at)
     method = args.method
-
+    # trig polynomials and exponential sums take the real angle x
     if isinstance(obj, ExponentialSum):
-        if method not in ("direct", "boas"):
-            raise PolynormError("exponential sums support methods: direct, boas")
-        x = at.real
-        direct = obj.derivative_values(x)
-        if method == "direct":
-            print(f"derivative = {_fmt_complex(direct)}")
-            return 0
+        name, methods, x = "exponential sums", ("direct", "boas"), at.real
+    elif isinstance(obj, TrigPoly):
+        name, methods, x = "trig polynomials", ("direct", "riesz", "kernel"), at.real
+    else:
+        name, methods, x = "algebraic polynomials", ("direct", "kernel"), at
+    if method not in methods:
+        raise PolynormError(f"{name} support methods: {', '.join(methods)}")
+    direct = obj.derivative_values(x) if isinstance(obj, ExponentialSum) else obj.derivative()(x)
+
+    err_bound = None
+    if method == "direct":
+        val = direct
+    elif method == "boas":
         approx, err_bound = measures.boas_derivative(obj, args.trunc)
         val = approx(x)
-        print(f"derivative = {_fmt_complex(val)}")
+    elif method == "riesz":
+        val = measures.convolve(obj, measures.riesz_measure(max(obj.degree, 1)), x)
+    elif isinstance(obj, TrigPoly):
+        # the kernel gives the z-derivative at e^{ix}; the chain rule
+        # i e^{ix} T'(e^{ix}) recovers the x-derivative
+        xi = complex(np.exp(1j * x))
+        val = 1j * xi * kernels.trig_deriv_via_kernel(obj, xi)
+    else:
+        val = kernels.deriv_via_kernel(obj, x)
+    print(f"derivative = {_fmt_complex(val)}")
+    if method != "direct":
         print(f"residual_vs_direct = {_FMT.format(abs(val - direct))}")
+    if err_bound is not None:
         print(f"error_bound = {_FMT.format(err_bound)}")
-        return 0
-
-    if isinstance(obj, TrigPoly):
-        x = at.real
-        direct = obj.derivative()(x)
-        if method == "direct":
-            print(f"derivative = {_fmt_complex(direct)}")
-            return 0
-        if method == "riesz":
-            mu = measures.riesz_measure(max(obj.degree, 1))
-            val = measures.convolve(obj, mu, x)
-        elif method == "kernel":
-            # the kernel gives the z-derivative at e^{ix}; the chain rule
-            # i e^{ix} T'(e^{ix}) recovers the x-derivative
-            xi = complex(np.exp(1j * x))
-            val = 1j * xi * kernels.trig_deriv_via_kernel(obj, xi)
-        else:
-            raise PolynormError("trig polynomials support methods: direct, riesz, kernel")
-        print(f"derivative = {_fmt_complex(val)}")
-        print(f"residual_vs_direct = {_FMT.format(abs(val - direct))}")
-        return 0
-
-    if isinstance(obj, AlgebraicPoly):
-        direct = obj.derivative()(at)
-        if method == "direct":
-            print(f"derivative = {_fmt_complex(direct)}")
-            return 0
-        if method != "kernel":
-            raise PolynormError("algebraic polynomials support methods: direct, kernel")
-        val = kernels.deriv_via_kernel(obj, at)
-        print(f"derivative = {_fmt_complex(val)}")
-        print(f"residual_vs_direct = {_FMT.format(abs(val - direct))}")
-        return 0
-
-    raise PolynormError(f"unsupported input type {type(obj).__name__}")
+    return 0
 
 
 def _cmd_verify(args) -> int:

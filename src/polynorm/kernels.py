@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParam
-from .poly import AlgebraicPoly, TrigPoly
+from .poly import AlgebraicPoly, TrigPoly, _horner
 
 _BOUNDARY_TOL = 1e-12
 
@@ -22,12 +22,8 @@ def dirichlet(n: int, z):
     """D_n(z) = sum_{k=0}^{n-1} z^k (n terms), by Horner; vectorized in z."""
     if n < 1:
         raise InvalidParam("dirichlet kernel needs n >= 1")
-    scalar = np.isscalar(z)
-    zv = np.asarray(z, dtype=np.complex128)
-    out = np.ones_like(zv)
-    for _ in range(n - 1):
-        out = out * zv + 1.0
-    return complex(out) if scalar else out
+    out = _horner(np.ones(n), np.asarray(z, dtype=np.complex128))
+    return complex(out) if np.isscalar(z) else out
 
 
 def grid_size(n: int) -> int:

@@ -82,23 +82,6 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class NormKind:
-    """A point on the norm ladder: sup, lp(p), mahler, wiener, besov111, besovinf1."""
-
-    tag: str
-    p: float | None = None
-
-    _TAGS = ("sup", "lp", "mahler", "wiener", "besov111", "besovinf1")
-
-    def __post_init__(self):
-        if self.tag not in self._TAGS:
-            raise InvalidParam(f"unknown norm kind {self.tag!r}; choices: {self._TAGS}")
-        if self.tag == "lp":
-            if self.p is None or not math.isfinite(self.p) or self.p <= 0:
-                raise InvalidParam("lp requires finite p > 0 (mahler covers p = 0)")
-
-
 def _circle_means(rows, kmin: int, p, grid0: int, rel_tol: float,
                   max_doublings: int) -> np.ndarray:
     """For each row c of ``rows``, the circle power mean M_p of |T|,
@@ -120,26 +103,17 @@ def _circle_means(rows, kmin: int, p, grid0: int, rel_tol: float,
     """
     rows = np.atleast_2d(rows)
     k = np.arange(rows.shape[1]) + kmin
-    per_row = not isinstance(p, (int, float))
-    if per_row:
-        p = np.asarray(p, dtype=np.float64)
-
-    def grid_sums(c, p, grid):
-        a = np.abs(_grid_values(c, kmin, grid))
-        return _each_exponent(_power_sums, a, p) if per_row else _power_sums(a, p)
-
-    def power_mean(mean, p):
-        return _each_exponent(_power_means, mean, p) if per_row else _power_means(mean, p)
-
-    sums = grid_sums(rows, p, grid0)
+    p = np.asarray(p, dtype=np.float64)
+    sums = _each_exponent(_power_sums, np.abs(_grid_values(rows, kmin, grid0)), p)
     grid = grid0
-    value = power_mean(sums / grid, p)
+    value = _each_exponent(_power_means, sums / grid, p)
     active = np.arange(rows.shape[0])
     for _ in range(max_doublings):
-        pa = p[active] if per_row else p
-        sums[active] += grid_sums(rows[active] * np.exp(1j * np.pi * k / grid), pa, grid)
+        pa = p[active] if p.ndim else p
+        a = np.abs(_grid_values(rows[active] * np.exp(1j * np.pi * k / grid), kmin, grid))
+        sums[active] += _each_exponent(_power_sums, a, pa)
         grid *= 2
-        cur = power_mean(sums[active] / grid, pa)
+        cur = _each_exponent(_power_means, sums[active] / grid, pa)
         done = np.abs(cur - value[active]) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
         value[active] = cur
         active = active[~done]
@@ -159,10 +133,12 @@ def _power_means(mean: np.ndarray, p: float) -> np.ndarray:
 
 
 def _each_exponent(fn, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """One value per row of x: fn(x[p == e], e) in the rows where p == e, for
-    each distinct exponent e, passed as a Python float, because numpy's
-    a ** 0.5 and a ** 2.0 take square-root and square paths that a ** array
-    does not."""
+    """One value per row of x: fn(x, e) for a 0-d p = e, else fn(x[p == e], e)
+    in the rows where p == e, for each distinct exponent e, passed as a
+    Python float, because numpy's a ** 0.5 and a ** 2.0 take square-root and
+    square paths that a ** array does not."""
+    if p.ndim == 0:
+        return fn(x, float(p))
     out = np.empty(len(x))
     for e in np.unique(p):
         mask = p == e
@@ -296,8 +272,6 @@ def sup_norm(p) -> float:
     """Max of |p| on the circle: circle_max with the one term p, on a
     32(n+1)-point grid, n the declared degree.
     """
-    if p.is_zero():
-        return 0.0
     val, _ = sup_norm_argmax(p)
     return val
 
@@ -357,8 +331,6 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
         if not (power > 0) or not math.isfinite(power):
             raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
         coeffs, kmin = _circle_row(p)
-        if p.is_zero():
-            continue
         n = p.degree
         grid0, budget = cfg.initial_grid(n), cfg.max_doublings
         rounded = round(power)
@@ -417,11 +389,7 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
 
 def wiener_norm(p: AlgebraicPoly) -> float:
     """Sum of |a_k| over the analytic coefficients."""
-    if isinstance(p, TrigPoly):
-        if p.has_negative_frequencies():
-            raise InvalidParam("wiener norm is defined for analytic polynomials")
-        p = p.analytic_part()
-    return p.wiener()
+    return _require_algebraic(p).wiener()
 
 
 def _dilated(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -493,39 +461,37 @@ def besov_inf1_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarr
     """besov_inf1_seminorm of each of the algebraic polynomials ``polys``,
     all of one declared degree: the sups over every radius of every input
     come from one circle_max call, one row each."""
-    cfg = cfg or DEFAULT_CONFIG
-    out = np.zeros(len(polys))
-    derivs = [(i, p.derivative()) for i, p in enumerate(polys)]
-    derivs = [(i, dp) for i, dp in derivs if not dp.is_zero()]
-    if not derivs:
-        return out
-    r, w = _radial_rule(cfg.radial_nodes)
-    width = len(derivs[0][1].coeffs)
-    rows = np.concatenate([_dilated(dp.coeffs, r) for _, dp in derivs])
-    sups = circle_max(rows[:, None], max(32 * width, 64))[0].reshape(len(derivs), len(r))
-    for (i, _), s in zip(derivs, sups):
-        out[i] = np.sum(w * s)
-    return out
+    if not polys:
+        return np.zeros(0)
+    r, w = _radial_rule((cfg or DEFAULT_CONFIG).radial_nodes)
+    derivs = [p.derivative() for p in polys]
+    rows = np.concatenate([_dilated(dp.coeffs, r) for dp in derivs])
+    sups = circle_max(rows[:, None], max(32 * len(derivs[0].coeffs), 64))[0]
+    return (w * sups.reshape(len(polys), len(r))).sum(axis=1)
 
 
-def norm_value(p, kind: NormKind | str, power: float | None = None,
+_NORM_KINDS = ("sup", "lp", "mahler", "wiener", "besov111", "besovinf1")
+
+
+def norm_value(p, kind: str, power: float | None = None,
                cfg: QuadratureConfig | None = None) -> float:
-    """Dispatch a norm computation by kind tag."""
-    if isinstance(kind, str):
-        kind = NormKind(kind, power)
-    if kind.tag == "sup":
+    """The norm of p named by ``kind``, one of _NORM_KINDS; lp is taken at
+    ``power``."""
+    if kind == "sup":
         return sup_norm(p)
-    if kind.tag == "lp":
-        return lp_norm(p, kind.p, cfg)
-    if kind.tag == "mahler":
+    if kind == "lp":
+        if power is None or not math.isfinite(power) or power <= 0:
+            raise InvalidParam("lp requires finite p > 0 (mahler covers p = 0)")
+        return lp_norm(p, power, cfg)
+    if kind == "mahler":
         return mahler_jensen(p)
-    if kind.tag == "wiener":
+    if kind == "wiener":
         return wiener_norm(p)
-    if kind.tag == "besov111":
+    if kind == "besov111":
         return besov_111_seminorm(_require_algebraic(p), cfg)
-    if kind.tag == "besovinf1":
+    if kind == "besovinf1":
         return besov_inf1_seminorm(_require_algebraic(p), cfg)
-    raise InvalidParam(f"unknown norm kind {kind.tag!r}")
+    raise InvalidParam(f"unknown norm kind {kind!r}; choices: {_NORM_KINDS}")
 
 
 def _require_algebraic(p) -> AlgebraicPoly:

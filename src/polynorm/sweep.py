@@ -3,15 +3,16 @@
 Each check runs ``trials`` seeded random inputs; the per-trial seed is derived
 from the master seed, the check id, and the trial index, so results are
 order-independent and two runs with the same config are byte-identical.
-Known equality witnesses (one per degree) are appended when enabled, and a
-debug bound-scale below 1 turns the sweep into a negative control that must
-fail. Failing reports embed the offending input as JSON.
+Known equality witnesses (one family per check and degree) are appended when
+enabled, and a debug bound-scale below 1 turns the sweep into a negative
+control that must fail.
 
 Every check is one entry of ``REGISTRY``: a builder that draws the trial's
 input from its seeded generator, and an evaluator that checks a list of
-inputs of one degree. A trial builds its input once, the trials of one check
-and degree are checked as one group, and a failing report embeds the input
-its trial checked.
+inputs of one degree. A trial builds its input once. Trials and witness
+families take one path: the inputs of one check and degree are checked as
+one group, and every failing report, from a trial or a family, embeds the
+input it checked as JSON.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ class SweepConfig:
     chi_list: list = field(default_factory=lambda: ["x^0.3", "x^2", "log"])
     seed: int = DEFAULT_SEED
     tol: float = C.DEFAULT_TOL
-    hull_tol: float = C.HULL_TOL
     tol_overrides: dict = field(default_factory=dict)
     bound_scale: float = 1.0
     include_witness_families: bool = True
@@ -55,6 +55,13 @@ class SweepConfig:
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        lists = (self.checks, self.degrees, self.p_list, self.rho_list, self.radius_list,
+                 self.chi_list)
+        if not (all(isinstance(v, (list, tuple)) for v in lists)
+                and isinstance(self.tol_overrides, dict)):
+            raise InvalidParam("checks, degrees and the *_list fields must be lists, "
+                               "and tol_overrides an object")
+        self.p_list = [C.parse_p(p) for p in self.p_list]
         if not (_is_integer(self.trials) and _is_integer(self.seed)
                 and all(map(_is_integer, self.degrees))):
             raise InvalidParam("trials, seed and degrees must be integers")
@@ -71,8 +78,8 @@ class SweepConfig:
             raise InvalidParam("rho_list values must be finite and >= 1")
         if not _finite(self.radius_list, lambda radius: radius > 1.0):
             raise InvalidParam("radius_list values must be finite and > 1")
-        if not _finite([self.tol, self.hull_tol, *self.tol_overrides.values()], lambda t: t >= 0):
-            raise InvalidParam("tol, hull_tol and tol_overrides must be finite and >= 0")
+        if not _finite([self.tol, *self.tol_overrides.values()], lambda t: t >= 0):
+            raise InvalidParam("tol and tol_overrides must be finite and >= 0")
         for name in self.chi_list:
             C.ChiFunction.parse(name)
         for check_id in self.checks:
@@ -88,11 +95,8 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
-        data = dict(obj)
-        if "p_list" in data:
-            data["p_list"] = [C.parse_p(p) for p in data["p_list"]]
         try:
-            return cls(**data)
+            return cls(**obj)
         except TypeError as exc:
             raise InvalidParam(f"bad sweep config: {exc}") from exc
 
@@ -158,15 +162,16 @@ class CheckSpec:
     build(rng, seed, n, index, sc) returns the check's arguments, drawing from
     the trial's generator; evaluate(args_list, tol, qcfg) takes the argument
     tuples of inputs of one degree and returns their reports in order.
-    tol_field names the SweepConfig tolerance used when tol_overrides has no
-    entry, and lists the SweepConfig lists that build cycles through, which
-    must not be empty. A check with equality witnesses names their family,
-    and family_inputs(n, sc) returns the argument tuples for degree n.
+    tol is the check's tolerance when tol_overrides has no entry (None: the
+    SweepConfig's tol), and lists the SweepConfig lists that build cycles
+    through, which must not be empty. A check with equality witnesses names
+    their family, and family_inputs(n, sc) returns the argument tuples for
+    degree n.
     """
 
     build: Callable
     evaluate: Callable
-    tol_field: str = "tol"
+    tol: float | None = None
     lists: tuple = ()
     family: str | None = None
     family_inputs: Callable | None = None
@@ -207,7 +212,7 @@ REGISTRY = {
     "gauss_lucas": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, max(n, 2)),),
         lambda a, tol, q: [C.check_gauss_lucas(*x, tol) for x in a],
-        tol_field="hull_tol"),
+        tol=C.HULL_TOL),
     "embedding": CheckSpec(
         lambda rng, seed, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i)),
         lambda a, tol, q: C.check_embedding_batch(a, tol, q)),
@@ -232,7 +237,8 @@ ALL_CHECKS = tuple(REGISTRY)
 
 
 def _check_tol(check_id: str, sc: SweepConfig) -> float:
-    return sc.tol_overrides.get(check_id, getattr(sc, REGISTRY[check_id].tol_field))
+    tol = REGISTRY[check_id].tol
+    return sc.tol_overrides.get(check_id, sc.tol if tol is None else tol)
 
 
 def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.VerificationReport:
@@ -261,49 +267,44 @@ def _profile_entry(profile: dict, check_id: str) -> dict:
                                          "reports": 0})
 
 
-def _trial_reports(check_id: str, sc: SweepConfig, qcfg: QuadratureConfig,
-                   profile: dict | None) -> list:
-    """Build every trial's input once, check each degree's trials as one
-    group, and return the reports in trial order; a failing report embeds
-    the input its trial checked."""
+def _trials(check_id: str, sc: SweepConfig, profile: dict | None) -> list:
+    """(n, args, {trial, seed}) of each trial of one check, in trial order,
+    its input built once from the trial's seeded generator."""
     spec = REGISTRY[check_id]
     t0 = time.perf_counter()
-    trials, groups = [], {}
+    trials = []
     for index in range(sc.trials):
         seed = trial_seed(sc.seed, check_id, index)
         n = _cycle(sc.degrees, index)
-        trials.append((n, seed, spec.build(np.random.default_rng(seed), seed, n, index, sc)))
-        groups.setdefault(n, []).append(index)
+        args = spec.build(np.random.default_rng(seed), seed, n, index, sc)
+        trials.append((n, args, {"trial": index, "seed": seed}))
     if profile is not None:
         _profile_entry(profile, check_id)["build_s"] += time.perf_counter() - t0
-    reports = [None] * sc.trials
+    return trials
+
+
+def _checked(check_id: str, inputs: list, sc: SweepConfig, qcfg: QuadratureConfig,
+             profile: dict | None) -> list:
+    """The reports of ``inputs``, (n, args, params) triples of one check, in
+    order: the inputs of each degree are checked as one group, and each
+    report gets n and the given params, the bound scale, and, if it fails,
+    the polynomial it checked as JSON."""
+    groups: dict = {}
+    for index, (n, _, _) in enumerate(inputs):
+        groups.setdefault(n, []).append(index)
+    reports = [None] * len(inputs)
     for indices in groups.values():
-        group = _evaluate(check_id, [trials[i][2] for i in indices], sc, qcfg, profile)
+        group = _evaluate(check_id, [inputs[i][1] for i in indices], sc, qcfg, profile)
         for index, rep in zip(indices, group):
             reports[index] = rep
-    for index, ((n, seed, args), rep) in enumerate(zip(trials, reports)):
+    for (n, args, params), rep in zip(inputs, reports):
         rep.params.setdefault("n", n)
-        rep.params["trial"] = index
-        rep.params["seed"] = seed
+        rep.params.update(params)
         _apply_bound_scale(rep, sc.bound_scale)
         # the identity checks take scalars, which their params already record
         if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
             rep.params["input"] = poly_to_json(args[0])
     return reports
-
-
-def _witness_trials(sc: SweepConfig, qcfg: QuadratureConfig, profile: dict | None) -> list:
-    """Known equality witnesses, one family per check and degree (margin must
-    be ~0), each family checked as one group."""
-    out = []
-    for n in sorted(set(sc.degrees)):
-        for check_id, spec in REGISTRY.items():
-            if spec.family is None or check_id not in sc.checks:
-                continue
-            for rep in _evaluate(check_id, spec.family_inputs(n, sc), sc, qcfg, profile):
-                rep.params["family"] = spec.family
-                out.append(_apply_bound_scale(rep, sc.bound_scale))
-    return out
 
 
 @dataclass
@@ -317,7 +318,8 @@ class SweepResult:
 
 
 def run_sweep(sc: SweepConfig, profile: dict | None = None) -> SweepResult:
-    """Run the sweep: every check's trials in order, then the witness families.
+    """Run the sweep: every check's trials in order, then the witness families,
+    per degree and check (margin must be ~0).
 
     Each check's trials are grouped by degree, and each group is checked by
     one evaluate call. If ``profile`` is a dict, it receives per check id the
@@ -325,9 +327,13 @@ def run_sweep(sc: SweepConfig, profile: dict | None = None) -> SweepResult:
     the report count; the reports do not depend on it.
     """
     qcfg = sc.cfg()
-    reports = [rep for check_id in sc.checks for rep in _trial_reports(check_id, sc, qcfg, profile)]
-    if sc.include_witness_families:
-        reports += _witness_trials(sc, qcfg, profile)
+    reports = [rep for check_id in sc.checks
+               for rep in _checked(check_id, _trials(check_id, sc, profile), sc, qcfg, profile)]
+    for n in sorted(set(sc.degrees)) if sc.include_witness_families else ():
+        for check_id, spec in REGISTRY.items():
+            if spec.family is not None and check_id in sc.checks:
+                family = [(n, args, {"family": spec.family}) for args in spec.family_inputs(n, sc)]
+                reports += _checked(check_id, family, sc, qcfg, profile)
     all_passed = all(r.passed for r in reports)
     return SweepResult(reports=reports, all_passed=all_passed, summary=_summarize(reports))
 

@@ -339,6 +339,38 @@ def test_besov_111_seminorms_equal_one_input_calls():
     assert got[1] == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_rows_in_batched_calls_are_exactly_zero():
+    # the engines take zero rows as they are: a zero input, or an input with a
+    # zero derivative, mixed into a batch gives exactly 0, every other row its
+    # one-input value bit for bit, and nothing warns
+    rng = np.random.default_rng(17)
+    n = 5
+
+    def alg():
+        return AlgebraicPoly(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+
+    zero, const = AlgebraicPoly(np.zeros(n + 1)), AlgebraicPoly([2.5] + [0.0] * n)
+    polys = [alg(), zero, alg(), const, alg()]
+    vals, xs = norms.sup_norms_argmax(polys)
+    assert vals[1] == 0.0 and sup_norm(zero) == 0.0
+    for i in (0, 2, 3, 4):
+        assert (vals[i], xs[i]) == sup_norm_argmax(polys[i])
+    trigs = [_rand_trig(rng, n), TrigPoly(np.zeros(2 * n + 1)), _rand_trig(rng, n)]
+    vals, xs = norms.sup_norms_argmax(trigs)
+    assert vals[1] == 0.0
+    assert [(vals[i], xs[i]) for i in (0, 2)] == [sup_norm_argmax(trigs[i]) for i in (0, 2)]
+    got = norms.besov_inf1_seminorms(polys)
+    assert got[1] == 0.0 and got[3] == 0.0
+    assert got.tolist() == [besov_inf1_seminorm(p) for p in polys]
+    assert norms.besov_inf1_seminorms([const, zero, const * 3.0]).tolist() == [0.0, 0.0, 0.0]
+    assert norms.besov_inf1_seminorms([]).shape == (0,)
+    powers = [0.5, 0.5, 3.0, 2.0, 0.5]
+    got = norms.lp_norms(polys, powers)
+    assert got[1] == 0.0
+    assert got == [lp_norm(p, power) for p, power in zip(polys, powers)]
+
+
 def test_besov_inf1_examples():
     assert besov_inf1_seminorm(AlgebraicPoly([5.0])) == 0.0
     assert besov_inf1_seminorm(AlgebraicPoly([0, 1])) == pytest.approx(1.0, rel=1e-12)

@@ -68,6 +68,19 @@ def test_sweep_negative_control_fails_with_witness():
     assert family_fails
     for rep in random_fails:
         assert rep.params["input"]["type"] in ("alg", "trig")
+    # the witness families come last, per degree and check, and a failing
+    # family record embeds its input like a failing trial
+    family_args = [args for n in sorted(set(sc.degrees))
+                   for check_id, spec in sweep.REGISTRY.items()
+                   if spec.family and check_id in sc.checks
+                   for args in spec.family_inputs(n, sc)]
+    for rep, args in zip(res.reports[-len(family_args):], family_args):
+        assert "family" in rep.params
+        if not rep.passed:
+            back = poly_from_json(rep.params["input"])
+            assert type(back) is type(args[0])
+            assert back.degree == args[0].degree
+            assert np.array_equal(back.coeffs, args[0].coeffs)
 
 
 def test_sweep_failing_inputs_replay():
@@ -113,6 +126,14 @@ def test_sweep_equals_per_input_checks(seed, bound_scale):
     sc = sweep.SweepConfig(trials=40, seed=seed, bound_scale=bound_scale)
     qcfg = sc.cfg()
     expected = []
+
+    def scaled(rep, args):
+        # a failing trial or family record embeds the input it checked
+        rep = sweep._apply_bound_scale(rep, bound_scale)
+        if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
+            rep.params["input"] = poly_to_json(args[0])
+        return rep
+
     for check_id in sc.checks:
         spec = sweep.REGISTRY[check_id]
         for i in range(sc.trials):
@@ -122,16 +143,13 @@ def test_sweep_equals_per_input_checks(seed, bound_scale):
             rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
             rep.params.setdefault("n", n)
             rep.params.update(trial=i, seed=seed_i)
-            rep = sweep._apply_bound_scale(rep, bound_scale)
-            if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
-                rep.params["input"] = poly_to_json(args[0])
-            expected.append(rep)
+            expected.append(scaled(rep, args))
     for n in sorted(set(sc.degrees)):
         for check_id, spec in sweep.REGISTRY.items():
             for args in spec.family_inputs(n, sc) if spec.family else ():
                 rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
                 rep.params["family"] = spec.family
-                expected.append(sweep._apply_bound_scale(rep, bound_scale))
+                expected.append(scaled(rep, args))
     got = sweep.run_sweep(sc).reports
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -193,6 +211,21 @@ def test_sweep_config_rejects_bad_rho_radius_tol_and_chi():
     {"trials": 2.5}, {"trials": True}, {"degrees": [2.5]}, {"degrees": [1, 2.0]},
     {"seed": "x"}, {"seed": 1.5}])
 def test_sweep_config_refuses_non_integer_trials_degrees_and_seed(fields):
+    with pytest.raises(InvalidParam):
+        sweep.SweepConfig.from_json(fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"p_list": 5}, {"p_list": [[1]]}, {"p_list": [{"p": 1}]}, {"tol_overrides": [1]},
+    {"chi_list": [5]}, {"rho_list": 2.0}])
+def test_cli_verify_refuses_config_fields_of_the_wrong_type(tmp_path, capsys, fields):
+    # a field of the wrong JSON type is bad input (exit 2), not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    out = str(tmp_path / "run")
+    cfg_path.write_text(json.dumps({"checks": ["logplus"], "trials": 2, "degrees": [1], **fields}))
+    assert main(["verify", str(cfg_path), "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out + ".jsonl")
     with pytest.raises(InvalidParam):
         sweep.SweepConfig.from_json(fields)
 
@@ -340,9 +373,30 @@ def test_cli_diff_boas(tmp_path, capsys):
 
 
 def test_cli_diff_incompatible(tmp_path, capsys):
-    apath = _write_poly(tmp_path, "a.json", TrigPoly([1, 0, 1]))
-    assert main(["diff", apath, "--method", "boas", "--at", "0"]) == 2
-    capsys.readouterr()
+    # each input type refuses the methods it does not support, naming those it does
+    trig = _write_poly(tmp_path, "t.json", TrigPoly([1, 0, 1]))
+    alg = _write_poly(tmp_path, "a.json", AlgebraicPoly([1, 2, 3]))
+    expsum = tmp_path / "e.json"
+    expsum.write_text(json.dumps({"type": "expsum", "bandwidth": 1.5, "terms": [[1, 0, 1.0]]}))
+    for path, method, err in (
+            (str(expsum), "kernel", "error: exponential sums support methods: direct, boas\n"),
+            (trig, "boas", "error: trig polynomials support methods: direct, riesz, kernel\n"),
+            (alg, "riesz", "error: algebraic polynomials support methods: direct, kernel\n")):
+        assert main(["diff", path, "--method", method, "--at", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+
+def test_cli_diff_kernel_on_algebraic_input_at_a_complex_point(tmp_path, capsys):
+    p = AlgebraicPoly([0.5 - 1j, 2.0, 0.25j, -1.0])
+    path = _write_poly(tmp_path, "a.json", p)
+    at = 0.5 + 0.3j
+    assert main(["diff", path, "--method", "kernel", "--at", "0.5+0.3j"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(" = ")[0] for line in lines] == ["derivative", "residual_vs_direct"]
+    val = complex(lines[0].split(" = ")[1])
+    assert val == pytest.approx(complex(p.derivative()(at)), abs=1e-12)
+    assert float(lines[1].split(" = ")[1]) < 1e-12
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
