@@ -15,8 +15,11 @@ integrals are Gauss-Legendre in the radius over such rows.
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
 the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
-|zP'| and |nP - zP'| for the malik and laguerre checks), so grid maxima are
-refined by Newton steps on exact derivatives.
+|zP'| and |nP - zP'| for the malik and laguerre checks). The lags of each
+|h|^2 come from one exact matrix product (no loop over rows or terms), F on
+the grid from one half-spectrum inverse FFT, and grid maxima are refined by
+Newton steps on exact derivatives; a single term steps on the w nonnegative
+lags of |h|^2, a sum of w frequencies in place of 2w - 1.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from .poly import AlgebraicPoly, TrigPoly, _grid_values, root_array, roots
@@ -161,7 +165,8 @@ def _grid_candidates(vals: np.ndarray):
     gmax = vals[np.arange(vals.shape[0]), jbest]
     spread = gmax - vals.min(axis=1)
     active = np.isfinite(spread) & (spread > 1e-14 * np.maximum(1.0, np.abs(gmax)))
-    cand = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+    wrapped = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
+    cand = (vals >= wrapped[:, :-2]) & (vals >= wrapped[:, 2:])
     cand &= vals >= (gmax - 0.25 * spread)[:, None]
     cand &= active[:, None]
     cand[~active, jbest[~active]] = True
@@ -182,25 +187,35 @@ def circle_max(h, grid: int, weights=(1.0,)):
     Rows are independent: a row's result is the same, bit for bit, whatever
     other rows share its call, so callers may stack the rows of many inputs
     of one width. Each row is first scaled by its own power of two, which is
-    exact, so nothing overflows or underflows. One FFT of the exact
-    coefficients convolve(c, conj(c[::-1])) of each |h_t|^2 gives F on the
-    uniform ``grid`` (at least 2 * h.shape[-1] - 1 points). Every candidate of
+    exact, so nothing overflows or underflows. |h_t|^2 has the coefficients
+    b_m = sum_j c_{j+m} conj(c_j) at lags m >= 0 and conj(b_m) at -m, so one
+    matrix product over a sliding window of the coefficients gives the lags
+    m = 0..width-1 of every row and term at once. A single-frequency row has
+    one nonzero product there, so its b is exactly [|c|^2, 0, ...] and its
+    grid is exactly flat; an FFT autocorrelation would round it. One
+    half-spectrum inverse FFT (irfft) of b gives F on the uniform ``grid``
+    (at least 2 * h.shape[-1] - 1 points). Every candidate of
     _grid_candidates takes Newton steps x <- x - F'/F'' on exact derivatives,
     clipped to one grid spacing around its start, or a half-spacing ascent
     step where F'' >= 0, and the best iterate is kept; a row stops stepping
     once none of its candidates moves by more than 1e-13. A single term,
-    whose weight must be positive, steps on |h|^2, which has the same
-    maximizer and costs no square root or division per step. Several terms
-    step on F itself, evaluated from h_t, h_t' and h_t'' (a term has no
-    derivative at its zeros and adds none): square roots of the |h_t|^2 would
-    lose half the digits where a term nearly vanishes.
+    whose weight must be positive, steps on |h|^2 = b_0 + 2 Re sum_{m>=1}
+    b_m e^{imx}, which has the same maximizer and costs width frequencies
+    per step, no square root and no division. Several terms step on F
+    itself, evaluated from h_t, h_t' and h_t'' (a term has no derivative at
+    its zeros and adds none): square roots of the |h_t|^2 would lose half
+    the digits where a term nearly vanishes.
     """
     h, e = _prescaled(np.ascontiguousarray(h, dtype=np.complex128), axis=(1, 2))
     width = h.shape[-1]
     single = h.shape[1] == 1
     w = np.asarray(weights, dtype=np.float64)
-    b = np.array([[np.convolve(c, np.conj(c[::-1])) for c in row] for row in h])
-    g = _grid_values(b, 1 - width, grid).real
+    if grid < 2 * width - 1:
+        raise InvalidParam(f"grid {grid} too small for {width} coefficients")
+    # half[..., m] = sum_j c_{j+m} conj(c_j), the lags m >= 0 of |h_t|^2
+    padded = np.concatenate([h, np.zeros_like(h[..., 1:])], axis=-1)
+    half = (sliding_window_view(padded, width, axis=-1) @ np.conj(h)[..., None])[..., 0]
+    g = np.fft.irfft(half, grid, norm="forward")
     vals = g[:, 0] if single else (np.sqrt(np.maximum(g, 0.0)) * w[..., None]).sum(axis=1)
     rows, cols = _grid_candidates(vals)
     dx = _TWO_PI / grid
@@ -208,8 +223,9 @@ def circle_max(h, grid: int, weights=(1.0,)):
     wk = w[rows].T if w.ndim == 2 else w[:, None]  # (T, candidates) or (T, 1)
 
     if single:
-        m = np.arange(1 - width, width)
-        coef = np.stack([b[:, 0], 1j * m * b[:, 0], -(m * m) * b[:, 0]], axis=-1)[rows]
+        m = np.arange(width)
+        b = half[:, 0] * np.where(m > 0, 2.0, 1.0)  # F = Re sum_m b_m e^{imx}
+        coef = np.stack([b, 1j * m * b, -(m * m) * b], axis=-1)[rows]
 
         def objective(x):
             return np.einsum("kj,kjs->sk", np.exp(1j * np.multiply.outer(x, m)), coef).real
@@ -265,7 +281,10 @@ def _prescaled(c: np.ndarray, axis=None):
     the result neither overflow nor underflow before being scaled back by
     2^e. ``c`` must be contiguous in its last axis."""
     e = np.frexp(np.abs(c.view(np.float64)).max(axis=axis, keepdims=True))[1]
-    return np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e), e
+    out = np.empty_like(c)
+    np.ldexp(c.real, -e, out=out.real)
+    np.ldexp(c.imag, -e, out=out.imag)
+    return out, e
 
 
 def sup_norm(p) -> float:

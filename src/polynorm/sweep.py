@@ -69,9 +69,13 @@ class SweepConfig:
             raise InvalidParam("trials must be >= 1")
         if not self.degrees or min(self.degrees) < 1:
             raise InvalidParam("degrees must be >= 1")
-        unknown = [c for c in self.checks if c not in ALL_CHECKS]
+        unknown = [c for c in [*self.checks, *self.tol_overrides] if c not in ALL_CHECKS]
         if unknown:
-            raise InvalidParam(f"unknown checks {unknown}; choices: {list(ALL_CHECKS)}")
+            raise InvalidParam(f"unknown checks {unknown} in checks or tol_overrides; "
+                               f"choices: {list(ALL_CHECKS)}")
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:
+            raise InvalidParam(f"checks {repeated} listed more than once")
         if not (0.0 < self.bound_scale <= 1.0 + 1e-12):
             raise InvalidParam("bound_scale must be in (0, 1]")
         if not _finite(self.rho_list, lambda rho: rho >= 1.0):

@@ -64,6 +64,8 @@ def test_sup_ties_and_flat_tops():
         mono = AlgebraicPoly([0.0] * n + [1.0])
         assert sup_norm_argmax(generate("extremal-exp", n)) == (1.0, 0.0)  # |e^{inx}| = 1
         assert sup_norm_argmax(mono) == (1.0, 0.0)  # |z^n| = 1
+        # one nonzero lag product: |h|^2 has the exact lags [|c|^2, 0, ...]
+        assert sup_norm_argmax(AlgebraicPoly([0.0] * n + [-1.5 + 2j])) == (2.5, 0.0)
         cos_n = TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5])  # 2n equal peaks
         val, x = sup_norm_argmax(cos_n)
         assert val == pytest.approx(1.0, abs=1e-15)
@@ -113,6 +115,62 @@ def test_circle_max_rows_are_independent():
             assert (val[r], x[r]) == (alone[0][0], alone[1][0]), r
     # the flat and tied rows keep their exact tops
     assert circle_max(one_term, 288)[0][-3:-1].tolist() == [1.0, 1.0]
+
+
+def _convolve_sup(c, grid):
+    """(max of |h|, an angle attaining it), h(x) = sum_j c_j e^{ijx}, from the
+    full lag spectrum np.convolve(c, conj(c[::-1])) of |h|^2: Newton steps on
+    |h|^2 from every grid-local maximum, the best kept."""
+    b = np.convolve(c, np.conj(c[::-1]))
+    m = np.arange(1 - len(c), len(c))
+    f = _grid_values(b, 1 - len(c), grid).real
+    x = np.nonzero((f >= np.roll(f, 1)) & (f >= np.roll(f, -1)))[0] * (2 * np.pi / grid)
+    for _ in range(30):
+        e = np.exp(1j * np.multiply.outer(x, m)) * b
+        f1, f2 = (e @ (1j * m)).real, (e @ -(m * m).astype(float)).real
+        x = x - np.where(f2 < 0.0, f1 / np.where(f2 < 0.0, f2, -1.0), 0.0)
+    f = (np.exp(1j * np.multiply.outer(x, m)) @ b).real
+    return math.sqrt(f.max()), x[np.argmax(f)] % (2 * np.pi)
+
+
+def test_circle_max_matches_convolve_reference():
+    # the half-lag matrix product, the irfft grid and the half-length Newton
+    # sums give the max of the full np.convolve spectrum to rounding, and
+    # |h| at the returned angle is that max. The angle itself is fixed only
+    # to about sqrt(eps): |h|^2 changes by (dx)^2 |h''| / 2 < eps |h|^2 there
+    rng = np.random.default_rng(13)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    calls = [gauss(3, 1, width) for width in [*range(1, 34), 64, 128, 257]] + [gauss(1, 1, 257)]
+    for h in calls:
+        grid = 32 * h.shape[-1]
+        val, x = circle_max(h, grid)
+        for r, c in enumerate(h[:, 0]):
+            ref_val, ref_x = _convolve_sup(c, grid)
+            at_x = abs(np.polyval(c[::-1], np.exp(1j * x[r])))
+            assert val[r] == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
+            assert at_x == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
+            assert abs((x[r] - ref_x + np.pi) % (2 * np.pi) - np.pi) <= 1e-7, (h.shape, r)
+
+
+def test_circle_max_stacked_rows_equal_one_row_calls():
+    # single-term and two-term rows of several widths, including two-term rows
+    # one of whose terms is zero or a single frequency, stacked and alone
+    rng = np.random.default_rng(14)
+    for width in (1, 2, 9, 33, 257):
+        rows = rng.standard_normal((6, 2, width)) + 1j * rng.standard_normal((6, 2, width))
+        rows[1, 1] = 0.0
+        rows[2, 1] = 0.0
+        rows[2, 1, -1] = 3.0
+        weights = np.stack([rng.uniform(1.0, 2.0, 6), rng.uniform(-1.0, 1.0, 6)], axis=1)
+        grid = 32 * width
+        for h, wts in ((rows[:, :1], (1.0,)), (rows, weights)):
+            val, x = circle_max(h, grid, wts)
+            for r in range(len(h)):
+                alone = circle_max(h[r:r + 1], grid, wts if len(wts) == 1 else wts[r])
+                assert (val[r], x[r]) == (alone[0][0], alone[1][0]), (width, h.shape, r)
 
 
 # -------------------------------------------------------------------- lp norm

@@ -217,9 +217,12 @@ def test_sweep_config_refuses_non_integer_trials_degrees_and_seed(fields):
 
 @pytest.mark.parametrize("fields", [
     {"p_list": 5}, {"p_list": [[1]]}, {"p_list": [{"p": 1}]}, {"tol_overrides": [1]},
-    {"chi_list": [5]}, {"rho_list": 2.0}])
+    {"chi_list": [5]}, {"rho_list": 2.0}, {"tol_overrides": {"gauss_lukas": 1e-3}},
+    {"checks": ["malik", "malik"]}])
 def test_cli_verify_refuses_config_fields_of_the_wrong_type(tmp_path, capsys, fields):
-    # a field of the wrong JSON type is bad input (exit 2), not a traceback
+    # a field of the wrong JSON type is bad input (exit 2), not a traceback;
+    # so are an override of no check, which would be ignored, and a check
+    # listed twice, which would run its trials twice and write each report twice
     cfg_path = tmp_path / "cfg.json"
     out = str(tmp_path / "run")
     cfg_path.write_text(json.dumps({"checks": ["logplus"], "trials": 2, "degrees": [1], **fields}))
