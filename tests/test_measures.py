@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polynorm.errors import BandwidthExceeded, InvalidParam
+from polynorm.errors import BandwidthExceeded, InvalidParam, ParseError
 from polynorm.measures import (
     DiscreteMeasure,
     boas_derivative,
@@ -19,6 +19,14 @@ from polynorm.poly import ExponentialSum, TrigPoly, generate
 
 def _rand_trig(rng, n):
     return TrigPoly((rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)) / np.sqrt(2))
+
+
+def _shift_sum(t, mu, x):
+    """The interpolation formula as written: sum of c * t(x + s) over the atoms
+    (c, s), evaluating t at every shifted point."""
+    xv = np.asarray(x, dtype=np.float64)
+    shifted = xv[..., None] + mu.nodes
+    return t(shifted.ravel()).reshape(shifted.shape) @ mu.weights
 
 
 # ------------------------------------------------------------ the 2n-atom rule
@@ -64,6 +72,66 @@ def test_convolve_constant_annihilated():
         assert abs(mu.weights.sum()) < 1e-12 * n
         t = TrigPoly([2.5 + 1j])
         assert abs(convolve(t, mu, 0.7)) < 1e-12 * n
+
+
+def test_convolve_matches_shift_sum_trig():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 5, 17, 32, 64, 128):
+        mu = riesz_measure(n)
+        for trial in range(4):
+            t = _rand_trig(rng, n)
+            xs = rng.uniform(-10.0, 10.0, 64)
+            err = np.abs(convolve(t, mu, xs) - _shift_sum(t, mu, xs)).max()
+            assert err <= 1e-13 * mu.total_variation * np.abs(t.coeffs).sum()
+        assert isinstance(convolve(t, mu, 0.4), complex)
+
+
+def test_convolve_matches_shift_sum_boas():
+    rng = np.random.default_rng(7)
+    for lam in (0.5, 2.0, 10.0):
+        mu = boas_measure(lam, 401)
+        for trial in range(4):
+            amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            f = ExponentialSum(amps, rng.uniform(-lam, lam, 8), bandwidth=lam)
+            xs = rng.uniform(-8.0, 8.0, 16)
+            err = np.abs(convolve(f, mu, xs) - _shift_sum(f, mu, xs)).max()
+            assert err <= 1e-13 * mu.total_variation * f.amplitude_sum()
+        assert isinstance(convolve(f, mu, 0.4), complex)
+
+
+def test_convolve_rejects_plain_callable():
+    with pytest.raises(InvalidParam):
+        convolve(lambda x: np.cos(x), riesz_measure(2), 0.3)
+
+
+def test_riesz_transform_is_ik():
+    # mu_n-hat(k) = ik on |k| <= n: the rule differentiates every frequency it sees
+    for n in (1, 2, 17, 64, 128):
+        mu = riesz_measure(n)
+        k = np.arange(-n, n + 1)
+        for freqs in (k, k.astype(np.float64)):  # powers of e^{is}, and one exp per pair
+            got = mu.transform(freqs)
+            assert np.abs(got - 1j * k).max() <= 1e-12 * n
+            # the variation n is attained at the top frequency, so n is sharp
+            for top in (got[0], got[-1]):
+                assert abs(top) == pytest.approx(mu.total_variation, rel=1e-12)
+
+
+def test_transform_integer_and_real_frequencies_agree():
+    rng = np.random.default_rng(8)
+    mu = DiscreteMeasure(rng.standard_normal(9) + 1j * rng.standard_normal(9),
+                         rng.uniform(-3.0, 3.0, 9))
+    for k in (np.arange(-12, 13), np.array([0]), np.array([0, 40]), np.arange(5, 9)):
+        want = np.exp(1j * np.outer(k, mu.nodes)) @ mu.weights
+        assert np.abs(mu.transform(k) - want).max() <= 1e-13 * mu.total_variation
+
+
+def test_boas_transform_within_tail():
+    # |mu-hat(f) - if| on [-lam, lam] is bounded by the dropped variation
+    for lam in (0.5, 2.0, 10.0):
+        mu = boas_measure(lam, 401)
+        f = np.linspace(-lam, lam, 101)
+        assert np.abs(mu.transform(f) - 1j * f).max() <= mu.truncation_tail * (1 + 1e-12)
 
 
 def test_riesz_exactness_random():
@@ -196,6 +264,30 @@ def test_boas_bandwidth_exceeded():
     mu = boas_measure(1.0, 41)
     with pytest.raises(BandwidthExceeded):
         boas_derivative(f, measure=mu)
+
+
+def test_measure_rejects_non_finite():
+    for weights, nodes in (([np.nan], [0.0]), ([1.0], [np.inf]), ([1.0, 1j * np.inf], [0.0, 1.0])):
+        with pytest.raises(InvalidParam):
+            DiscreteMeasure(weights, nodes)
+    with pytest.raises(InvalidParam):
+        DiscreteMeasure([1.0], [0.0], truncation_tail=np.nan)
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    {"atoms": 5},
+    {"atoms": [[1.0, 2.0]]},
+    {"atoms": [[1.0, 0.0, 0.5, 2.0]]},
+    {"atoms": [["a", 0.0, 0.5]]},
+    {"atoms": [[float("nan"), 0.0, 0.5]]},
+    {"atoms": [[1.0, 0.0, float("inf")]]},
+    {"atoms": [[1.0, 0.0, 0.5]], "tail": float("nan")},
+    [[1.0, 0.0, 0.5]],
+])
+def test_measure_from_json_rejects_bad_input(obj):
+    with pytest.raises(ParseError):
+        DiscreteMeasure.from_json(obj)
 
 
 def test_measure_json_round_trip():
