@@ -532,7 +532,7 @@ def check_identity_logplus_batch(cases, tol: float = DEFAULT_TOL,
     # stop on the Mahler measure exp(mean) = max(1, |v|), not on the mean
     # itself, which is 0 for |v| < 1 and so never meets a relative test
     rows = np.array([[v, 1.0] for v in vs], dtype=np.complex128).reshape(len(vs), 2)
-    means = _circle_means(rows, 0, 0.0, 64, cfg.rel_tol, cfg.max_doublings + 4)
+    means = _circle_means(rows, 0.0, 64, cfg.rel_tol, cfg.max_doublings + 4)
     out = []
     for v, mean in zip(vs, means.tolist()):
         quad = math.log(mean)

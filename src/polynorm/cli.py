@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import kernels, measures, sweep
+from . import kernels, measures, norms, sweep
 from .errors import PolynormError
 from .norms import QuadratureConfig, norm_value
 from .poly import AlgebraicPoly, ExponentialSum, TrigPoly, load_poly_file
@@ -171,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="compute a norm of a polynomial file")
     p_norm.add_argument("poly", help="polynomial JSON file")
-    p_norm.add_argument("--kind", required=True,
-                        choices=["sup", "lp", "mahler", "wiener", "besov111", "besovinf1"])
+    p_norm.add_argument("--kind", required=True, choices=norms._NORM_KINDS)
     p_norm.add_argument("--p", type=float, default=None, help="exponent for --kind lp")
     p_norm.add_argument("--cfg", default=None, help="quadrature config JSON file")
     p_norm.set_defaults(func=_cmd_norm)

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BandwidthExceeded, InvalidParam, ParseError
-from .poly import ExponentialSum, TrigPoly
+from .poly import ExponentialSum, TrigPoly, _equal_arrays
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class DiscreteMeasure:
     truncation_tail: float = 0.0
     bandwidth: float | None = field(default=None, compare=False)
 
+    __eq__ = _equal_arrays
+
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.complex128)).copy()
         t = np.atleast_1d(np.asarray(self.nodes, dtype=np.float64)).copy()
@@ -46,6 +48,8 @@ class DiscreteMeasure:
             raise InvalidParam("weights and nodes must be finite")
         if not (0.0 <= self.truncation_tail < math.inf):
             raise InvalidParam("truncation tail must be finite and nonnegative")
+        if self.bandwidth is not None and not (0.0 < self.bandwidth < math.inf):
+            raise InvalidParam("bandwidth must be finite and positive")
         w.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -83,21 +87,27 @@ class DiscreteMeasure:
                 for c, t in zip(self.weights, self.nodes)
             ],
             "tail": float(self.truncation_tail),
+            "bandwidth": None if self.bandwidth is None else float(self.bandwidth),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        """Parse ``{"atoms": [[re, im, node], ...], "tail": t}``; ParseError on bad input."""
+        """Parse ``{"atoms": [[re, im, node], ...], "tail": t, "bandwidth": lam}``
+        (bandwidth null or absent for an exact finite measure); ParseError on
+        bad input."""
         try:
             rows = [[float(v) for v in a] for a in obj["atoms"]]
             tail = float(obj.get("tail", 0.0))
+            bandwidth = obj.get("bandwidth")
+            bandwidth = None if bandwidth is None else float(bandwidth)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad measure JSON: {exc}") from exc
         if any(len(a) != 3 for a in rows):
             raise ParseError("each measure atom must be [re, im, node]")
         atoms = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
         try:
-            return cls(atoms[:, 0] + 1j * atoms[:, 1], atoms[:, 2], truncation_tail=tail)
+            return cls(atoms[:, 0] + 1j * atoms[:, 1], atoms[:, 2], truncation_tail=tail,
+                       bandwidth=bandwidth)
         except InvalidParam as exc:
             raise ParseError(str(exc)) from exc
 

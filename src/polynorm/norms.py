@@ -8,9 +8,9 @@ The remaining integrals go through one primitive, _circle_means: the power
 mean M_p of |p| (M_0 = exp of the mean of log|p|) on many circles at once,
 one row of coefficients (and, if need be, one exponent p) each, doubling
 each row's grid until that row's M_p changes by at most the relative
-tolerance;
-a doubling evaluates only the new points, and converged rows drop out. Area
-integrals are Gauss-Legendre in the radius over such rows.
+tolerance; a doubling evaluates only the new points, and converged rows drop
+out. Area integrals are Gauss-Legendre in the radius over such rows. Both
+engines take coefficient rows as they are and scale each row themselves.
 
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import AlgebraicPoly, TrigPoly, _grid_values, root_array, roots
+from .poly import AlgebraicPoly, TrigPoly, _grid_values, _prescaled, root_array, roots
 
 _TWO_PI = 2.0 * np.pi
 
@@ -69,7 +69,7 @@ class QuadratureConfig:
             raise InvalidParam("tolerances must be positive")
 
     def initial_grid(self, degree: int) -> int:
-        # never below 4*degree + 8, the floor that keeps kernel rules exact
+        # never below 4*degree + 8, so a trig row's 2*degree + 1 coefficients fit
         return max(self.grid_multiplier * (degree + 1), 4 * degree + 8, 16)
 
     def to_json(self) -> dict:
@@ -86,13 +86,16 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _circle_means(rows, kmin: int, p, grid0: int, rel_tol: float,
-                  max_doublings: int) -> np.ndarray:
+def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np.ndarray:
     """For each row c of ``rows``, the circle power mean M_p of |T|,
-    T(x) = sum_j c_j e^{i(kmin+j)x}: (mean |T|^p)^(1/p), or exp(mean log|T|)
-    at p = 0, by the trapezoid rule on a uniform grid of grid0 points that
+    T(x) = sum_j c_j e^{ijx}: (mean |T|^p)^(1/p), or exp(mean log|T|) at
+    p = 0, by the trapezoid rule on a uniform grid of grid0 points that
     doubles until M_p changes by at most rel_tol relative. ``p`` is one
-    exponent for every row, or an array of one exponent per row.
+    exponent for every row, or an array of one exponent per row. As in
+    circle_max, a factor e^{ikx} leaves |T| unchanged, and each row is
+    divided by its own power of two 2^e (_prescaled), which is exact: M_p,
+    p = 0 included, is homogeneous of degree 1, so the row's value is
+    multiplied back by 2^e.
 
     Each row keeps its running sum, so a doubling from N to 2N points
     evaluates only the N new points, which sit half a spacing off the old
@@ -105,16 +108,16 @@ def _circle_means(rows, kmin: int, p, grid0: int, rel_tol: float,
     other rows and exponents share its call; the rows of each distinct
     exponent are raised to it as one scalar (_each_exponent).
     """
-    rows = np.atleast_2d(rows)
-    k = np.arange(rows.shape[1]) + kmin
+    rows, e = _prescaled(np.atleast_2d(np.ascontiguousarray(rows, dtype=np.complex128)), axis=1)
+    k = np.arange(rows.shape[1])
     p = np.asarray(p, dtype=np.float64)
-    sums = _each_exponent(_power_sums, np.abs(_grid_values(rows, kmin, grid0)), p)
+    sums = _each_exponent(_power_sums, np.abs(_grid_values(rows, 0, grid0)), p)
     grid = grid0
     value = _each_exponent(_power_means, sums / grid, p)
     active = np.arange(rows.shape[0])
     for _ in range(max_doublings):
         pa = p[active] if p.ndim else p
-        a = np.abs(_grid_values(rows[active] * np.exp(1j * np.pi * k / grid), kmin, grid))
+        a = np.abs(_grid_values(rows[active] * np.exp(1j * np.pi * k / grid), 0, grid))
         sums[active] += _each_exponent(_power_sums, a, pa)
         grid *= 2
         cur = _each_exponent(_power_means, sums[active] / grid, pa)
@@ -123,7 +126,7 @@ def _circle_means(rows, kmin: int, p, grid0: int, rel_tol: float,
         active = active[~done]
         if active.size == 0:
             break
-    return value
+    return np.ldexp(value, e[:, 0])
 
 
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
@@ -274,19 +277,6 @@ def circle_max(h, grid: int, weights=(1.0,)):
     return np.ldexp(top, e[:, 0, 0]), top_x[first] % _TWO_PI
 
 
-def _prescaled(c: np.ndarray, axis=None):
-    """(c * 2^-e, e), with e the binary exponent of the largest |Re| or |Im| of
-    ``c`` (over ``axis``, kept as length-1 axes; all of ``c`` by default):
-    exact, and it brings the largest entry into [1/2, 1), so norms taken of
-    the result neither overflow nor underflow before being scaled back by
-    2^e. ``c`` must be contiguous in its last axis."""
-    e = np.frexp(np.abs(c.view(np.float64)).max(axis=axis, keepdims=True))[1]
-    out = np.empty_like(c)
-    np.ldexp(c.real, -e, out=out.real)
-    np.ldexp(c.imag, -e, out=out.imag)
-    return out, e
-
-
 def sup_norm(p) -> float:
     """Max of |p| on the circle: circle_max with the one term p, on a
     32(n+1)-point grid, n the declared degree.
@@ -311,15 +301,6 @@ def sup_norms_argmax(polys):
     return circle_max(np.stack([p.coeffs for p in polys])[:, None], 32 * (polys[0].degree + 1))
 
 
-def _circle_row(p):
-    """(coefficients, lowest frequency) of p on the circle, for _circle_means."""
-    if isinstance(p, TrigPoly):
-        return p.coeffs, -p.degree
-    if isinstance(p, AlgebraicPoly):
-        return p.coeffs, 0
-    raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-
-
 def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     """(integral of |p|^power dm)^(1/power) for finite power > 0: lp_norms of
     the one polynomial p.
@@ -327,8 +308,7 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     For even integer powers the integrand is itself a trig polynomial of
     degree power*n, so one grid larger than that is exact; otherwise the
     grid doubles, adding only the new points, until successive norms agree
-    to rel_tol. The coefficients are scaled by a power of two first, which
-    is exact, so 1e-200 or 1e200 coefficients neither underflow nor overflow.
+    to rel_tol.
     """
     return lp_norms([p], [power], cfg)[0]
 
@@ -336,12 +316,11 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
 def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
     """lp_norm of each polys[i] at powers[i], as a list of floats.
 
-    Each row is prescaled on its own, and the rows that share their lowest
-    frequency, width, initial grid and doubling budget go through one
-    _circle_means call, so each value is the same, bit for bit, as the one
-    lp_norm gives alone. The derivative of an algebraic polynomial has a
-    smaller initial grid than the polynomial, and an even integer power has
-    no doublings.
+    The rows that share their width, initial grid and doubling budget go
+    through one _circle_means call, whose rows are independent, so each value
+    is the same, bit for bit, as the one lp_norm gives alone. The derivative
+    of an algebraic polynomial has a smaller initial grid than the
+    polynomial, and an even integer power has no doublings.
     """
     cfg = cfg or DEFAULT_CONFIG
     out = [0.0] * len(polys)
@@ -349,18 +328,19 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
     for i, (p, power) in enumerate(zip(polys, powers)):
         if not (power > 0) or not math.isfinite(power):
             raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
-        coeffs, kmin = _circle_row(p)
+        if not isinstance(p, (TrigPoly, AlgebraicPoly)):
+            raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
         n = p.degree
         grid0, budget = cfg.initial_grid(n), cfg.max_doublings
         rounded = round(power)
         if rounded == power and rounded % 2 == 0:
             grid0, budget = max(grid0, int(rounded) * n + 1), 0
-        groups.setdefault((kmin, len(coeffs), grid0, budget), []).append(i)
-    for (kmin, _, grid0, budget), idx in groups.items():
-        rows, e = _prescaled(np.array([polys[i].coeffs for i in idx]), axis=1)
+        groups.setdefault((len(p.coeffs), grid0, budget), []).append(i)
+    for (_, grid0, budget), idx in groups.items():
         exps = [powers[i] for i in idx]
         exps = float(exps[0]) if len(set(exps)) == 1 else exps
-        norms = np.ldexp(_circle_means(rows, kmin, exps, grid0, cfg.rel_tol, budget), e[:, 0])
+        norms = _circle_means(np.array([polys[i].coeffs for i in idx]), exps, grid0,
+                              cfg.rel_tol, budget)
         for i, norm in zip(idx, norms.tolist()):
             out[i] = norm
     return out
@@ -401,8 +381,7 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
             raise NearCircleRoot(
                 f"a root lies within {gap:.2e} of the unit circle; use mahler_jensen"
             )
-    coeffs, kmin = _circle_row(p)
-    return float(_circle_means(coeffs, kmin, 0.0, cfg.initial_grid(p.degree), cfg.rel_tol,
+    return float(_circle_means(p.coeffs, 0.0, cfg.initial_grid(p.degree), cfg.rel_tol,
                                cfg.max_doublings)[0])
 
 
@@ -444,19 +423,18 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
 def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """disk_mean of each of the algebraic polynomials ``polys``, all of one
     declared degree: the circle means over every radius of every input come
-    from one _circle_means call, one row each."""
+    from one _circle_means call, one row each. ``power`` must be finite and
+    positive; a zero polynomial has disk mean 0."""
+    if not (power > 0) or not math.isfinite(power):
+        raise InvalidParam("disk_mean needs a finite power > 0")
+    if not polys:
+        return np.zeros(0)
     cfg = cfg or DEFAULT_CONFIG
-    out = np.zeros(len(polys))
-    live = [i for i, p in enumerate(polys) if not p.is_zero()]
-    if not live:
-        return out
     r, w = _radial_rule(cfg.radial_nodes)
-    rows = np.concatenate([_dilated(polys[i].coeffs, r) for i in live])
-    means = _circle_means(rows, 0, power, cfg.initial_grid(polys[live[0]].degree),
-                          cfg.area_rel_tol, cfg.max_doublings).reshape(len(live), len(r))
-    for i, m in zip(live, means):
-        out[i] = 2.0 * np.sum(w * r * m**power)
-    return out
+    rows = np.concatenate([_dilated(p.coeffs, r) for p in polys])
+    means = _circle_means(rows, power, cfg.initial_grid(polys[0].degree), cfg.area_rel_tol,
+                          cfg.max_doublings).reshape(len(polys), len(r))
+    return 2.0 * (w * r * means**power).sum(axis=1)
 
 
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:

@@ -14,7 +14,7 @@ enters inequality constants; the effective degree tracks the actual data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +75,27 @@ def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
     return np.fft.ifft(c, norm="forward")
 
 
+def _prescaled(c: np.ndarray, axis=None):
+    """(c * 2^-e, e), with e the binary exponent of the largest |Re| or |Im| of
+    ``c`` (over ``axis``, kept as length-1 axes; all of ``c`` by default):
+    exact, and it brings the largest entry into [1/2, 1), so norms taken of
+    the result neither overflow nor underflow before being scaled back by
+    2^e. ``c`` must be contiguous in its last axis."""
+    f = c.view(np.float64)
+    e = np.frexp(np.abs(f).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(f, -e).view(np.complex128), e
+
+
+def _equal_arrays(self, other):
+    """``==`` for the frozen array dataclasses: the same type, and every
+    compared field equal by value (np.array_equal), where the generated
+    equality would compare ndarray tuples and raise."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
+
+
 @dataclass(frozen=True)
 class AlgebraicPoly:
     """P(z) = sum_{k=0}^{n} coeffs[k] z^k; declared degree n = len(coeffs) - 1.
@@ -87,6 +108,8 @@ class AlgebraicPoly:
 
     coeffs: np.ndarray
     known_roots: tuple | None = field(default=None, compare=False, repr=False)
+
+    __eq__ = _equal_arrays
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128)).copy()
@@ -148,6 +171,8 @@ class TrigPoly:
     """T(x) = sum_{k=-n}^{n} coeffs[n+k] e^{ikx}; length must be odd (2n+1)."""
 
     coeffs: np.ndarray
+
+    __eq__ = _equal_arrays
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128)).copy()
@@ -234,6 +259,8 @@ class ExponentialSum:
     frequencies: np.ndarray
     bandwidth: float = None  # type: ignore[assignment]
 
+    __eq__ = _equal_arrays
+
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.amplitudes, dtype=np.complex128)).copy()
         f = np.atleast_1d(np.asarray(self.frequencies, dtype=np.float64)).copy()
@@ -279,6 +306,8 @@ class RootSet:
 
     roots: np.ndarray
     coeffs: np.ndarray = field(compare=False, repr=False)
+
+    __eq__ = _equal_arrays
 
     def __post_init__(self):
         r = np.atleast_1d(np.asarray(self.roots, dtype=np.complex128)).copy()
@@ -436,9 +465,10 @@ def roots(p: AlgebraicPoly) -> RootSet:
     """All effective-degree roots with multiplicity.
 
     Exact zero coefficients at the bottom are factored out as exact roots at
-    the origin. The remaining roots are companion-matrix eigenvalues up to
-    degree ``_EIGVALS_MAX_DEGREE`` and Aberth iterates above it. The rebuild
-    residual is left to ``RootSet.residual``, computed only when read.
+    the origin, and the rest are scaled by a power of two (_prescaled) before
+    they are made monic. The remaining roots are companion-matrix eigenvalues
+    up to degree ``_EIGVALS_MAX_DEGREE`` and Aberth iterates above it. The
+    rebuild residual is left to ``RootSet.residual``, computed only when read.
     Raises ZeroPolynomial on the zero polynomial; a nonzero constant yields
     an empty root set.
     """
@@ -447,7 +477,7 @@ def roots(p: AlgebraicPoly) -> RootSet:
         raise ZeroPolynomial("the zero polynomial has no root set")
     c = p.coeffs[: d_eff + 1]
     m0 = int(np.nonzero(c)[0][0])  # exact roots at the origin
-    work = c[m0:]
+    work = _prescaled(c[m0:])[0]
     found = np.zeros(d_eff, dtype=np.complex128)
     if len(work) > 1:
         w = work / work[-1]

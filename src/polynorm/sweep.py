@@ -134,22 +134,22 @@ def _cycle(values, index):
     return values[index % len(values)]
 
 
-def _roots_outside(seed, n, index, sc):
+def _roots_outside(rng, n, index, sc):
     rho = _cycle(sc.rho_list, index)
-    return generate("roots-outside", n, seed=seed, rho=rho), rho
+    return generate("roots-outside", n, seed=rng, rho=rho), rho
 
 
-def _build_ankeny_rivlin(rng, seed, n, index, sc):
+def _build_ankeny_rivlin(rng, n, index, sc):
     radius = _cycle(sc.radius_list, index // len(sc.rho_list))
-    return (*_roots_outside(seed, n, index, sc), radius)
+    return (*_roots_outside(rng, n, index, sc), radius)
 
 
-def _build_logplus(rng, seed, n, index, sc):
+def _build_logplus(rng, n, index, sc):
     mod = rng.uniform(0.0, 0.9) if rng.random() < 0.5 else rng.uniform(1.1, 3.0)
     return (complex(mod * np.exp(2j * np.pi * rng.random())),)
 
 
-def _build_mate_nevai(rng, seed, n, index, sc):
+def _build_mate_nevai(rng, n, index, sc):
     power = float(rng.uniform(0.05, 0.95))
     return _random_alg(rng, n), power
 
@@ -163,7 +163,7 @@ def _extremal_exp_family(n, sc):
 class CheckSpec:
     """One sweep check.
 
-    build(rng, seed, n, index, sc) returns the check's arguments, drawing from
+    build(rng, n, index, sc) returns the check's arguments, drawing from
     the trial's generator; evaluate(args_list, tol, qcfg) takes the argument
     tuples of inputs of one degree and returns their reports in order.
     tol is the check's tolerance when tol_overrides has no entry (None: the
@@ -187,19 +187,18 @@ class CheckSpec:
 # its batch form; those two check one input at a time.
 REGISTRY = {
     "bernstein": CheckSpec(
-        lambda rng, seed, n, i, sc: (generate("gaussian-random", n, seed=rng),
-                                     _cycle(sc.p_list, i)),
+        lambda rng, n, i, sc: (generate("gaussian-random", n, seed=rng), _cycle(sc.p_list, i)),
         lambda a, tol, q: C.check_bernstein_batch(a, tol, q), lists=("p_list",),
         family="extremal-exp", family_inputs=_extremal_exp_family),
     "malik": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
+        lambda rng, n, i, sc: (_random_alg(rng, n),),
         lambda a, tol, q: C.check_malik_batch(a, tol),
         family="monomial", family_inputs=lambda n, sc: [(AlgebraicPoly([0.0] * n + [1.0]),)]),
     "laguerre": CheckSpec(
-        lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
+        _roots_outside,
         lambda a, tol, q: C.check_laguerre_batch(a, tol), lists=("rho_list",)),
     "lax_malik": CheckSpec(
-        lambda rng, seed, n, i, sc: _roots_outside(seed, n, i, sc),
+        _roots_outside,
         lambda a, tol, q: C.check_lax_malik_batch(a, tol), lists=("rho_list",),
         family="lax-extremal",
         family_inputs=lambda n, sc: [(generate("lax-extremal", n, rho=rho), rho)
@@ -209,29 +208,29 @@ REGISTRY = {
         lambda a, tol, q: C.check_ankeny_rivlin_batch(a, tol),
         lists=("rho_list", "radius_list")),
     "svdc": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_real_trig(rng, n),),
+        lambda rng, n, i, sc: (_random_real_trig(rng, n),),
         lambda a, tol, q: C.check_svdc_batch(a, tol),
         family="cos-n",  # cos(nx)
         family_inputs=lambda n, sc: [(TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5]),)]),
     "gauss_lucas": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_alg(rng, max(n, 2)),),
+        lambda rng, n, i, sc: (_random_alg(rng, max(n, 2)),),
         lambda a, tol, q: [C.check_gauss_lucas(*x, tol) for x in a],
         tol=C.HULL_TOL),
     "embedding": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i)),
+        lambda rng, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i)),
         lambda a, tol, q: C.check_embedding_batch(a, tol, q)),
     "dominated_derivative": CheckSpec(
-        lambda rng, seed, n, i, sc: (_random_alg(rng, n),),
+        lambda rng, n, i, sc: (_random_alg(rng, n),),
         lambda a, tol, q: C.check_dominated_derivative_batch(a, tol)),
     "logplus": CheckSpec(
         _build_logplus,
         lambda a, tol, q: C.check_identity_logplus_batch(a, tol, q)),
     "power_identity": CheckSpec(
-        lambda rng, seed, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
+        lambda rng, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
         lambda a, tol, q: [C.check_identity_power(*x, tol) for x in a]),
     "chi": CheckSpec(
-        lambda rng, seed, n, i, sc: (generate("gaussian-random", n, seed=rng),
-                                     C.ChiFunction.parse(_cycle(sc.chi_list, i))),
+        lambda rng, n, i, sc: (generate("gaussian-random", n, seed=rng),
+                               C.ChiFunction.parse(_cycle(sc.chi_list, i))),
         lambda a, tol, q: C.check_chi_version_batch(a, tol, q), lists=("chi_list",)),
     "mate_nevai": CheckSpec(_build_mate_nevai,
                             lambda a, tol, q: C.mate_nevai_compare_batch(a, tol, q)),
@@ -280,7 +279,7 @@ def _trials(check_id: str, sc: SweepConfig, profile: dict | None) -> list:
     for index in range(sc.trials):
         seed = trial_seed(sc.seed, check_id, index)
         n = _cycle(sc.degrees, index)
-        args = spec.build(np.random.default_rng(seed), seed, n, index, sc)
+        args = spec.build(np.random.default_rng(seed), n, index, sc)
         trials.append((n, args, {"trial": index, "seed": seed}))
     if profile is not None:
         _profile_entry(profile, check_id)["build_s"] += time.perf_counter() - t0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,31 @@ def test_measure_json_round_trip():
     assert np.allclose(back.weights, mu.weights)
     assert np.allclose(back.nodes, mu.nodes)
     assert back.truncation_tail == pytest.approx(mu.truncation_tail)
+
+
+def test_measure_json_keeps_bandwidth_and_equality():
+    mu = boas_measure(1.5, 21)
+    back = DiscreteMeasure.from_json(json.loads(json.dumps(mu.to_json())))
+    assert back == mu and back.bandwidth == 1.5
+    assert DiscreteMeasure.from_json(riesz_measure(3).to_json()).bandwidth is None
+    f = ExponentialSum([1.0, 0.5j], [1.0, -0.4])
+    approx, bound = boas_derivative(f, measure=back)
+    ref, ref_bound = boas_derivative(f, measure=mu)
+    assert approx(0.3) == ref(0.3) and bound == ref_bound
+    assert mu != boas_measure(1.5, 23)
+    assert mu != DiscreteMeasure(mu.weights, mu.nodes + 1e-12, mu.truncation_tail, 1.5)
+    with pytest.raises(TypeError):
+        hash(mu)
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0, -1.0, "wide"])
+def test_measure_refuses_bad_bandwidth(bandwidth):
+    obj = {"atoms": [[1.0, 0.0, 0.5]], "tail": 0.0, "bandwidth": bandwidth}
+    with pytest.raises(ParseError):
+        DiscreteMeasure.from_json(obj)
+    if not isinstance(bandwidth, str):
+        with pytest.raises(InvalidParam):
+            DiscreteMeasure([1.0], [0.5], bandwidth=bandwidth)
 
 
 # ----------------------------------------------------------- weight identities

@@ -247,7 +247,7 @@ def test_circle_means_doubling_matches_direct_mean():
     for kmin, width, grid in ((0, 5, 16), (-6, 13, 40), (-2, 5, 8)):
         row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
         for p in (1.3, 0.0):
-            got = _circle_means(row, kmin, p, grid, 1e-300, 1)[0]
+            got = _circle_means(row, p, grid, 1e-300, 1)[0]
             assert got == pytest.approx(_direct_mean(row, kmin, p, 2 * grid), rel=1e-15)
 
 
@@ -272,11 +272,11 @@ def test_circle_means_rows_converge_alone(grid_shapes):
     fast = np.array([1.0, 0.3, 0.0])
     slow = [np.array([1.0, -0.995, 0.0]), np.array([0.0, 1.0, 0.995j])]
     rows = np.stack([fast, slow[0], fast * 2j, slow[1]])
-    batch = _circle_means(rows, 0, 0.5, 32, 1e-10, 6)
+    batch = _circle_means(rows, 0.5, 32, 1e-10, 6)
     # the slow rows use the whole budget: grids 64, 128, ..., 2048
     assert grid_shapes == [(4, 32), (4, 32)] + [(2, 32 * 2**d) for d in range(1, 6)]
     for i, row in enumerate(rows):
-        assert batch[i] == _circle_means(row, 0, 0.5, 32, 1e-10, 6)[0]
+        assert batch[i] == _circle_means(row, 0.5, 32, 1e-10, 6)[0]
 
 
 def test_circle_means_exponent_per_row_matches_one_row_calls():
@@ -287,9 +287,9 @@ def test_circle_means_exponent_per_row_matches_one_row_calls():
     rows = rng.standard_normal((len(exps), 7)) + 1j * rng.standard_normal((len(exps), 7))
     rows[1, 3] = 0.0
     for budget in (0, 6):
-        batch = _circle_means(rows, -3, np.array(exps), 32, 1e-10, budget)
+        batch = _circle_means(rows, np.array(exps), 32, 1e-10, budget)
         for row, p, got in zip(rows, exps, batch):
-            assert got == _circle_means(row, -3, p, 32, 1e-10, budget)[0], (p, budget)
+            assert got == _circle_means(row, p, 32, 1e-10, budget)[0], (p, budget)
 
 
 def test_lp_norms_equal_lp_norm_bit_for_bit():
@@ -309,11 +309,11 @@ def test_lp_norms_equal_lp_norm_bit_for_bit():
 
 def test_circle_means_zero_budget_is_one_grid(grid_shapes):
     row = np.array([1.0, -0.97])
-    got = _circle_means(row, 0, 0.5, 24, 1e-10, 0)[0]
+    got = _circle_means(row, 0.5, 24, 1e-10, 0)[0]
     assert grid_shapes == [(1, 24)]
     assert got == pytest.approx(_direct_mean(row, 0, 0.5, 24), rel=1e-15)
     with pytest.raises(InvalidParam):
-        _circle_means(row, 0, 0.5, 1, 1e-10, 0)
+        _circle_means(row, 0.5, 1, 1e-10, 0)
 
 
 # ----------------------------------------------------------------- mahler norm
@@ -482,6 +482,45 @@ def test_disk_mean_monomials():
         mono[-1] = 1.0
         assert disk_mean(AlgebraicPoly(mono), 2.0) == pytest.approx(1 / (k + 1), rel=1e-10)
         assert disk_mean(AlgebraicPoly(mono), 1.0) == pytest.approx(2 / (k + 2), rel=1e-10)
+
+
+def test_disk_mean_refuses_a_power_that_is_not_finite_and_positive():
+    p = AlgebraicPoly([1.0, 0.5, -2j])
+    for power in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidParam):
+            disk_mean(p, power)
+        with pytest.raises(InvalidParam):
+            norms.disk_means([p, AlgebraicPoly(np.zeros(3))], power)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_disk_means_zero_rows_are_exactly_zero():
+    # a zero input, or one with a zero second derivative, gives exactly 0 and
+    # leaves every other row at its one-input value, bit for bit
+    rng = np.random.default_rng(19)
+    polys = [AlgebraicPoly(rng.standard_normal(5) + 1j * rng.standard_normal(5)),
+             AlgebraicPoly(np.zeros(5)), AlgebraicPoly([1.0, -3.0, 0, 0, 0])]
+    for power in (0.5, 1.0, 2.0):
+        got = norms.disk_means(polys, power)
+        assert got[1] == 0.0
+        assert got.tolist() == [disk_mean(p, power) for p in polys]
+    assert norms.besov_111_seminorms(polys).tolist()[1:] == [0.0, 0.0]
+    assert norms.disk_means([], 1.0).shape == (0,)
+
+
+@pytest.mark.parametrize("scale, rel", [(1e306, 1e-13), (1e-310, 1e-10)])
+def test_circle_means_extreme_scales(scale, rel):
+    # every circle mean scales its own rows, so the disk means of 1e306
+    # coefficients do not overflow, and those of subnormal ones keep their
+    # digits; the looser bound at 1e-310 is the input's own rounding
+    rng = np.random.default_rng(53)
+    for n in (3, 6, 10):
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        p = AlgebraicPoly(c / (n * n * np.abs(c).max()))  # |p''| stays below 1e306 * n
+        for norm in (besov_111_seminorm, lambda q: disk_mean(q, 1.0), mahler_quadrature):
+            got = norm(p * scale)
+            assert math.isfinite(got) and got > 0.0
+            assert got / scale == pytest.approx(norm(p), rel=rel)
 
 
 def _dense_disk_mean(coeffs, power, nodes=64, grid=2**16):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ def test_roots_origin_factoring():
     assert len(rs.roots) == 3 and np.abs(rs.roots).max() == 0.0
 
 
+def test_roots_extreme_scales():
+    # the coefficients are scaled by a power of two before the division by
+    # the leading one, which overflowed for subnormal coefficients
+    p = AlgebraicPoly([1e-320, 1e-321])
+    rs = roots(p).roots
+    assert len(rs) == 1 and abs(rs[0] + 10.0) <= 0.1
+    assert math.isfinite(mahler_jensen(p)) and mahler_jensen(p) > 0.0
+    rng = np.random.default_rng(29)
+    for d in (5, 40):
+        q = AlgebraicPoly(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+        base = roots(q).roots
+        for k in (-1000, 1000):
+            assert np.array_equal(roots(q * 2.0**k).roots, base)
+
+
 def test_root_reconstruction_random():
     rng = np.random.default_rng(11)
     for trial in range(30):
@@ -263,6 +279,29 @@ def test_json_round_trip():
         back = poly_from_json(json.loads(json.dumps(poly_to_json(poly))))
         assert type(back) is type(poly)
         assert np.allclose(back.coeffs, poly.coeffs)
+
+
+def test_equality_compares_arrays_by_value():
+    rng = np.random.default_rng(3)
+    p = _rand_alg(rng, 4)
+    t = TrigPoly(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    e = ExponentialSum([1.0, 2j, -0.5], [0.25, -1.0, 2.0], bandwidth=3.0)
+    for obj in (p, t):
+        assert poly_from_json(json.loads(json.dumps(poly_to_json(obj)))) == obj
+    terms = [[a.real, a.imag, f] for a, f in zip(e.amplitudes, e.frequencies)]
+    assert poly_from_json({"type": "expsum", "bandwidth": 3.0, "terms": terms}) == e
+    assert roots(p) == roots(p)
+    # a field that differs, a different type, or a different length is unequal
+    assert p != AlgebraicPoly(p.coeffs + np.array([0, 0, 1e-15, 0, 0]))
+    assert e != ExponentialSum(e.amplitudes, e.frequencies, bandwidth=4.0)
+    assert t != p and AlgebraicPoly(t.coeffs) != t
+    assert p != AlgebraicPoly(np.append(p.coeffs, 0.0))
+    assert roots(p) != roots(AlgebraicPoly(p.coeffs[::-1]))
+    # known_roots and the root set's coefficients take no part, as before
+    assert from_roots([1.0, 2.0]) == AlgebraicPoly(from_roots([1.0, 2.0]).coeffs)
+    for obj in (p, t, e, roots(p)):
+        with pytest.raises(TypeError):
+            hash(obj)
 
 
 def test_json_rejects_length_mismatch():

@@ -96,7 +96,7 @@ def test_sweep_failing_inputs_replay():
             continue
         spec = sweep.REGISTRY[check_id]
         seed = rep.params["seed"]
-        args = spec.build(np.random.default_rng(seed), seed, sc.degrees[i % len(sc.degrees)], i, sc)
+        args = spec.build(np.random.default_rng(seed), sc.degrees[i % len(sc.degrees)], i, sc)
         again = spec.evaluate([(poly_from_json(rep.params["input"]),) + args[1:]], rep.tol,
                               sc.cfg())[0]
         assert (again.measured, again.digest) == (rep.measured, rep.digest), check_id
@@ -139,7 +139,7 @@ def test_sweep_equals_per_input_checks(seed, bound_scale):
         for i in range(sc.trials):
             seed_i = sweep.trial_seed(seed, check_id, i)
             n = sc.degrees[i % len(sc.degrees)]
-            args = spec.build(np.random.default_rng(seed_i), seed_i, n, i, sc)
+            args = spec.build(np.random.default_rng(seed_i), n, i, sc)
             rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
             rep.params.setdefault("n", n)
             rep.params.update(trial=i, seed=seed_i)
