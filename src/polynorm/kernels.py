@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParam
-from .poly import AlgebraicPoly, TrigPoly, _horner
+from .poly import AlgebraicPoly, TrigPoly, _grid_values, _horner
 
 _BOUNDARY_TOL = 1e-12
 
@@ -43,8 +43,16 @@ def _kernel_mean(p, xi: complex, n: int | None, grid: int | None, kernel) -> com
     if N < grid_size(n):
         raise InvalidParam(f"grid {N} below the exactness floor {grid_size(n)}")
     u = np.exp(2j * np.pi * np.arange(N) / N)
-    vals = p.values_on_grid(N) * np.conj(kernel(u, dirichlet(n, np.conj(xi) * u)))
+    vals = p.values_on_grid(N) * np.conj(kernel(u, _dirichlet_on_grid(n, xi, N)))
     return complex(vals.mean())
+
+
+def _dirichlet_on_grid(n: int, xi: complex, grid: int) -> np.ndarray:
+    """D_n(conj(xi) u) at the grid points u = e^{2 pi i t/grid}: the grid
+    values of the coefficients conj(xi)^j, j < n, by one FFT."""
+    powers = np.ones(n, dtype=np.complex128)
+    np.multiply.accumulate(np.full(n - 1, np.conj(xi)), out=powers[1:])
+    return _grid_values(powers, 0, grid)
 
 
 def deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,

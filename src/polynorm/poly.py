@@ -14,6 +14,7 @@ enters inequality constants; the effective degree tracks the actual data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -25,17 +26,24 @@ _TWO_PI = 2.0 * np.pi
 
 # Largest effective degree (after factoring out roots at the origin) whose
 # roots come from companion-matrix eigenvalues; Aberth takes over above it.
-# With one BLAS thread on a 2-core Xeon, eigvals took 0.18 / 0.73 / 1.56 ms
-# on random polynomials at d = 16 / 32 / 48 against 1.10 / 1.55 / 1.69 ms for
-# Aberth, and lost at d = 64 (2.82 ms against 2.30 ms).
-_EIGVALS_MAX_DEGREE = 32
+# With one BLAS thread on a 2-core Xeon (median of three runs over ten random
+# polynomials), eigvals took 0.15 / 0.64 / 0.93 ms at d = 16 / 32 / 40
+# against 0.76 / 0.97 / 1.13 ms for Aberth, the two were even at d = 42 / 44
+# (1.01 / 1.19 against 1.02 / 1.26 ms), and eigvals lost from d = 46 on
+# (1.40 / 1.45 / 2.50 ms against 1.04 / 1.21 / 1.36 ms at d = 46 / 48 / 64).
+_EIGVALS_MAX_DEGREE = 44
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate sum coeffs[k] z^k by Horner's scheme (vectorized in z)."""
-    out = np.zeros_like(z, dtype=np.complex128)
+    """Evaluate sum coeffs[k] z^k by Horner's scheme (vectorized in z).
+
+    A two-dimensional ``coeffs`` is a block of columns, one polynomial each;
+    the result then has a trailing axis with one entry per column.
+    """
+    zb = z.reshape(z.shape + (1,) * (coeffs.ndim - 1))
+    out = np.zeros(z.shape + coeffs.shape[1:], dtype=np.complex128)
     for a in coeffs[::-1]:
-        out = out * z + a
+        out = out * zb + a
     return out
 
 
@@ -46,8 +54,10 @@ def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     of vector ops, which wins once the coefficient loop would dominate; it
     falls back to Horner when the matrix would be large. It still pays for
     Aberth above ``_EIGVALS_MAX_DEGREE``: with Horner alone a ``roots`` call
-    took 4.7 / 9.1 / 12.5 / 50.9 ms at d = 33 / 64 / 128 / 256, against
-    1.3 / 2.5 / 8.0 / 21.6 ms with this branch (one BLAS thread, 2-core Xeon).
+    took 4.9 / 6.0 / 12.2 / 26.7 ms at d = 45 / 64 / 128 / 256, against
+    1.5 / 1.5 / 3.0 / 8.6 ms with this branch (one BLAS thread, 2-core Xeon).
+    A two-dimensional ``coeffs`` is a block of columns, one polynomial each,
+    all evaluated from the same powers of z.
     """
     m = len(coeffs)
     if m <= 8 or z.ndim != 1 or z.size * m > 2_000_000:
@@ -86,6 +96,13 @@ def _prescaled(c: np.ndarray, axis=None):
     return np.ldexp(f, -e).view(np.complex128), e
 
 
+def _refuse_nonfinite(name: str, values: np.ndarray) -> None:
+    # count_nonzero rather than .all(): every constructor runs this, and the
+    # verify sweep builds thousands of polynomials
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        raise InvalidParam(f"{name} must be finite (no NaN or infinity)")
+
+
 def _equal_arrays(self, other):
     """``==`` for the frozen array dataclasses: the same type, and every
     compared field equal by value (np.array_equal), where the generated
@@ -112,9 +129,10 @@ class AlgebraicPoly:
     __eq__ = _equal_arrays
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128)).copy()
+        c = np.array(self.coeffs, dtype=np.complex128, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise InvalidParam("coefficient vector must be one-dimensional and nonempty")
+        _refuse_nonfinite("coefficients", c)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -175,9 +193,10 @@ class TrigPoly:
     __eq__ = _equal_arrays
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128)).copy()
+        c = np.array(self.coeffs, dtype=np.complex128, ndmin=1)
         if c.ndim != 1 or c.size % 2 == 0:
             raise InvalidParam("trig coefficient vector must have odd length 2n+1")
+        _refuse_nonfinite("coefficients", c)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -266,9 +285,13 @@ class ExponentialSum:
         f = np.atleast_1d(np.asarray(self.frequencies, dtype=np.float64)).copy()
         if a.shape != f.shape or a.ndim != 1 or a.size == 0:
             raise InvalidParam("amplitudes and frequencies must be matching nonempty vectors")
+        _refuse_nonfinite("amplitudes", a)
+        _refuse_nonfinite("frequencies", f)
         if np.unique(f).size != f.size:
             raise InvalidParam("frequencies must be distinct")
         bw = float(np.abs(f).max()) if self.bandwidth is None else float(self.bandwidth)
+        if not math.isfinite(bw):
+            raise InvalidParam("bandwidth must be finite (no NaN or infinity)")
         if np.abs(f).max() > bw + 1e-12:
             raise InvalidParam("bandwidth must dominate every |frequency|")
         a.flags.writeable = False
@@ -362,32 +385,43 @@ def from_roots(rts, leading: complex = 1.0) -> AlgebraicPoly:
     return AlgebraicPoly(_coeffs_from_roots(rts, complex(leading)), known_roots=tuple(rts))
 
 
-def _newton_corrections(w: np.ndarray, wrev: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z)/p'(z) for monic p, overflow-safe on both sides of the unit circle.
+def _newton_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two (d+1) x 2 coefficient blocks ``_newton_corrections`` evaluates.
 
-    Direct evaluation is bounded for |z| <= 1; outside, p(z) ~ |z|^d overflows
-    at high degree, so with u = 1/z and q(u) = p(z)/z^d the correction is
-    computed as z q(u) / (d q(u) - u q'(u)), which only ever evaluates inside
-    the disk.
+    For monic p with coefficients ``w``: inside the circle the columns are p
+    and p' (the latter padded with a zero). Outside, with u = 1/z and
+    q(u) = p(z)/z^d, they are q and d q - u q', whose coefficient k is
+    (d - k) q_k.
     """
     d = len(w) - 1
-    dw = w[1:] * np.arange(1, d + 1)
-    dwrev = wrev[1:] * np.arange(1, d + 1)
+    k = np.arange(d + 1)
+    inner = np.zeros((d + 1, 2), dtype=np.complex128)
+    inner[:, 0] = w
+    inner[:-1, 1] = k[1:] * w[1:]
+    outer = np.empty((d + 1, 2), dtype=np.complex128)
+    outer[:, 0] = w[::-1]
+    outer[:, 1] = (d - k) * w[::-1]
+    return inner, outer
+
+
+def _newton_corrections(inner: np.ndarray, outer: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z)/p'(z) for monic p, overflow-safe on both sides of the unit circle.
+
+    ``inner`` and ``outer`` come from ``_newton_blocks``. Direct evaluation is
+    bounded for |z| <= 1; outside, p(z) ~ |z|^d overflows at high degree, so
+    with u = 1/z the correction is computed as z q(u) / (d q(u) - u q'(u)),
+    which only ever evaluates inside the disk. Each side evaluates both of
+    its columns from one power matrix.
+    """
     out = np.empty_like(z)
     inside = np.abs(z) <= 1.0
     if inside.any():
-        zi = z[inside]
-        denom = _poly_values(dw, zi)
-        denom = np.where(denom == 0, 1e-300, denom)
-        out[inside] = _poly_values(w, zi) / denom
-    if (~inside).any():
+        v = _poly_values(inner, z[inside])
+        out[inside] = v[:, 0] / np.where(v[:, 1] == 0, 1e-300, v[:, 1])
+    if not inside.all():
         zo = z[~inside]
-        u = 1.0 / zo
-        q = _poly_values(wrev, u)
-        qd = _poly_values(dwrev, u)
-        denom = d * q - u * qd
-        denom = np.where(denom == 0, 1e-300, denom)
-        out[~inside] = zo * q / denom
+        v = _poly_values(outer, 1.0 / zo)
+        out[~inside] = zo * v[:, 0] / np.where(v[:, 1] == 0, 1e-300, v[:, 1])
     return out
 
 
@@ -400,8 +434,6 @@ def _initial_points(w: np.ndarray) -> np.ndarray:
     Cauchy bound instead can sit so far out that the far-field contraction
     (about 2/d per step) cannot reach the roots within the iteration budget.
     """
-    import math
-
     d = len(w) - 1
     mods = np.abs(w)
     hull: list[tuple[int, float]] = []
@@ -428,22 +460,37 @@ def _aberth(w: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarra
     """Simultaneous (Aberth-Ehrlich) iteration for all roots of a monic polynomial.
 
     ``w`` holds coefficients a_0..a_{d-1}, 1. Starts on slightly perturbed
-    circles at the Newton-polygon modulus estimates; stops once the largest
-    simultaneous Newton correction drops below tol * (1 + max|z|).
+    circles at the Newton-polygon modulus estimates. A sweep steps only the
+    roots whose last correction exceeded tol * (1 + max|z|); the Aberth sum
+    of each of them still runs over every current root. Once no root is
+    left moving, the next sweep steps every root, and the loop stops only
+    when that sweep's largest correction is below the same bound (any root
+    that fails it keeps stepping), so the stop rule is the all-roots one:
+    the largest simultaneous correction is below tol * (1 + max|z|).
     """
     z = _initial_points(w)
-    wrev = w[::-1].copy()
+    inner, outer = _newton_blocks(w)
+    moving = np.ones(len(z), dtype=bool)
+    buf = np.empty((len(z), len(z)), dtype=np.complex128)
     for _ in range(max_iter):
-        newton = _newton_corrections(w, wrev, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
+        every = moving.all()
+        idx = np.nonzero(moving)[0]
+        zs = z[idx]
+        newton = _newton_corrections(inner, outer, zs)
+        diff = np.subtract(zs[:, None], z, out=buf[: len(idx)])
+        diff[np.arange(len(idx)), idx] = np.inf
+        s = np.divide(1.0, diff, out=diff).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = newton / (1.0 - newton * s)
         corr = np.where(np.isfinite(corr), corr, newton)
-        z = z - corr
-        if np.abs(corr).max() <= tol * (1.0 + np.abs(z).max()):
+        z[idx] = zs - corr
+        step = np.abs(corr)
+        bound = tol * (1.0 + np.abs(z).max())
+        if every and step.max() <= bound:
             break
+        moving[idx] = step > bound
+        if not moving.any():
+            moving[:] = True
     return z
 
 
@@ -565,22 +612,17 @@ def poly_to_json(p) -> dict:
     }
 
 
-def _require_finite(name: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ParseError(f"{name} must be finite (no NaN or infinity)")
-
-
 def _pairs_to_complex(pairs) -> np.ndarray:
     try:
         arr = np.asarray([[float(re), float(im)] for re, im in pairs], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"coefficients must be [re, im] pairs: {exc}") from exc
-    _require_finite("coefficients", arr)
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr.reshape(-1, 2).view(np.complex128)[:, 0]
 
 
 def poly_from_json(obj: dict):
-    """Parse the polynomial interchange format, rejecting length mismatches."""
+    """Parse the polynomial interchange format, rejecting length mismatches
+    and (through the constructors) non-finite numbers."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("polynomial JSON must be an object with a 'type' field")
     kind = obj["type"]
@@ -594,18 +636,19 @@ def poly_from_json(obj: dict):
     if degree < 0:
         raise ParseError("degree must be nonnegative")
     if kind == "alg":
-        if len(coeffs) != degree + 1:
-            raise ParseError(
-                f"alg coeffs length {len(coeffs)} does not match degree {degree} (need degree+1)"
-            )
-        return AlgebraicPoly(coeffs)
-    if kind == "trig":
-        if len(coeffs) != 2 * degree + 1:
-            raise ParseError(
-                f"trig coeffs length {len(coeffs)} does not match degree {degree} (need 2*degree+1)"
-            )
-        return TrigPoly(coeffs)
-    raise ParseError(f"unknown polynomial type {kind!r}")
+        cls, need, rule = AlgebraicPoly, degree + 1, "degree+1"
+    elif kind == "trig":
+        cls, need, rule = TrigPoly, 2 * degree + 1, "2*degree+1"
+    else:
+        raise ParseError(f"unknown polynomial type {kind!r}")
+    if len(coeffs) != need:
+        raise ParseError(
+            f"{kind} coeffs length {len(coeffs)} does not match degree {degree} (need {rule})"
+        )
+    try:
+        return cls(coeffs)
+    except InvalidParam as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def expsum_from_json(obj: dict) -> ExponentialSum:
@@ -617,9 +660,6 @@ def expsum_from_json(obj: dict) -> ExponentialSum:
         bw = None if bw is None else float(bw)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad expsum JSON: {exc}") from exc
-    _require_finite("expsum amplitudes", amps)
-    _require_finite("expsum frequencies", freqs)
-    _require_finite("expsum bandwidth", 0.0 if bw is None else bw)
     try:
         return ExponentialSum(amps, freqs, bw)
     except InvalidParam as exc:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polynorm import kernels as kernels_mod
 from polynorm.errors import InvalidParam
 from polynorm.kernels import (
     bergman_profile,
@@ -52,6 +53,20 @@ def test_dirichlet_examples():
 def test_dirichlet_geometric_identity(n, z):
     lhs = dirichlet(n, z) * (1 - z)
     assert abs(lhs - (1 - z**n)) <= 1e-9 * (1 + abs(z) ** n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 33, 128])
+@pytest.mark.parametrize("xi", [0.8 * np.exp(0.7j), 0.3 - 0.1j, np.exp(1.3j), 1.0])
+def test_dirichlet_on_grid_matches_closed_form(n, xi):
+    # D_n(w) = (1 - w^n)/(1 - w) at w = conj(xi) u, u on the N-point grid
+    N = grid_size(n)
+    theta = 2 * np.pi * np.arange(N) / N - np.angle(xi)
+    w = abs(xi) * np.exp(1j * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (1 - abs(xi) ** n * np.exp(1j * n * theta)) / (1 - w)
+    far = np.abs(1 - w) > 0.1
+    got = kernels_mod._dirichlet_on_grid(n, complex(xi), N)
+    assert np.abs(got - closed)[far].max() <= 1e-13 * n
 
 
 # -------------------------------------------------------- first derivative rep

@@ -207,6 +207,74 @@ def test_roots_residual_on_high_degree_lifts(n):
     assert rs.residual <= 1e-10
 
 
+def _monic(p):
+    # the w that roots() hands to its solver
+    c = p.coeffs[: p.effective_degree + 1]
+    return c / c[-1]
+
+
+def _aberth_step(w, z):
+    # one simultaneous Aberth correction of every root of monic w at z
+    inner, outer = poly_mod._newton_blocks(w)
+    newton = poly_mod._newton_corrections(inner, outer, z)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
+
+
+@pytest.mark.parametrize("d", [64, 256])
+def test_newton_corrections_match_direct_evaluation(d):
+    rng = np.random.default_rng(d)
+    w = _monic(_rand_alg(rng, d))
+    dw = np.arange(1, d + 1) * w[1:]
+    angles = 2 * np.pi * rng.random(40)
+    z = np.concatenate([r * np.exp(1j * angles) for r in (0.3, 0.9, 1.0, 1.1, 1.4)])
+    inner, outer = poly_mod._newton_blocks(w)
+    got = poly_mod._newton_corrections(inner, outer, z)
+    P = np.polynomial.polynomial
+    want = P.polyval(z, w) / P.polyval(z, dw)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_poly_values_column_block_matches_each_column(m):
+    # m = 5 takes the Horner branch, m = 40 the power matrix
+    rng = np.random.default_rng(m)
+    block = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    z = 1.1 * np.exp(2j * np.pi * rng.random(30))
+    got = poly_mod._poly_values(block, z)
+    assert got.shape == (30, 2)
+    for j in range(2):
+        want = np.polynomial.polynomial.polyval(z, block[:, j])
+        assert np.abs(got[:, j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _aberth_inputs():
+    for n in (32, 64, 128):
+        yield _monic(generate("gaussian-random", n, seed=n).to_algebraic())
+    yield _monic(generate("unimodular-random", 100, seed=5))
+
+
+@pytest.mark.parametrize("w", list(_aberth_inputs()), ids=["n32", "n64", "n128", "unimodular"])
+def test_aberth_stops_only_when_every_root_has_converged(w):
+    # the stop rule: one more simultaneous correction of all the roots is
+    # below tol * (1 + max|z|), however few of them the last sweeps stepped
+    z = poly_mod._aberth(w)
+    assert np.abs(_aberth_step(w, z)).max() <= 1e-14 * (1.0 + np.abs(z).max())
+
+
+def test_aberth_steps_only_moving_roots(monkeypatch):
+    n = 128
+    w = _monic(generate("gaussian-random", n, seed=n).to_algebraic())
+    sizes = []
+    newton = poly_mod._newton_corrections
+    monkeypatch.setattr(poly_mod, "_newton_corrections",
+                        lambda inner, outer, z: sizes.append(len(z)) or newton(inner, outer, z))
+    poly_mod._aberth(w)
+    assert sizes[0] == sizes[-1] == 2 * n
+    assert sum(sizes) < 2 * n * len(sizes)
+
+
 def _leja_order_by_rows(rts):
     # reference: one log-distance row per step instead of one table
     d = len(rts)
@@ -311,6 +379,36 @@ def test_json_rejects_length_mismatch():
         poly_from_json({"type": "trig", "degree": 1, "coeffs": [[1, 0], [2, 0]]})
     with pytest.raises(ParseError):
         poly_from_json({"type": "nope", "degree": 0, "coeffs": [[1, 0]]})
+    for kind in ("alg", "trig"):
+        with pytest.raises(ParseError):
+            poly_from_json({"type": kind, "degree": 0, "coeffs": []})
+
+
+def test_constructors_refuse_non_finite_numbers():
+    bad = (np.inf, -np.inf, np.nan, complex(1.0, np.nan))
+    for v in bad:
+        with pytest.raises(InvalidParam):
+            AlgebraicPoly([v, 1.0])
+        with pytest.raises(InvalidParam):
+            TrigPoly([1.0, v, 0.0])
+        with pytest.raises(InvalidParam):
+            ExponentialSum([1.0, v], [0.5, 1.0])
+    for f in (np.inf, np.nan):
+        with pytest.raises(InvalidParam):
+            ExponentialSum([1.0, 2.0], [0.5, f])
+        with pytest.raises(InvalidParam):
+            ExponentialSum([1.0], [0.5], bandwidth=f)
+    # an overflowing product is refused where it is built
+    with pytest.raises(InvalidParam):
+        with np.errstate(over="ignore"):
+            AlgebraicPoly([1.0, 2.0, 3.0]) * 1.7e308
+    # the parsers still raise ParseError
+    for obj in ({"type": "alg", "degree": 1, "coeffs": [[float("inf"), 0], [1, 0]]},
+                {"type": "trig", "degree": 0, "coeffs": [[0, float("nan")]]},
+                {"type": "expsum", "terms": [[1, 0, float("inf")]]},
+                {"type": "expsum", "bandwidth": float("nan"), "terms": [[1, 0, 0.5]]}):
+        with pytest.raises(ParseError):
+            poly_from_json(obj)
 
 
 def test_expsum_validation():
