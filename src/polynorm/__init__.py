@@ -7,6 +7,7 @@ from .errors import (
     NearCircleRoot,
     NotRealValued,
     OnUnitCircle,
+    OutOfRange,
     ParseError,
     PolynormError,
     RootInForbiddenRegion,

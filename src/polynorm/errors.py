@@ -21,6 +21,10 @@ class NearCircleRoot(PolynormError, ArithmeticError):
     """
 
 
+class OutOfRange(PolynormError, OverflowError):
+    """A computed value exceeds the floating-point range."""
+
+
 class BandwidthExceeded(PolynormError, ValueError):
     """An exponential sum contains a frequency above the measure bandwidth."""
 

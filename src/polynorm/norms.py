@@ -8,18 +8,22 @@ The remaining integrals go through one primitive, _circle_means: the power
 mean M_p of |p| (M_0 = exp of the mean of log|p|) on many circles at once,
 one row of coefficients (and, if need be, one exponent p) each, doubling
 each row's grid until that row's M_p changes by at most the relative
-tolerance; a doubling evaluates only the new points, and converged rows drop
-out. Area integrals are Gauss-Legendre in the radius over such rows. Both
-engines take coefficient rows as they are and scale each row themselves.
+tolerance; a doubling evaluates only the new points (twiddles for every
+level from one table), and converged rows drop out of the compacted arrays
+the loop carries. Area integrals are Gauss-Legendre in the radius over such
+rows, each input scaled by its own power of two. Both engines take
+coefficient rows as they are and scale each row themselves.
 
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
 the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
 |zP'| and |nP - zP'| for the malik and laguerre checks). The lags of each
-|h|^2 come from one exact matrix product (no loop over rows or terms), F on
-the grid from one half-spectrum inverse FFT, and grid maxima are refined by
-Newton steps on exact derivatives; a single term steps on the w nonnegative
-lags of |h|^2, a sum of w frequencies in place of 2w - 1.
+|h|^2 come from one exact matrix product over a read-only strided window (no
+loop over rows or terms), F on the grid from one half-spectrum inverse FFT,
+and grid maxima are refined by Newton steps on exact derivatives; a single
+term steps on the w nonnegative lags of |h|^2, a sum of w frequencies in
+place of 2w - 1. Each row's result is its first best candidate, read from
+the row's run of candidates.
 """
 from __future__ import annotations
 
@@ -29,10 +33,10 @@ import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import AlgebraicPoly, TrigPoly, _grid_values, _prescaled, root_array, roots
+from .errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolynomial
+from .poly import AlgebraicPoly, TrigPoly, _prescaled, root_array, roots
 
 _TWO_PI = 2.0 * np.pi
 
@@ -99,33 +103,42 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
 
     Each row keeps its running sum, so a doubling from N to 2N points
     evaluates only the N new points, which sit half a spacing off the old
-    ones: one N-point FFT of the coefficients times e^{i pi k/N}. Only rows
-    still changing take part, and the test is applied to each row on its
-    own, because the rule converges at a different rate on each circle. A row
-    that runs out of budget keeps its last value.
+    ones: one zero-padded N-point FFT of the coefficients times e^{i pi k/N}.
+    The twiddles e^{i pi k/N} of every level come from one exp over a
+    (max_doublings, width) table. Only rows still changing take part: the
+    coefficients, running sums, last values and exponents of those rows are
+    carried as compacted arrays, cut down only on a level where some row
+    stops. The test is applied to each row on its own, because the rule
+    converges at a different rate on each circle. A row that runs out of
+    budget keeps its last value.
 
     Rows are independent: a row's value is the same, bit for bit, whatever
     other rows and exponents share its call; the rows of each distinct
     exponent are raised to it as one scalar (_each_exponent).
     """
     rows, e = _prescaled(np.atleast_2d(np.ascontiguousarray(rows, dtype=np.complex128)), axis=1)
-    k = np.arange(rows.shape[1])
+    if grid0 < rows.shape[1]:
+        raise InvalidParam(f"grid {grid0} too small for {rows.shape[1]} coefficients")
     p = np.asarray(p, dtype=np.float64)
-    sums = _each_exponent(_power_sums, np.abs(_grid_values(rows, 0, grid0)), p)
-    grid = grid0
-    value = _each_exponent(_power_means, sums / grid, p)
-    active = np.arange(rows.shape[0])
-    for _ in range(max_doublings):
-        pa = p[active] if p.ndim else p
-        a = np.abs(_grid_values(rows[active] * np.exp(1j * np.pi * k / grid), 0, grid))
-        sums[active] += _each_exponent(_power_sums, a, pa)
-        grid *= 2
-        cur = _each_exponent(_power_means, sums[active] / grid, pa)
-        done = np.abs(cur - value[active]) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
-        value[active] = cur
-        active = active[~done]
-        if active.size == 0:
-            break
+    sums = _each_exponent(_power_sums, np.abs(np.fft.ifft(rows, grid0, norm="forward")), p)
+    value = _each_exponent(_power_means, sums / grid0, p)
+    grids = grid0 << np.arange(max_doublings)
+    twiddles = np.exp(1j * np.pi * np.arange(rows.shape[1]) / grids[:, None])
+    # the rows still changing: their indices, coefficients, sums, values, exponents
+    active, cur = np.arange(len(rows)), value
+    for grid, twiddle in zip(grids.tolist(), twiddles):
+        a = np.abs(np.fft.ifft(rows * twiddle, grid, norm="forward"))
+        sums += _each_exponent(_power_sums, a, p)
+        last, cur = cur, _each_exponent(_power_means, sums / (2 * grid), p)
+        done = np.abs(cur - last) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
+        if done.any():
+            value[active] = cur
+            keep = ~done
+            active, rows, sums, cur = active[keep], rows[keep], sums[keep], cur[keep]
+            p = p[keep] if p.ndim else p
+            if active.size == 0:
+                break
+    value[active] = cur
     return np.ldexp(value, e[:, 0])
 
 
@@ -164,19 +177,30 @@ def _grid_candidates(vals: np.ndarray):
     A row whose spread is negligible or not finite is flat to working
     precision, and its only candidate is its grid argmax.
     """
-    jbest = np.argmax(vals, axis=1)
-    gmax = vals[np.arange(vals.shape[0]), jbest]
+    gmax = vals.max(axis=1)
     spread = gmax - vals.min(axis=1)
-    active = np.isfinite(spread) & (spread > 1e-14 * np.maximum(1.0, np.abs(gmax)))
+    flat = ~(np.isfinite(spread) & (spread > 1e-14 * np.maximum(1.0, np.abs(gmax))))
+    # a candidate is at least its two neighbours and the top quarter's floor
     wrapped = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
-    cand = (vals >= wrapped[:, :-2]) & (vals >= wrapped[:, 2:])
-    cand &= vals >= (gmax - 0.25 * spread)[:, None]
-    cand &= active[:, None]
-    cand[~active, jbest[~active]] = True
-    return np.nonzero(cand)
+    floor = np.maximum(wrapped[:, :-2], wrapped[:, 2:])
+    cand = vals >= np.maximum(floor, (gmax - 0.25 * spread)[:, None], out=floor)
+    if flat.any():
+        cand[flat] = False
+        cand[flat, vals[flat].argmax(axis=1)] = True
+    return cand.nonzero()
 
 
 _NEWTON_STEPS = 8
+
+
+def _with_derivatives(c: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """c with a last axis of length 3 appended: c, d1 * c and d2 * c, the
+    coefficients of a trig polynomial and of its first two derivatives."""
+    out = np.empty(c.shape + (3,), dtype=np.complex128)
+    out[..., 0] = c
+    out[..., 1] = d1 * c
+    out[..., 2] = d2 * c
+    return out
 
 
 def circle_max(h, grid: int, weights=(1.0,)):
@@ -192,8 +216,9 @@ def circle_max(h, grid: int, weights=(1.0,)):
     of one width. Each row is first scaled by its own power of two, which is
     exact, so nothing overflows or underflows. |h_t|^2 has the coefficients
     b_m = sum_j c_{j+m} conj(c_j) at lags m >= 0 and conj(b_m) at -m, so one
-    matrix product over a sliding window of the coefficients gives the lags
-    m = 0..width-1 of every row and term at once. A single-frequency row has
+    matrix product over a sliding window of the zero-padded coefficients (a
+    read-only as_strided view, no copy) gives the lags m = 0..width-1 of
+    every row and term at once. A single-frequency row has
     one nonzero product there, so its b is exactly [|c|^2, 0, ...] and its
     grid is exactly flat; an FFT autocorrelation would round it. One
     half-spectrum inverse FFT (irfft) of b gives F on the uniform ``grid``
@@ -201,7 +226,10 @@ def circle_max(h, grid: int, weights=(1.0,)):
     _grid_candidates takes Newton steps x <- x - F'/F'' on exact derivatives,
     clipped to one grid spacing around its start, or a half-spacing ascent
     step where F'' >= 0, and the best iterate is kept; a row stops stepping
-    once none of its candidates moves by more than 1e-13. A single term,
+    once none of its candidates moves by more than 1e-13. Candidates come
+    in one run per row, so each row's result, its first candidate (in grid
+    order) holding the row's best value, is read from the run starts with
+    two reduceat calls. A single term,
     whose weight must be positive, steps on |h|^2 = b_0 + 2 Re sum_{m>=1}
     b_m e^{imx}, which has the same maximizer and costs width frequencies
     per step, no square root and no division. Several terms step on F
@@ -216,8 +244,11 @@ def circle_max(h, grid: int, weights=(1.0,)):
     if grid < 2 * width - 1:
         raise InvalidParam(f"grid {grid} too small for {width} coefficients")
     # half[..., m] = sum_j c_{j+m} conj(c_j), the lags m >= 0 of |h_t|^2
-    padded = np.concatenate([h, np.zeros_like(h[..., 1:])], axis=-1)
-    half = (sliding_window_view(padded, width, axis=-1) @ np.conj(h)[..., None])[..., 0]
+    padded = np.zeros(h.shape[:-1] + (2 * width - 1,), dtype=np.complex128)
+    padded[..., :width] = h
+    windows = as_strided(padded, h.shape + (width,), padded.strides + padded.strides[-1:],
+                         writeable=False)  # windows[..., m, :] = padded[..., m:m + width]
+    half = (windows @ np.conj(h)[..., None])[..., 0]
     g = np.fft.irfft(half, grid, norm="forward")
     vals = g[:, 0] if single else (np.sqrt(np.maximum(g, 0.0)) * w[..., None]).sum(axis=1)
     rows, cols = _grid_candidates(vals)
@@ -225,54 +256,54 @@ def circle_max(h, grid: int, weights=(1.0,)):
     x0 = cols * dx
     wk = w[rows].T if w.ndim == 2 else w[:, None]  # (T, candidates) or (T, 1)
 
+    m = np.arange(width)
+    im = 1j * m
     if single:
-        m = np.arange(width)
         b = half[:, 0] * np.where(m > 0, 2.0, 1.0)  # F = Re sum_m b_m e^{imx}
-        coef = np.stack([b, 1j * m * b, -(m * m) * b], axis=-1)[rows]
+        coef = _with_derivatives(b, im, -(m * m))[rows]
 
         def objective(x):
-            return np.einsum("kj,kjs->sk", np.exp(1j * np.multiply.outer(x, m)), coef).real
+            return np.einsum("kj,kjs->sk", np.exp(np.multiply.outer(x, im)), coef).real
     else:
-        j = np.arange(width)
-        coef = np.stack([h, 1j * j * h, -(j * j) * h], axis=-1)[rows]
+        coef = _with_derivatives(h, im, -(m * m))[rows]
 
         def objective(x):
-            v, v1, v2 = np.einsum("kj,ktjs->stk", np.exp(1j * np.multiply.outer(x, j)), coef)
+            v, v1, v2 = np.einsum("kj,ktjs->stk", np.exp(np.multiply.outer(x, im)), coef)
             terms = np.empty((3,) + v.shape)  # |h_t| and its two derivatives
             a = np.abs(v, out=terms[0])
             inv = 1.0 / np.where(a > 0.0, a, np.inf)
-            d1 = np.multiply((np.conj(v) * v1).real, inv, out=terms[1])
-            np.multiply((v1 * np.conj(v1)).real + (np.conj(v) * v2).real - d1 * d1, inv,
-                        out=terms[2])
+            cv = np.conj(v)
+            d1 = np.multiply((cv * v1).real, inv, out=terms[1])
+            np.multiply((v1 * np.conj(v1)).real + (cv * v2).real - d1 * d1, inv, out=terms[2])
             return (terms * wk).sum(axis=1)
 
     x = x0
+    lo, hi, half_dx = x0 - dx, x0 + dx, 0.5 * dx
     f, f1, f2 = objective(x)
-    top_x, top_f = x, f
+    top_x, top_f = x.copy(), f.copy()
     # every row has a candidate and rows ascend: row r's run starts at starts[r]
-    starts = np.searchsorted(rows, np.arange(len(h))) if len(h) > 1 else None
+    starts = np.searchsorted(rows, np.arange(len(h)))
     for _ in range(_NEWTON_STEPS):
         concave = f2 < 0.0
-        move = np.where(concave, -f1 / np.where(concave, f2, -1.0), 0.5 * dx * np.sign(f1))
-        x_next = np.clip(x + move, x0 - dx, x0 + dx)
-        step = np.abs(x_next - x)
-        if step.max() <= 1e-13:
+        move = half_dx * np.sign(f1)
+        np.divide(-f1, f2, out=move, where=concave)
+        x_next = np.minimum(np.maximum(x + move, lo), hi)
+        moving = np.abs(x_next - x) > 1e-13
+        if not moving.any():
             break
-        if starts is not None:
-            moving = ~(step <= 1e-13)
-            if not moving.all():
-                # a row none of whose candidates moved keeps its x, so it
-                # computes the same step again and stays stopped
-                x_next = np.where(np.logical_or.reduceat(moving, starts)[rows], x_next, x)
+        if not moving.all():
+            # a row none of whose candidates moved keeps its x, so it
+            # computes the same step again and stays stopped
+            x_next = np.where(np.logical_or.reduceat(moving, starts)[rows], x_next, x)
         x = x_next
         f, f1, f2 = objective(x)
         up = f > top_f
-        top_x = np.where(up, x, top_x)
-        top_f = np.where(up, f, top_f)
+        np.copyto(top_x, x, where=up)
+        np.copyto(top_f, f, where=up)
 
     # per row, the first candidate (in grid order) holding the row's best value
-    order = np.lexsort((-top_f, rows))
-    first = order[np.unique(rows[order], return_index=True)[1]]
+    best = np.maximum.reduceat(top_f, starts)[rows]
+    first = np.minimum.reduceat(np.where(top_f == best, np.arange(len(rows)), len(rows)), starts)
     top = w[..., 0] * np.sqrt(np.maximum(top_f[first], 0.0)) if single else top_f[first]
     return np.ldexp(top, e[:, 0, 0]), top_x[first] % _TWO_PI
 
@@ -424,17 +455,34 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
     """disk_mean of each of the algebraic polynomials ``polys``, all of one
     declared degree: the circle means over every radius of every input come
     from one _circle_means call, one row each. ``power`` must be finite and
-    positive; a zero polynomial has disk mean 0."""
+    positive; a zero polynomial has disk mean 0.
+
+    Each input is first divided by its own power of two 2^s (_prescaled),
+    which is exact, so its circle means stay in range even where those of
+    the input would not (a circle mean can exceed the largest coefficient
+    by a factor up to the number of coefficients). The integral,
+    homogeneous of degree ``power``, is multiplied back by 2^(s power),
+    exactly when s power is an integer; one beyond the float range raises
+    OutOfRange.
+    """
     if not (power > 0) or not math.isfinite(power):
         raise InvalidParam("disk_mean needs a finite power > 0")
     if not polys:
         return np.zeros(0)
     cfg = cfg or DEFAULT_CONFIG
     r, w = _radial_rule(cfg.radial_nodes)
-    rows = np.concatenate([_dilated(p.coeffs, r) for p in polys])
+    coeffs, s = _prescaled(np.array([p.coeffs for p in polys], dtype=np.complex128), axis=1)
+    rows = np.concatenate([_dilated(c, r) for c in coeffs])
     means = _circle_means(rows, power, cfg.initial_grid(polys[0].degree), cfg.area_rel_tol,
                           cfg.max_doublings).reshape(len(polys), len(r))
-    return 2.0 * (w * r * means**power).sum(axis=1)
+    scale = s[:, 0] * power
+    whole = np.floor(scale)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(2.0 * (w * r * means**power).sum(axis=1) * 2.0 ** (scale - whole),
+                       whole.astype(int))
+    if not np.isfinite(out).all():
+        raise OutOfRange("disk mean exceeds the floating-point range")
+    return out
 
 
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:

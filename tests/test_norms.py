@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynorm import norms
-from polynorm.errors import InvalidParam, NearCircleRoot, ZeroPolynomial
+from polynorm.errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolynomial
 from polynorm.norms import (
     QuadratureConfig,
     _circle_means,
@@ -253,15 +254,17 @@ def test_circle_means_doubling_matches_direct_mean():
 
 @pytest.fixture
 def grid_shapes(monkeypatch):
-    # the shape of every batch of grid values _circle_means evaluates
+    # the shape of every batch of grid values _circle_means evaluates, each
+    # one zero-padded inverse FFT
     shapes = []
+    ifft = np.fft.ifft
 
-    def recording(c, kmin, grid):
-        values = _grid_values(c, kmin, grid)
+    def recording(c, *args, **kwargs):
+        values = ifft(c, *args, **kwargs)
         shapes.append(values.shape)
         return values
 
-    monkeypatch.setattr(norms, "_grid_values", recording)
+    monkeypatch.setattr(np.fft, "ifft", recording)
     return shapes
 
 
@@ -521,6 +524,23 @@ def test_circle_means_extreme_scales(scale, rel):
             got = norm(p * scale)
             assert math.isfinite(got) and got > 0.0
             assert got / scale == pytest.approx(norm(p), rel=rel)
+
+
+def test_disk_means_stay_finite_when_circle_means_overflow():
+    # the circle means of p'' exceed the float range near r = 1 while the
+    # seminorm, 1e306 times that of p, does not; each input is scaled by its
+    # own power of two, and an integral that itself overflows raises
+    rng = np.random.default_rng(0)
+    p = AlgebraicPoly(rng.standard_normal(11) + 1j * rng.standard_normal(11))
+    base = besov_111_seminorm(p)
+    assert base == pytest.approx(42.3788, rel=1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = besov_111_seminorm(p * 1e306)
+        assert got == pytest.approx(1e306 * base, rel=1e-14)
+        assert disk_mean(p * 2.0**900, 1.0) == 2.0**900 * disk_mean(p, 1.0)
+        with pytest.raises(OutOfRange):
+            disk_mean(p * 1e306, 1.5)
 
 
 def _dense_disk_mean(coeffs, power, nodes=64, grid=2**16):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,7 +440,7 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
         prefix = str(tmp_path / tag)
         assert main(["verify", str(cfg_path), "--out", prefix]) == 0
         capsys.readouterr()
-        blobs.append(open(prefix + ".jsonl", "rb").read())
+        blobs.append(Path(prefix + ".jsonl").read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -454,7 +455,7 @@ def test_cli_verify_profile_leaves_outputs_alone(tmp_path, capsys):
     assert main(["verify", str(cfg_path), "--out", profiled, "--profile", str(profile_path)]) == 0
     capsys.readouterr()
     for ext in (".jsonl", ".csv"):
-        assert open(plain + ext, "rb").read() == open(profiled + ext, "rb").read()
+        assert Path(plain + ext).read_bytes() == Path(profiled + ext).read_bytes()
     profile = json.loads(profile_path.read_text())
     assert profile["sweep_s"] > 0.0
     checks = profile["checks"]
