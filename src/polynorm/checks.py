@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParam, NotRealValued, OnUnitCircle, RootInForbiddenRegion
+from .errors import InvalidParam, NotRealValued, OnUnitCircle, OutOfRange, RootInForbiddenRegion
 from .kernels import (
     besov_111_bound_constant,
     besov_inf1_bound_constant,
@@ -105,8 +105,12 @@ def passes(measured: float, bound: float, tol: float, abs_slack: float | None = 
 
 def _report(check_id, payload, measured, bound, tol, *, abs_slack=None,
             witnesses=(), params=None) -> VerificationReport:
+    """An "ok" report; a non-finite measured or bound is an internal error
+    (OutOfRange), never a report."""
     measured = float(measured)
     bound = float(bound)
+    if not (math.isfinite(measured) and math.isfinite(bound)):
+        raise OutOfRange(f"{check_id}: measured {measured} and bound {bound} must be finite")
     params = dict(params or {})
     if abs_slack is not None:
         params["abs_slack"] = float(abs_slack)

@@ -22,7 +22,8 @@ class NearCircleRoot(PolynormError, ArithmeticError):
 
 
 class OutOfRange(PolynormError, OverflowError):
-    """A computed value exceeds the floating-point range."""
+    """A computed value exceeds the floating-point range (or, past an
+    overflow, is not a number)."""
 
 
 class BandwidthExceeded(PolynormError, ValueError):

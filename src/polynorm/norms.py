@@ -8,11 +8,13 @@ The remaining integrals go through one primitive, _circle_means: the power
 mean M_p of |p| (M_0 = exp of the mean of log|p|) on many circles at once,
 one row of coefficients (and, if need be, one exponent p) each, doubling
 each row's grid until that row's M_p changes by at most the relative
-tolerance; a doubling evaluates only the new points (twiddles for every
-level from one table), and converged rows drop out of the compacted arrays
-the loop carries. Area integrals are Gauss-Legendre in the radius over such
+tolerance; a doubling evaluates only the new points, as the initial grid
+shifted by each of the level's offsets (one batched FFT of that grid's
+length per level), and converged rows drop out of the compacted arrays the
+loop carries. Area integrals are Gauss-Legendre in the radius over such
 rows, each input scaled by its own power of two. Both engines take
-coefficient rows as they are and scale each row themselves.
+coefficient rows as they are and scale each row themselves, and a value
+beyond the float range raises OutOfRange.
 
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
@@ -102,49 +104,71 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     multiplied back by 2^e.
 
     Each row keeps its running sum, so a doubling from N to 2N points
-    evaluates only the N new points, which sit half a spacing off the old
-    ones: one zero-padded N-point FFT of the coefficients times e^{i pi k/N}.
-    The twiddles e^{i pi k/N} of every level come from one exp over a
-    (max_doublings, width) table. Only rows still changing take part: the
-    coefficients, running sums, last values and exponents of those rows are
-    carried as compacted arrays, cut down only on a level where some row
-    stops. The test is applied to each row on its own, because the rule
-    converges at a different rate on each circle. A row that runs out of
-    budget keeps its last value.
+    evaluates only the N new points x = pi (2t + 1)/N. Writing
+    t = s + q N/grid0 shows them as the grid0-point grid shifted by the
+    N/grid0 offsets theta_s = pi (2s + 1)/N, so a level is one batched
+    grid0-point FFT of the coefficients times e^{ij theta_s}, one transform
+    per offset. The offsets of a level are those of the level before, each
+    minus and plus pi/N (the first level has the one offset pi/grid0), so
+    the loop carries each row times the twiddles of its last offsets and
+    makes the next level's by one broadcast multiply with e^{-+ i pi j/N}.
+    Only rows still changing take part: the shifted coefficients, running
+    sums, last values and exponents of those rows are carried as compacted
+    arrays, cut down only on a level where some row stops. The test is
+    applied to each row on its own, because the rule converges at a
+    different rate on each circle. A row that runs out of budget keeps its
+    last value; one whose value exceeds the float range raises OutOfRange.
 
     Rows are independent: a row's value is the same, bit for bit, whatever
     other rows and exponents share its call; the rows of each distinct
     exponent are raised to it as one scalar (_each_exponent).
     """
     rows, e = _prescaled(np.atleast_2d(np.ascontiguousarray(rows, dtype=np.complex128)), axis=1)
-    if grid0 < rows.shape[1]:
-        raise InvalidParam(f"grid {grid0} too small for {rows.shape[1]} coefficients")
+    width = rows.shape[1]
+    if grid0 < width:
+        raise InvalidParam(f"grid {grid0} too small for {width} coefficients")
     p = np.asarray(p, dtype=np.float64)
-    sums = _each_exponent(_power_sums, np.abs(np.fft.ifft(rows, grid0, norm="forward")), p)
+    # shifted[r, s]: row r times e^{ij theta} for the s-th offset theta of the last level
+    shifted = rows[:, None, :]
+    sums = _each_exponent(_power_sums, np.abs(np.fft.ifft(shifted, grid0, norm="forward")), p)
     value = _each_exponent(_power_means, sums / grid0, p)
     grids = grid0 << np.arange(max_doublings)
-    twiddles = np.exp(1j * np.pi * np.arange(rows.shape[1]) / grids[:, None])
-    # the rows still changing: their indices, coefficients, sums, values, exponents
+    # steps[d] = (e^{-i pi j/N}, e^{i pi j/N}) for N = grids[d]
+    steps = np.exp(1j * np.pi * (np.arange(width) * [[-1], [1]]) / grids[:, None, None])
+    # the rows still changing: their indices, shifted rows, sums, values, exponents
     active, cur = np.arange(len(rows)), value
-    for grid, twiddle in zip(grids.tolist(), twiddles):
-        a = np.abs(np.fft.ifft(rows * twiddle, grid, norm="forward"))
+    for level, (grid, step) in enumerate(zip(grids.tolist(), steps)):
+        twiddle = step if level else step[1:]  # the first level has the one offset pi/grid0
+        shifted = (shifted[:, :, None] * twiddle).reshape(len(shifted), -1, width)
+        a = np.abs(np.fft.ifft(shifted, grid0, norm="forward"))
         sums += _each_exponent(_power_sums, a, p)
         last, cur = cur, _each_exponent(_power_means, sums / (2 * grid), p)
         done = np.abs(cur - last) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
         if done.any():
             value[active] = cur
             keep = ~done
-            active, rows, sums, cur = active[keep], rows[keep], sums[keep], cur[keep]
+            active, shifted, sums, cur = active[keep], shifted[keep], sums[keep], cur[keep]
             p = p[keep] if p.ndim else p
             if active.size == 0:
                 break
     value[active] = cur
-    return np.ldexp(value, e[:, 0])
+    return _scaled_back(value, e[:, 0], "circle mean")
+
+
+def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
+    """x * 2^e, exact; a value beyond the float range raises OutOfRange (no
+    overflow warning escapes)."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(x, e)
+    if not np.isfinite(out).all():
+        raise OutOfRange(f"{what} exceeds the floating-point range")
+    return out
 
 
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
-    """Row sums of a**p, or of log(a) at p = 0."""
-    return (a**p if p != 0 else np.log(a)).sum(axis=1)
+    """Per row a[r] (of shape (offsets, points)), the sum of a[r]**p, or of
+    log(a[r]) at p = 0."""
+    return (a**p if p != 0 else np.log(a)).sum(axis=(1, 2))
 
 
 def _power_means(mean: np.ndarray, p: float) -> np.ndarray:
@@ -187,7 +211,7 @@ def _grid_candidates(vals: np.ndarray):
     if flat.any():
         cand[flat] = False
         cand[flat, vals[flat].argmax(axis=1)] = True
-    return cand.nonzero()
+    return np.divmod(np.flatnonzero(cand), vals.shape[1])
 
 
 _NEWTON_STEPS = 8
@@ -305,7 +329,7 @@ def circle_max(h, grid: int, weights=(1.0,)):
     best = np.maximum.reduceat(top_f, starts)[rows]
     first = np.minimum.reduceat(np.where(top_f == best, np.arange(len(rows)), len(rows)), starts)
     top = w[..., 0] * np.sqrt(np.maximum(top_f[first], 0.0)) if single else top_f[first]
-    return np.ldexp(top, e[:, 0, 0]), top_x[first] % _TWO_PI
+    return _scaled_back(top, e[:, 0, 0], "circle max"), top_x[first] % _TWO_PI
 
 
 def sup_norm(p) -> float:
@@ -417,8 +441,13 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
 
 
 def wiener_norm(p: AlgebraicPoly) -> float:
-    """Sum of |a_k| over the analytic coefficients."""
-    return _require_algebraic(p).wiener()
+    """Sum of |a_k| over the analytic coefficients; a sum beyond the float
+    range raises OutOfRange."""
+    with np.errstate(over="ignore"):
+        total = _require_algebraic(p).wiener()
+    if not math.isfinite(total):
+        raise OutOfRange("Wiener norm exceeds the floating-point range")
+    return total
 
 
 def _dilated(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -477,12 +506,8 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
                           cfg.max_doublings).reshape(len(polys), len(r))
     scale = s[:, 0] * power
     whole = np.floor(scale)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(2.0 * (w * r * means**power).sum(axis=1) * 2.0 ** (scale - whole),
-                       whole.astype(int))
-    if not np.isfinite(out).all():
-        raise OutOfRange("disk mean exceeds the floating-point range")
-    return out
+    return _scaled_back(2.0 * (w * r * means**power).sum(axis=1) * 2.0 ** (scale - whole),
+                        whole.astype(int), "disk mean")
 
 
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:

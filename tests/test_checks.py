@@ -8,6 +8,7 @@ from polynorm.errors import (
     InvalidParam,
     NotRealValued,
     OnUnitCircle,
+    OutOfRange,
     RootInForbiddenRegion,
 )
 from polynorm.norms import lp_norm, sup_norm
@@ -500,3 +501,12 @@ def test_report_margin_and_verdict_follow_its_numbers():
     assert rep.passed and rep.to_json()["margin"] == rep.bound - rep.measured
     rep.bound = rep.measured - 2.0 * slack
     assert not rep.passed and rep.to_json()["pass"] is False
+
+
+def test_report_refuses_non_finite_numbers():
+    # a non-finite measured value or bound is an internal error, not a report
+    for measured, bound in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                            (-math.inf, 1.0)):
+        with pytest.raises(OutOfRange):
+            C._report("malik", [1.0], measured, bound, 1e-9)
+    assert C._report("malik", [1.0], 1.0, 2.0, 1e-9).status == "ok"

@@ -2,11 +2,16 @@
 
 Every value in engine_bits.json is float.hex() of a seeded call of
 _circle_means or circle_max. Both engines are tuned for speed from time to
-time, and every such rewrite must keep every bit. The cases cover one row
-and many rows, one exponent and one per row (p = 0 included), doubling
-budgets 0, 3 and 6, tolerances 1e-8 and 1e-10 with rows that stop at
-different levels, and one- and two-term maxima with shared and per-row
-weights.
+time, and a rewrite that only reorders work must keep every bit. One that
+changes the arithmetic on purpose re-records the pins it moves and keeps
+the old ones as a reference file, every new value within a stated relative
+distance of its old pin: engine_bits_zero_padded.json holds the circle
+means of the engine that evaluated each doubling level as one zero-padded
+FFT, which the grid0-point FFTs per offset replaced (within 2e-15; the
+largest move was 9.6e-16). The cases cover one row and many rows, one
+exponent and one per row (p = 0 included), doubling budgets 0, 3 and 6,
+tolerances 1e-8 and 1e-10 with rows that stop at different levels, and
+one- and two-term maxima with shared and per-row weights.
 """
 import json
 from pathlib import Path
@@ -63,6 +68,7 @@ def _cases():
 
 
 EXPECTED = json.loads((Path(__file__).parent / "engine_bits.json").read_text())
+ZERO_PADDED = json.loads((Path(__file__).parent / "engine_bits_zero_padded.json").read_text())
 
 CASES = dict(_cases())
 
@@ -70,3 +76,10 @@ CASES = dict(_cases())
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engine_bits(name):
     assert [float(v).hex() for v in CASES[name]()] == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_PADDED))
+def test_circle_means_near_zero_padded_pins(name):
+    new = np.array([float.fromhex(v) for v in EXPECTED[name]])
+    old = np.array([float.fromhex(v) for v in ZERO_PADDED[name]])
+    assert np.all(np.abs(new - old) <= 2e-15 * np.abs(old))

@@ -252,16 +252,27 @@ def test_circle_means_doubling_matches_direct_mean():
             assert got == pytest.approx(_direct_mean(row, kmin, p, 2 * grid), rel=1e-15)
 
 
+def test_circle_means_offsets_land_on_the_doubled_grid():
+    # a slow row (its root has modulus 0.995) never stops early, so at budget
+    # b its value is the mean over all grid0 * 2^b nodes: each level's
+    # offsets must fill exactly the points the earlier levels left out
+    row = np.array([-0.995 * np.exp(0.3j), 1.0, 0.2j])
+    for b in range(7):
+        for p in (0.0, 0.5, 1.0, 3.0):
+            got = _circle_means(row, p, 16, 1e-300, b)[0]
+            assert got == pytest.approx(_direct_mean(row, 0, p, 16 * 2**b), rel=1e-13), (b, p)
+
+
 @pytest.fixture
 def grid_shapes(monkeypatch):
-    # the shape of every batch of grid values _circle_means evaluates, each
-    # one zero-padded inverse FFT
+    # (rows, points per row) of every batch of grid values _circle_means
+    # evaluates, each one inverse FFT over (rows, offsets, grid0) points
     shapes = []
     ifft = np.fft.ifft
 
     def recording(c, *args, **kwargs):
         values = ifft(c, *args, **kwargs)
-        shapes.append(values.shape)
+        shapes.append((len(values), values[0].size))
         return values
 
     monkeypatch.setattr(np.fft, "ifft", recording)
@@ -541,6 +552,20 @@ def test_disk_means_stay_finite_when_circle_means_overflow():
         assert disk_mean(p * 2.0**900, 1.0) == 2.0**900 * disk_mean(p, 1.0)
         with pytest.raises(OutOfRange):
             disk_mean(p * 1e306, 1.5)
+
+
+@pytest.mark.parametrize("norm", [
+    lambda: lp_norm(TrigPoly(np.full(3, 1.5e308)), 1.0),  # _circle_means, about 2.4e308
+    lambda: sup_norm(TrigPoly(np.full(3, 1.5e308))),  # circle_max, 4.5e308
+    lambda: wiener_norm(AlgebraicPoly(np.full(3, 1.5e308))),  # 4.5e308
+], ids=["lp", "sup", "wiener"])
+def test_norm_beyond_float_range_raises(norm):
+    # finite coefficients whose norm does not fit in a float: a typed error,
+    # not inf, and no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            norm()
 
 
 def _dense_disk_mean(coeffs, power, nodes=64, grid=2**16):

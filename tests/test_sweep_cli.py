@@ -45,6 +45,15 @@ def test_sweep_passes_and_summarizes(tmp_path):
     assert json.loads(lines[0])["check_id"]
 
 
+@pytest.mark.parametrize("seed", [0xBE2257, 1, 4242])
+def test_default_sweep_reports_only_finite_numbers(seed):
+    # _report raises on a non-finite measured value or bound, so the default
+    # sweep finishing is the check; every report it made is finite
+    res = sweep.run_sweep(sweep.SweepConfig(seed=seed))
+    assert res.all_passed
+    assert all(math.isfinite(r.measured) and math.isfinite(r.bound) for r in res.reports)
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     paths = []
     for tag in ("a", "b"):
