@@ -10,9 +10,12 @@ one row of coefficients (and, if need be, one exponent p) each, doubling
 each row's grid until that row's M_p changes by at most the relative
 tolerance; a doubling evaluates only the new points, as the initial grid
 shifted by each of the level's offsets (one batched FFT of that grid's
-length per level), and converged rows drop out of the compacted arrays the
-loop carries. Area integrals are Gauss-Legendre in the radius over such
-rows, each input scaled by its own power of two. Both engines take
+length per level, the initial grid and the first doubling sharing one),
+and converged rows drop out of the compacted arrays the loop carries. At
+an even integer power, |p|^power is itself a trig polynomial, so L^p norms
+and disk means alike take one exact grid of power * n + 1 points and no
+doubling (_grid_rule). Area integrals are Gauss-Legendre in the radius over
+such rows, each input scaled by its own power of two. Both engines take
 coefficient rows as they are and scale each row themselves, and a value
 beyond the float range raises OutOfRange.
 
@@ -57,6 +60,10 @@ class QuadratureConfig:
     rel_tol:         relative agreement target for circle integrals.
     radial_nodes:    Gauss-Legendre node count for radial integrals.
     area_rel_tol:    relative agreement target for disk-area integrals.
+
+    grid_multiplier and max_doublings do not apply to an even integer power:
+    its circle means, in L^p norms and disk means alike, take one exact grid
+    of power * degree + 1 points with no doubling (_grid_rule).
     """
 
     grid_multiplier: int = 16
@@ -111,8 +118,10 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     per offset. The offsets of a level are those of the level before, each
     minus and plus pi/N (the first level has the one offset pi/grid0), so
     the loop carries each row times the twiddles of its last offsets and
-    makes the next level's by one broadcast multiply with e^{-+ i pi j/N}.
-    Only rows still changing take part: the shifted coefficients, running
+    makes the next level's by one broadcast multiply with e^{-+ i pi j/N}
+    (_twiddles). Every row with a budget needs the first level, so the
+    initial grid and the first level's offset share one FFT. After that,
+    only rows still changing take part: the shifted coefficients, running
     sums, last values and exponents of those rows are carried as compacted
     arrays, cut down only on a level where some row stops. The test is
     applied to each row on its own, because the rule converges at a
@@ -128,21 +137,23 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     if grid0 < width:
         raise InvalidParam(f"grid {grid0} too small for {width} coefficients")
     p = np.asarray(p, dtype=np.float64)
-    # shifted[r, s]: row r times e^{ij theta} for the s-th offset theta of the last level
-    shifted = rows[:, None, :]
-    sums = _each_exponent(_power_sums, np.abs(np.fft.ifft(shifted, grid0, norm="forward")), p)
+    steps = _twiddles(grid0, width, max_doublings)
+    # shifted[r, s]: row r times e^{ij theta} for the s-th offset theta of a
+    # level; first the initial grid (theta = 0) and the first level's pi/grid0
+    shifted = np.stack([rows, rows * steps[0, 1]], axis=1) if max_doublings else rows[:, None]
+    a = np.abs(np.fft.ifft(shifted, grid0, norm="forward"))
+    sums = _each_exponent(_power_sums, a[:, :1], p)
     value = _each_exponent(_power_means, sums / grid0, p)
-    grids = grid0 << np.arange(max_doublings)
-    # steps[d] = (e^{-i pi j/N}, e^{i pi j/N}) for N = grids[d]
-    steps = np.exp(1j * np.pi * (np.arange(width) * [[-1], [1]]) / grids[:, None, None])
     # the rows still changing: their indices, shifted rows, sums, values, exponents
     active, cur = np.arange(len(rows)), value
-    for level, (grid, step) in enumerate(zip(grids.tolist(), steps)):
-        twiddle = step if level else step[1:]  # the first level has the one offset pi/grid0
-        shifted = (shifted[:, :, None] * twiddle).reshape(len(shifted), -1, width)
-        a = np.abs(np.fft.ifft(shifted, grid0, norm="forward"))
+    for level, step in enumerate(steps):
+        if level:
+            shifted = (shifted[:, :, None] * step).reshape(len(shifted), -1, width)
+            a = np.abs(np.fft.ifft(shifted, grid0, norm="forward"))
+        else:
+            shifted, a = shifted[:, 1:], a[:, 1:]
         sums += _each_exponent(_power_sums, a, p)
-        last, cur = cur, _each_exponent(_power_means, sums / (2 * grid), p)
+        last, cur = cur, _each_exponent(_power_means, sums / (2 * (grid0 << level)), p)
         done = np.abs(cur - last) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
         if done.any():
             value[active] = cur
@@ -153,6 +164,17 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
                 break
     value[active] = cur
     return _scaled_back(value, e[:, 0], "circle mean")
+
+
+@functools.lru_cache(maxsize=128)
+def _twiddles(grid0: int, width: int, max_doublings: int) -> np.ndarray:
+    """steps[d] = (e^{-i pi j/N}, e^{i pi j/N}), j < width, for the grid
+    N = grid0 2^d of each of the max_doublings levels of _circle_means,
+    built once per shape and returned read-only, since every call shares it."""
+    grids = grid0 << np.arange(max_doublings)
+    steps = np.exp(1j * np.pi * (np.arange(width) * [[-1], [1]]) / grids[:, None, None])
+    steps.flags.writeable = False
+    return steps
 
 
 def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
@@ -167,7 +189,10 @@ def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
 
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
     """Per row a[r] (of shape (offsets, points)), the sum of a[r]**p, or of
-    log(a[r]) at p = 0."""
+    log(a[r]) at p = 0; at p = 1 a is summed as it is (a**1.0 is an exact
+    copy)."""
+    if p == 1:
+        return a.sum(axis=(1, 2))
     return (a**p if p != 0 else np.log(a)).sum(axis=(1, 2))
 
 
@@ -361,9 +386,9 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     the one polynomial p.
 
     For even integer powers the integrand is itself a trig polynomial of
-    degree power*n, so one grid larger than that is exact; otherwise the
+    degree power*n, so the (power*n + 1)-point grid is exact; otherwise the
     grid doubles, adding only the new points, until successive norms agree
-    to rel_tol.
+    to rel_tol (_grid_rule).
     """
     return lp_norms([p], [power], cfg)[0]
 
@@ -375,7 +400,8 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
     through one _circle_means call, whose rows are independent, so each value
     is the same, bit for bit, as the one lp_norm gives alone. The derivative
     of an algebraic polynomial has a smaller initial grid than the
-    polynomial, and an even integer power has no doublings.
+    polynomial, and an even integer power has its own exact grid and no
+    doublings.
     """
     cfg = cfg or DEFAULT_CONFIG
     out = [0.0] * len(polys)
@@ -385,12 +411,7 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
             raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
         if not isinstance(p, (TrigPoly, AlgebraicPoly)):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-        n = p.degree
-        grid0, budget = cfg.initial_grid(n), cfg.max_doublings
-        rounded = round(power)
-        if rounded == power and rounded % 2 == 0:
-            grid0, budget = max(grid0, int(rounded) * n + 1), 0
-        groups.setdefault((len(p.coeffs), grid0, budget), []).append(i)
+        groups.setdefault((len(p.coeffs),) + _grid_rule(power, p.degree, cfg), []).append(i)
     for (_, grid0, budget), idx in groups.items():
         exps = [powers[i] for i in idx]
         exps = float(exps[0]) if len(set(exps)) == 1 else exps
@@ -399,6 +420,26 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
         for i, norm in zip(idx, norms.tolist()):
             out[i] = norm
     return out
+
+
+def _grid_rule(power, degree: int, cfg: QuadratureConfig) -> tuple:
+    """(initial grid, doubling budget) of the circle means of |q|^power for q
+    of declared degree ``degree``, the one rule of lp_norms and disk_means.
+
+    At an even integer power, |q|^power = (q conj(q))^(power/2) is a trig
+    polynomial of degree at most power * degree, which the trapezoid rule on
+    power * degree + 1 points integrates exactly: that grid, with budget 0
+    (it holds a trig row's 2 * degree + 1 coefficients). A power whose exact
+    grid would exceed the largest grid doubling reaches, and any other
+    power, starts at cfg.initial_grid(degree) with cfg.max_doublings.
+    """
+    grid0 = cfg.initial_grid(degree)
+    rounded = round(power)
+    if rounded == power and rounded % 2 == 0:
+        exact = int(rounded) * degree + 1
+        if exact <= grid0 << cfg.max_doublings:
+            return exact, 0
+    return grid0, cfg.max_doublings
 
 
 def mahler_jensen(p) -> float:
@@ -441,13 +482,9 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
 
 
 def wiener_norm(p: AlgebraicPoly) -> float:
-    """Sum of |a_k| over the analytic coefficients; a sum beyond the float
-    range raises OutOfRange."""
-    with np.errstate(over="ignore"):
-        total = _require_algebraic(p).wiener()
-    if not math.isfinite(total):
-        raise OutOfRange("Wiener norm exceeds the floating-point range")
-    return total
+    """Sum of |a_k| over the analytic coefficients (AlgebraicPoly.wiener); a
+    sum beyond the float range raises OutOfRange."""
+    return _require_algebraic(p).wiener()
 
 
 def _dilated(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -472,10 +509,10 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
 
     Polar form 2 * int_0^1 r * M(r)^power dr with Gauss-Legendre radial
     nodes, M(r) the power mean M_power of |p| on the circle of radius r: one
-    row of _circle_means on the dilated coefficients c_k r^k, whose angular
-    grid doubles, adding only the new points, until M(r) changes by at most
-    area_rel_tol (|p|^power along a circle is generally not a trig
-    polynomial).
+    row of _circle_means on the dilated coefficients c_k r^k. At an even
+    integer power that row takes one exact grid of power * n + 1 points;
+    otherwise its angular grid doubles, adding only the new points, until
+    M(r) changes by at most area_rel_tol (_grid_rule).
     """
     return float(disk_means([p], power, cfg)[0])
 
@@ -483,8 +520,9 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
 def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """disk_mean of each of the algebraic polynomials ``polys``, all of one
     declared degree: the circle means over every radius of every input come
-    from one _circle_means call, one row each. ``power`` must be finite and
-    positive; a zero polynomial has disk mean 0.
+    from one _circle_means call, one row each, on the grid and budget of
+    _grid_rule. ``power`` must be finite and positive; a zero polynomial
+    has disk mean 0.
 
     Each input is first divided by its own power of two 2^s (_prescaled),
     which is exact, so its circle means stay in range even where those of
@@ -502,8 +540,9 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
     r, w = _radial_rule(cfg.radial_nodes)
     coeffs, s = _prescaled(np.array([p.coeffs for p in polys], dtype=np.complex128), axis=1)
     rows = np.concatenate([_dilated(c, r) for c in coeffs])
-    means = _circle_means(rows, power, cfg.initial_grid(polys[0].degree), cfg.area_rel_tol,
-                          cfg.max_doublings).reshape(len(polys), len(r))
+    grid0, budget = _grid_rule(power, polys[0].degree, cfg)
+    means = _circle_means(rows, power, grid0, cfg.area_rel_tol,
+                          budget).reshape(len(polys), len(r))
     scale = s[:, 0] * power
     whole = np.floor(scale)
     return _scaled_back(2.0 * (w * r * means**power).sum(axis=1) * 2.0 ** (scale - whole),

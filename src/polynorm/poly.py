@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParam, ParseError, ZeroPolynomial
+from .errors import InvalidParam, OutOfRange, ParseError, ZeroPolynomial
 
 _TWO_PI = 2.0 * np.pi
 
@@ -181,7 +181,13 @@ class AlgebraicPoly:
     __rmul__ = __mul__
 
     def wiener(self) -> float:
-        return float(np.abs(self.coeffs).sum())
+        """Sum of |a_k|; a sum beyond the float range raises OutOfRange (no
+        overflow warning escapes)."""
+        with np.errstate(over="ignore"):
+            total = float(np.abs(self.coeffs).sum())
+        if not math.isfinite(total):
+            raise OutOfRange("Wiener norm exceeds the floating-point range")
+        return total
 
 
 @dataclass(frozen=True)
@@ -608,7 +614,7 @@ def poly_to_json(p) -> dict:
     return {
         "type": kind,
         "degree": deg,
-        "coeffs": [[float(c.real), float(c.imag)] for c in p.coeffs],
+        "coeffs": p.coeffs.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

@@ -11,6 +11,8 @@ from polynorm.errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolyno
 from polynorm.norms import (
     QuadratureConfig,
     _circle_means,
+    _grid_candidates,
+    _power_sums,
     besov_111_seminorm,
     besov_inf1_seminorm,
     circle_max,
@@ -174,6 +176,57 @@ def test_circle_max_stacked_rows_equal_one_row_calls():
                 assert (val[r], x[r]) == (alone[0][0], alone[1][0]), (width, h.shape, r)
 
 
+def _grid_candidates_by_definition(vals):
+    # the rule of _grid_candidates, one point at a time: a row whose spread is
+    # not finite or at most 1e-14 of its max offers its grid argmax alone;
+    # any other row offers each point at least its two (periodic) neighbours
+    # and the top quarter's floor
+    rows, cols = [], []
+    for r, row in enumerate(vals):
+        top = row.max()
+        spread = top - row.min()
+        if not (math.isfinite(spread) and spread > 1e-14 * max(1.0, abs(top))):
+            rows.append(r)
+            cols.append(int(np.argmax(row)))
+            continue
+        floor, n = top - 0.25 * spread, len(row)
+        for j in range(n):
+            if row[j] >= floor and row[j] >= row[j - 1] and row[j] >= row[(j + 1) % n]:
+                rows.append(r)
+                cols.append(j)
+    return rows, cols
+
+
+def _candidate_grids(rng, width):
+    # random rows, ties and plateaus (small integers), flat rows (constant,
+    # or spread below 1e-14 of the max), and rows holding nan or inf, mixed
+    # in one array so that flat rows sit between rows with several candidates
+    rows = 12
+    yield rng.standard_normal((rows, width))
+    ties = rng.integers(0, 3, (rows, width)).astype(float)
+    yield ties
+    yield np.repeat(rng.standard_normal((rows, (width + 1) // 2)), 2, axis=1)[:, :width]
+    mixed = ties.copy()
+    mixed[1] = 2.5
+    mixed[4] = 1.0 + 1e-16 * rng.standard_normal(width)
+    mixed[6, width // 2] = np.nan
+    mixed[7, -1] = np.inf
+    mixed[9, 0] = -np.inf
+    mixed[10] = np.nan
+    yield mixed
+    yield np.full((3, width), np.nan)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 97, 512])
+def test_grid_candidates_follow_their_rule_point_by_point(width):
+    rng = np.random.default_rng(width)
+    for vals in _candidate_grids(rng, width):
+        for v in (vals, vals[:1], np.ascontiguousarray(vals[::-1])):
+            with np.errstate(invalid="ignore"):  # inf - inf: a row holding inf is flat
+                got, want = _grid_candidates(v), _grid_candidates_by_definition(v)
+            assert [x.tolist() for x in got] == list(want)
+
+
 # -------------------------------------------------------------------- lp norm
 
 def test_lp_examples():
@@ -229,6 +282,17 @@ def test_even_p_exactness_against_autocorrelation():
         fourth = float(np.sum(np.abs(acf) ** 2)) ** 0.25
         assert lp_norm(t, 2.0) == pytest.approx(parseval, rel=1e-12)
         assert lp_norm(t, 4.0) == pytest.approx(fourth, rel=1e-12)
+
+
+def test_grid_rule_gives_even_powers_one_exact_grid():
+    cfg = QuadratureConfig()
+    assert norms._grid_rule(2.0, 7, cfg) == (15, 0)
+    assert norms._grid_rule(4, 0, cfg) == (1, 0)
+    assert norms._grid_rule(np.float64(6.0), 16, cfg) == (97, 0)
+    for power in (1.0, 3.0, 2.5, 0.25):
+        assert norms._grid_rule(power, 7, cfg) == (cfg.initial_grid(7), cfg.max_doublings)
+    # an exact grid beyond the largest grid that doubling reaches is not built
+    assert norms._grid_rule(2e6, 16, cfg) == (cfg.initial_grid(16), cfg.max_doublings)
 
 
 # ---------------------------------------------------------- circle means
@@ -287,8 +351,9 @@ def test_circle_means_rows_converge_alone(grid_shapes):
     slow = [np.array([1.0, -0.995, 0.0]), np.array([0.0, 1.0, 0.995j])]
     rows = np.stack([fast, slow[0], fast * 2j, slow[1]])
     batch = _circle_means(rows, 0.5, 32, 1e-10, 6)
-    # the slow rows use the whole budget: grids 64, 128, ..., 2048
-    assert grid_shapes == [(4, 32), (4, 32)] + [(2, 32 * 2**d) for d in range(1, 6)]
+    # the initial grid and the first doubling's offset share one FFT, and the
+    # slow rows use the whole budget: grids 64, 128, ..., 2048
+    assert grid_shapes == [(4, 64)] + [(2, 32 * 2**d) for d in range(1, 6)]
     for i, row in enumerate(rows):
         assert batch[i] == _circle_means(row, 0.5, 32, 1e-10, 6)[0]
 
@@ -304,6 +369,15 @@ def test_circle_means_exponent_per_row_matches_one_row_calls():
         batch = _circle_means(rows, np.array(exps), 32, 1e-10, budget)
         for row, p, got in zip(rows, exps, batch):
             assert got == _circle_means(row, p, 32, 1e-10, budget)[0], (p, budget)
+
+
+def test_power_sums_at_one_sum_the_moduli_as_they_are():
+    # a ** 1.0 is an exact copy, so summing a itself changes no bit, for a
+    # whole level and for the two halves of the first FFT batch alike
+    rng = np.random.default_rng(13)
+    a = np.abs(rng.standard_normal((5, 2, 37)) * 10.0 ** rng.uniform(-5, 5, (5, 2, 37)))
+    for view in (a, a[:, :1], a[:, 1:], rng.random((3, 4, 50))):
+        assert _power_sums(view, 1.0).tolist() == (view**1.0).sum(axis=(1, 2)).tolist()
 
 
 def test_lp_norms_equal_lp_norm_bit_for_bit():
@@ -498,6 +572,22 @@ def test_disk_mean_monomials():
         assert disk_mean(AlgebraicPoly(mono), 1.0) == pytest.approx(2 / (k + 2), rel=1e-10)
 
 
+def test_disk_mean_even_powers_on_one_exact_grid(grid_shapes):
+    # |q|^2 and |q|^4 = |q^2|^2 along a circle are trig polynomials, so one
+    # grid of power * deg + 1 points gives each circle mean exactly, and the
+    # area integrals are sum |c_k|^2/(k + 1) over the coefficients of q and q^2
+    rng = np.random.default_rng(19)
+    for deg in range(17):
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        c2 = np.convolve(c, c)
+        for power, coeffs in ((2, c), (4, c2)):
+            grid_shapes.clear()
+            got = disk_mean(AlgebraicPoly(c), power)
+            want = float(np.sum(np.abs(coeffs) ** 2 / np.arange(1, len(coeffs) + 1)))
+            assert got == pytest.approx(want, rel=1e-13), (deg, power)
+            assert grid_shapes == [(QuadratureConfig().radial_nodes, power * deg + 1)]
+
+
 def test_disk_mean_refuses_a_power_that_is_not_finite_and_positive():
     p = AlgebraicPoly([1.0, 0.5, -2j])
     for power in (math.inf, math.nan, 0.0, -1.0):
@@ -558,7 +648,8 @@ def test_disk_means_stay_finite_when_circle_means_overflow():
     lambda: lp_norm(TrigPoly(np.full(3, 1.5e308)), 1.0),  # _circle_means, about 2.4e308
     lambda: sup_norm(TrigPoly(np.full(3, 1.5e308))),  # circle_max, 4.5e308
     lambda: wiener_norm(AlgebraicPoly(np.full(3, 1.5e308))),  # 4.5e308
-], ids=["lp", "sup", "wiener"])
+    lambda: AlgebraicPoly(np.full(3, 1.5e308)).wiener(),  # the method itself
+], ids=["lp", "sup", "wiener", "wiener_method"])
 def test_norm_beyond_float_range_raises(norm):
     # finite coefficients whose norm does not fit in a float: a typed error,
     # not inf, and no overflow warning on the way

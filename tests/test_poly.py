@@ -349,6 +349,23 @@ def test_json_round_trip():
         assert np.allclose(back.coeffs, poly.coeffs)
 
 
+def test_json_pairs_equal_the_per_coefficient_floats():
+    # the [re, im] pairs come from one float view of the coefficients; they
+    # must be the floats, signed zeros and subnormals included, that
+    # [float(c.real), float(c.imag)] per coefficient gives, so payloads stay
+    # byte-identical
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1.7976931348623157e308, 1.0 / 3.0]
+    coeffs = [complex(a, b) for a in special for b in special]
+    for poly in (AlgebraicPoly(coeffs), AlgebraicPoly([-0.0]), TrigPoly(coeffs[:7]),
+                 _rand_alg(rng, 6)):
+        old = [[float(c.real), float(c.imag)] for c in poly.coeffs]
+        got = poly_to_json(poly)["coeffs"]
+        assert all(type(x) is float for pair in got for x in pair)
+        assert json.dumps(got) == json.dumps(old)
+        assert [[x.hex() for x in pair] for pair in got] == [[x.hex() for x in pair] for pair in old]
+
+
 def test_equality_compares_arrays_by_value():
     rng = np.random.default_rng(3)
     p = _rand_alg(rng, 4)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,32 @@ def test_cli_verify_profile_leaves_outputs_alone(tmp_path, capsys):
     assert [checks[c]["groups"] for c in ("bernstein", "malik", "gauss_lucas")] == [6, 6, 3]
     assert [checks[c]["reports"] for c in ("bernstein", "malik", "gauss_lucas")] == [13, 10, 7]
     assert all(entry["check_s"] > 0.0 and entry["build_s"] > 0.0 for entry in checks.values())
+
+
+def test_cli_verify_profile_times_the_writes(tmp_path, capsys, monkeypatch):
+    # write_s is the wall time of the JSONL and CSV serialization, kept apart
+    # from sweep_s, and it goes to the profile only
+    writes = {"write_jsonl": sweep.write_jsonl, "write_csv": sweep.write_csv}
+
+    def slow(name):
+        def write(*args):
+            time.sleep(0.1)
+            writes[name](*args)
+        return write
+
+    for name in writes:
+        monkeypatch.setattr(sweep, name, slow(name))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"checks": ["malik"], "degrees": [2], "trials": 2}))
+    profile_path = tmp_path / "profile.json"
+    prefix = str(tmp_path / "out")
+    assert main(["verify", str(cfg_path), "--out", prefix, "--profile", str(profile_path)]) == 0
+    capsys.readouterr()
+    profile = json.loads(profile_path.read_text())
+    assert set(profile) == {"sweep_s", "write_s", "checks"}
+    assert profile["write_s"] >= 0.2
+    assert 0.0 < profile["sweep_s"] < profile["write_s"]
+    assert b"write_s" not in Path(prefix + ".jsonl").read_bytes()
 
 
 def test_cli_constants(capsys):
