@@ -155,7 +155,7 @@ def _batched(cases, compute) -> list:
 
 
 def _sups(polys) -> list:
-    """Sup norms of polynomials of one kind and declared degree, as floats."""
+    """Sup norms of polynomials of one width, as floats."""
     return [float(v) for v in sup_norms_argmax(polys)[0]]
 
 
@@ -253,7 +253,7 @@ def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
         polys = [args[0] for *_, args in live]
         n = polys[0].degree
         terms = [_derivative_terms(p * (1.0 / s)) for p, s in zip(polys, _sups(polys))]
-        val, x = circle_max(np.stack(terms), 32 * (n + 1), (1.0, 1.0))
+        val, x = circle_max(np.stack(terms), weights=(1.0, 1.0))
         return _witnessed(live, val, x, [n] * len(live), tol)
 
     return _batched([("malik", {"op": "malik", "poly": poly_to_json(p)}, {"n": p.degree}, (p,))
@@ -296,7 +296,7 @@ def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
         polys = [args[0] for *_, args in live]
         n = polys[0].degree
         weights = [(args[1], -1.0) for *_, args in live]
-        val, x = circle_max(np.stack([_derivative_terms(p) for p in polys]), 32 * (n + 1), weights)
+        val, x = circle_max(np.stack([_derivative_terms(p) for p in polys]), weights=weights)
         return [_report("laguerre", payload, float(m), 0.0, tol, abs_slack=tol * n * s,
                         witnesses=[(float(xm), float(m))], params=params)
                 for (_, payload, params, _), m, xm, s in zip(live, val, x, _sups(polys))]
@@ -367,7 +367,7 @@ def check_svdc_batch(cases, tol: float = DEFAULT_TOL) -> list:
             # (Re T')^2 + n^2 (Re T)^2 = |Re T' + i n Re T|^2, both parts real
             c_re = (tn.coeffs + np.conj(tn.coeffs[::-1])) / 2.0
             rows.append(1j * np.arange(-n, n + 1) * c_re + 1j * n * c_re)
-        val, x = circle_max(np.stack(rows)[:, None], 32 * (2 * n + 1))
+        val, x = circle_max(np.stack(rows)[:, None])
         measured = [float(v) ** 2 for v in val]
         return _witnessed(live, measured, x, [float(n * n)] * len(live), tol)
 

@@ -13,19 +13,19 @@ shifted by each of the level's offsets (one batched FFT of that grid's
 length per level, the initial grid and the first doubling sharing one),
 and converged rows drop out of the compacted arrays the loop carries. At
 an even integer power, |p|^power is itself a trig polynomial, so L^p norms
-and disk means alike take one exact grid of power * n + 1 points and no
-doubling (_grid_rule). Area integrals are Gauss-Legendre in the radius over
-such rows, each input scaled by its own power of two. Both engines take
-coefficient rows as they are and scale each row themselves, and a value
-beyond the float range raises OutOfRange.
+and disk means alike take one exact grid of power (width - 1)/2 + 1 points
+and no doubling (_grid_rule). Area integrals are Gauss-Legendre in the
+radius over such rows, each input scaled by its own power of two. Both
+engines take coefficient rows as they are and scale each row themselves,
+and a value beyond the float range raises OutOfRange.
 
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
 the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
 |zP'| and |nP - zP'| for the malik and laguerre checks). The lags of each
 |h|^2 come from one exact matrix product over a read-only strided window (no
-loop over rows or terms), F on the grid from one half-spectrum inverse FFT,
-and grid maxima are refined by Newton steps on exact derivatives; a single
+loop over rows or terms), F on the engine's own grid of 16 (width + 1)
+points from one half-spectrum inverse FFT, and grid maxima are refined by Newton steps on exact derivatives; a single
 term steps on the w nonnegative lags of |h|^2, a sum of w frequencies in
 place of 2w - 1. Each row's result is its first best candidate, read from
 the row's run of candidates.
@@ -55,35 +55,28 @@ def _is_integer(value) -> bool:
 class QuadratureConfig:
     """Knobs for circle and disk quadrature.
 
-    grid_multiplier: initial angular points per unit of (degree + 1).
     max_doublings:   grid-doubling budget before returning the best value.
     rel_tol:         relative agreement target for circle integrals.
     radial_nodes:    Gauss-Legendre node count for radial integrals.
     area_rel_tol:    relative agreement target for disk-area integrals.
 
-    grid_multiplier and max_doublings do not apply to an even integer power:
-    its circle means, in L^p norms and disk means alike, take one exact grid
-    of power * degree + 1 points with no doubling (_grid_rule).
+    The engines choose their own grids (_grid_rule, circle_max), and
+    max_doublings does not apply to an even integer power, which takes one
+    exact grid. from_json refuses an unknown key with InvalidParam.
     """
 
-    grid_multiplier: int = 16
     max_doublings: int = 6
     rel_tol: float = 1e-10
     radial_nodes: int = 64
     area_rel_tol: float = 1e-8
 
     def __post_init__(self):
-        counts = (self.grid_multiplier, self.max_doublings, self.radial_nodes)
-        if not all(map(_is_integer, counts)):
-            raise InvalidParam("grid_multiplier, max_doublings and radial_nodes must be integers")
-        if self.grid_multiplier < 1 or self.max_doublings < 0 or self.radial_nodes < 2:
+        if not (_is_integer(self.max_doublings) and _is_integer(self.radial_nodes)):
+            raise InvalidParam("max_doublings and radial_nodes must be integers")
+        if self.max_doublings < 0 or self.radial_nodes < 2:
             raise InvalidParam("bad quadrature configuration")
         if not (self.rel_tol > 0 and self.area_rel_tol > 0):  # also refuses nan
             raise InvalidParam("tolerances must be positive")
-
-    def initial_grid(self, degree: int) -> int:
-        # never below 4*degree + 8, so a trig row's 2*degree + 1 coefficients fit
-        return max(self.grid_multiplier * (degree + 1), 4 * degree + 8, 16)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -221,8 +214,9 @@ def _grid_candidates(vals: np.ndarray):
     columns in grid order.
 
     The candidates are the grid-local maxima within the top quarter of their
-    row's spread: with at least 16 samples per oscillation, refinement lifts a
-    value by well under 1% of the spread, so only near-top maxima can compete.
+    row's spread: with at least 16 samples per oscillation (circle_max's
+    grid), refinement lifts a value by well under 1% of the spread, so only
+    near-top maxima can compete.
     A row whose spread is negligible or not finite is flat to working
     precision, and its only candidate is its grid argmax.
     """
@@ -252,7 +246,7 @@ def _with_derivatives(c: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarr
     return out
 
 
-def circle_max(h, grid: int, weights=(1.0,)):
+def circle_max(h, grid: int | None = None, weights=(1.0,)):
     """Per row r, the max over x of F(x) = sum_t w[r, t] |h_t(x)| and an
     angle attaining it, where h[r, t] holds the coefficients c_j of
     h_t(x) = sum_j c_j e^{ijx} (a factor e^{ikx} leaves |h_t| unchanged, so
@@ -270,8 +264,10 @@ def circle_max(h, grid: int, weights=(1.0,)):
     every row and term at once. A single-frequency row has
     one nonzero product there, so its b is exactly [|c|^2, 0, ...] and its
     grid is exactly flat; an FFT autocorrelation would round it. One
-    half-spectrum inverse FFT (irfft) of b gives F on the uniform ``grid``
-    (at least 2 * h.shape[-1] - 1 points). Every candidate of
+    half-spectrum inverse FFT (irfft) of b gives F on a uniform grid of
+    16 (width + 1) points, width = h.shape[-1]: over 16 samples per period
+    of the top lag width - 1 of |h_t|^2, as _grid_candidates needs; a given
+    ``grid`` (at least 2 width - 1 points) overrides it. Every candidate of
     _grid_candidates takes Newton steps x <- x - F'/F'' on exact derivatives,
     clipped to one grid spacing around its start, or a half-spacing ascent
     step where F'' >= 0, and the best iterate is kept; a row stops stepping
@@ -290,6 +286,7 @@ def circle_max(h, grid: int, weights=(1.0,)):
     width = h.shape[-1]
     single = h.shape[1] == 1
     w = np.asarray(weights, dtype=np.float64)
+    grid = 16 * (width + 1) if grid is None else grid
     if grid < 2 * width - 1:
         raise InvalidParam(f"grid {grid} too small for {width} coefficients")
     # half[..., m] = sum_j c_{j+m} conj(c_j), the lags m >= 0 of |h_t|^2
@@ -358,9 +355,7 @@ def circle_max(h, grid: int, weights=(1.0,)):
 
 
 def sup_norm(p) -> float:
-    """Max of |p| on the circle: circle_max with the one term p, on a
-    32(n+1)-point grid, n the declared degree.
-    """
+    """Max of |p| on the circle: circle_max with the one term p."""
     val, _ = sup_norm_argmax(p)
     return val
 
@@ -372,22 +367,23 @@ def sup_norm_argmax(p):
 
 
 def sup_norms_argmax(polys):
-    """sup_norm_argmax of each of ``polys``, polynomials of one kind and
-    declared degree n, as two arrays: one circle_max call on the same
-    32(n+1)-point grid, one row per polynomial."""
+    """sup_norm_argmax of each of ``polys``, polynomials of one width, as
+    two arrays: one circle_max call, one row per polynomial."""
     for p in polys:
         if not isinstance(p, (TrigPoly, AlgebraicPoly)):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-    return circle_max(np.stack([p.coeffs for p in polys])[:, None], 32 * (polys[0].degree + 1))
+    if not polys:
+        return np.zeros(0), np.zeros(0)
+    return circle_max(np.stack([p.coeffs for p in polys])[:, None])
 
 
 def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     """(integral of |p|^power dm)^(1/power) for finite power > 0: lp_norms of
     the one polynomial p.
 
-    For even integer powers the integrand is itself a trig polynomial of
-    degree power*n, so the (power*n + 1)-point grid is exact; otherwise the
-    grid doubles, adding only the new points, until successive norms agree
+    For even integer powers the integrand is itself a trig polynomial, of
+    degree power*n for a trig p and power*n/2 for an algebraic one, so one
+    grid of one point more is exact; otherwise the grid doubles, adding only the new points, until successive norms agree
     to rel_tol (_grid_rule).
     """
     return lp_norms([p], [power], cfg)[0]
@@ -411,7 +407,7 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
             raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
         if not isinstance(p, (TrigPoly, AlgebraicPoly)):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-        groups.setdefault((len(p.coeffs),) + _grid_rule(power, p.degree, cfg), []).append(i)
+        groups.setdefault((len(p.coeffs),) + _grid_rule(power, p, cfg), []).append(i)
     for (_, grid0, budget), idx in groups.items():
         exps = [powers[i] for i in idx]
         exps = float(exps[0]) if len(set(exps)) == 1 else exps
@@ -422,21 +418,22 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
     return out
 
 
-def _grid_rule(power, degree: int, cfg: QuadratureConfig) -> tuple:
-    """(initial grid, doubling budget) of the circle means of |q|^power for q
-    of declared degree ``degree``, the one rule of lp_norms and disk_means.
+def _grid_rule(power, p, cfg: QuadratureConfig) -> tuple:
+    """(initial grid, doubling budget) of the circle means of |q|^power for
+    rows q as wide as p's coefficients: the rule of lp_norms, disk_means and
+    mahler_quadrature (power 0).
 
-    At an even integer power, |q|^power = (q conj(q))^(power/2) is a trig
-    polynomial of degree at most power * degree, which the trapezoid rule on
-    power * degree + 1 points integrates exactly: that grid, with budget 0
-    (it holds a trig row's 2 * degree + 1 coefficients). A power whose exact
-    grid would exceed the largest grid doubling reaches, and any other
-    power, starts at cfg.initial_grid(degree) with cfg.max_doublings.
+    At an even integer power > 0, |q|^power is a trig polynomial of degree
+    (power/2)(width - 1), which the trapezoid rule integrates exactly on one
+    point more: power * n + 1 points for a trig row, power * n/2 + 1 for an
+    algebraic one, with budget 0. A power whose exact grid would exceed the
+    largest grid doubling reaches, and any other power, starts at 16 (n + 1)
+    points, n the declared degree, with cfg.max_doublings.
     """
-    grid0 = cfg.initial_grid(degree)
+    grid0 = 16 * (p.degree + 1)
     rounded = round(power)
-    if rounded == power and rounded % 2 == 0:
-        exact = int(rounded) * degree + 1
+    if rounded == power and rounded > 0 and rounded % 2 == 0:
+        exact = int(rounded) // 2 * (len(p.coeffs) - 1) + 1
         if exact <= grid0 << cfg.max_doublings:
             return exact, 0
     return grid0, cfg.max_doublings
@@ -477,8 +474,8 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
             raise NearCircleRoot(
                 f"a root lies within {gap:.2e} of the unit circle; use mahler_jensen"
             )
-    return float(_circle_means(p.coeffs, 0.0, cfg.initial_grid(p.degree), cfg.rel_tol,
-                               cfg.max_doublings)[0])
+    grid0, budget = _grid_rule(0.0, p, cfg)
+    return float(_circle_means(p.coeffs, 0.0, grid0, cfg.rel_tol, budget)[0])
 
 
 def wiener_norm(p: AlgebraicPoly) -> float:
@@ -510,7 +507,7 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
     Polar form 2 * int_0^1 r * M(r)^power dr with Gauss-Legendre radial
     nodes, M(r) the power mean M_power of |p| on the circle of radius r: one
     row of _circle_means on the dilated coefficients c_k r^k. At an even
-    integer power that row takes one exact grid of power * n + 1 points;
+    integer power that row takes one exact grid of power * n/2 + 1 points;
     otherwise its angular grid doubles, adding only the new points, until
     M(r) changes by at most area_rel_tol (_grid_rule).
     """
@@ -540,7 +537,7 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
     r, w = _radial_rule(cfg.radial_nodes)
     coeffs, s = _prescaled(np.array([p.coeffs for p in polys], dtype=np.complex128), axis=1)
     rows = np.concatenate([_dilated(c, r) for c in coeffs])
-    grid0, budget = _grid_rule(power, polys[0].degree, cfg)
+    grid0, budget = _grid_rule(power, polys[0], cfg)
     means = _circle_means(rows, power, grid0, cfg.area_rel_tol,
                           budget).reshape(len(polys), len(r))
     scale = s[:, 0] * power
@@ -575,7 +572,7 @@ def besov_inf1_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarr
     r, w = _radial_rule((cfg or DEFAULT_CONFIG).radial_nodes)
     derivs = [p.derivative() for p in polys]
     rows = np.concatenate([_dilated(dp.coeffs, r) for dp in derivs])
-    sups = circle_max(rows[:, None], max(32 * len(derivs[0].coeffs), 64))[0]
+    sups = circle_max(rows[:, None])[0]
     return (w * sups.reshape(len(polys), len(r))).sum(axis=1)
 
 

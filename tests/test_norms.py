@@ -116,6 +116,17 @@ def test_circle_max_rows_are_independent():
         for r in range(len(h)):
             alone = circle_max(h[r:r + 1], 288, weights[r] if per_row else weights)
             assert (val[r], x[r]) == (alone[0][0], alone[1][0]), r
+    # malik (1, 1) rows, and laguerre (rho, -1) rows whose P has every root of
+    # modulus >= rho as laguerre requires, reach the same maxima on the
+    # engine's default grid, 16 (9 + 1) points, as on 32 * 9
+    rho = two_weights[:, 0]
+    lag = np.array([[k * c, (8 - k) * c] for c in (
+        s * from_roots(r * rng.uniform(1.0, 3.0, 8) * np.exp(2j * np.pi * rng.random(8))).coeffs
+        for s, r in zip(scales, rho))])
+    for h, wts in ((two_term, [1.0, 1.0]), (lag, [1.0, 1.0]), (lag, two_weights)):
+        scale = np.abs(wts).sum(axis=-1) * np.abs(h).sum(axis=(1, 2))
+        default, fixed = circle_max(h, weights=wts)[0], circle_max(h, 288, wts)[0]
+        assert np.all(np.abs(default - fixed) <= 1e-14 * scale)
     # the flat and tied rows keep their exact tops
     assert circle_max(one_term, 288)[0][-3:-1].tolist() == [1.0, 1.0]
 
@@ -150,12 +161,24 @@ def test_circle_max_matches_convolve_reference():
     for h in calls:
         grid = 32 * h.shape[-1]
         val, x = circle_max(h, grid)
+        default = circle_max(h)[0]  # 16 (width + 1) points
         for r, c in enumerate(h[:, 0]):
             ref_val, ref_x = _convolve_sup(c, grid)
             at_x = abs(np.polyval(c[::-1], np.exp(1j * x[r])))
             assert val[r] == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
+            assert default[r] == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
             assert at_x == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
             assert abs((x[r] - ref_x + np.pi) % (2 * np.pi) - np.pi) <= 1e-7, (h.shape, r)
+
+
+def test_circle_max_default_grid_is_the_trig_sup_grid():
+    # a trig row of degree n has width 2n + 1, so the default grid of
+    # 16 (width + 1) points is the 32 (n + 1) of the trig sup: the same bits
+    rng = np.random.default_rng(15)
+    for n in [*range(17), 32, 64]:
+        h = rng.standard_normal((4, 1, 2 * n + 1)) + 1j * rng.standard_normal((4, 1, 2 * n + 1))
+        got, want = circle_max(h), circle_max(h, 32 * (n + 1))
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), n
 
 
 def test_circle_max_stacked_rows_equal_one_row_calls():
@@ -285,14 +308,22 @@ def test_even_p_exactness_against_autocorrelation():
 
 
 def test_grid_rule_gives_even_powers_one_exact_grid():
+    # the exact grid follows the row width: power * n + 1 points for a trig
+    # row, power * n/2 + 1 for an algebraic one; the start grid is 16 (n + 1)
     cfg = QuadratureConfig()
-    assert norms._grid_rule(2.0, 7, cfg) == (15, 0)
-    assert norms._grid_rule(4, 0, cfg) == (1, 0)
-    assert norms._grid_rule(np.float64(6.0), 16, cfg) == (97, 0)
-    for power in (1.0, 3.0, 2.5, 0.25):
-        assert norms._grid_rule(power, 7, cfg) == (cfg.initial_grid(7), cfg.max_doublings)
+
+    def trig(n):
+        return TrigPoly(np.ones(2 * n + 1))
+
+    assert norms._grid_rule(2.0, trig(7), cfg) == (15, 0)
+    assert norms._grid_rule(4, trig(0), cfg) == (1, 0)
+    assert norms._grid_rule(np.float64(6.0), trig(16), cfg) == (97, 0)
+    assert norms._grid_rule(2.0, AlgebraicPoly(np.ones(8)), cfg) == (8, 0)
+    assert norms._grid_rule(6, AlgebraicPoly(np.ones(17)), cfg) == (49, 0)
+    for power in (1.0, 3.0, 2.5, 0.25, 0.0):
+        assert norms._grid_rule(power, trig(7), cfg) == (128, cfg.max_doublings)
     # an exact grid beyond the largest grid that doubling reaches is not built
-    assert norms._grid_rule(2e6, 16, cfg) == (cfg.initial_grid(16), cfg.max_doublings)
+    assert norms._grid_rule(2e6, trig(16), cfg) == (272, cfg.max_doublings)
 
 
 # ---------------------------------------------------------- circle means
@@ -511,6 +542,7 @@ def test_zero_rows_in_batched_calls_are_exactly_zero():
     assert got.tolist() == [besov_inf1_seminorm(p) for p in polys]
     assert norms.besov_inf1_seminorms([const, zero, const * 3.0]).tolist() == [0.0, 0.0, 0.0]
     assert norms.besov_inf1_seminorms([]).shape == (0,)
+    assert [a.shape for a in norms.sup_norms_argmax([])] == [(0,), (0,)]
     powers = [0.5, 0.5, 3.0, 2.0, 0.5]
     got = norms.lp_norms(polys, powers)
     assert got[1] == 0.0
@@ -542,19 +574,21 @@ def test_besov_inf1_against_dense_radial_sup():
 
 
 def test_quadrature_config_round_trip():
-    cfg = QuadratureConfig(grid_multiplier=8, max_doublings=3, rel_tol=1e-9,
-                           radial_nodes=16, area_rel_tol=1e-6)
+    cfg = QuadratureConfig(max_doublings=3, rel_tol=1e-9, radial_nodes=16, area_rel_tol=1e-6)
     assert QuadratureConfig.from_json(cfg.to_json()) == cfg
     with pytest.raises(InvalidParam):
         QuadratureConfig.from_json({"nope": 1})
+    # the engines choose their own grids: grid_multiplier is an unknown key
+    with pytest.raises(InvalidParam):
+        QuadratureConfig.from_json({"grid_multiplier": 16})
     with pytest.raises(InvalidParam):
         QuadratureConfig(rel_tol=0.0)
 
 
 @pytest.mark.parametrize("fields", [
-    {"rel_tol": math.nan}, {"area_rel_tol": math.nan}, {"grid_multiplier": 2.5},
-    {"max_doublings": 2.5}, {"max_doublings": 6.0}, {"radial_nodes": 32.5},
-    {"grid_multiplier": True}])
+    {"rel_tol": math.nan}, {"area_rel_tol": math.nan}, {"max_doublings": 2.5},
+    {"max_doublings": 6.0}, {"radial_nodes": 32.5}, {"max_doublings": True},
+    {"radial_nodes": True}])
 def test_quadrature_config_refuses_nan_tolerances_and_non_integer_counts(fields):
     # a NaN rel_tol made every circle mean run its whole doubling budget
     with pytest.raises(InvalidParam):
@@ -573,9 +607,10 @@ def test_disk_mean_monomials():
 
 
 def test_disk_mean_even_powers_on_one_exact_grid(grid_shapes):
-    # |q|^2 and |q|^4 = |q^2|^2 along a circle are trig polynomials, so one
-    # grid of power * deg + 1 points gives each circle mean exactly, and the
-    # area integrals are sum |c_k|^2/(k + 1) over the coefficients of q and q^2
+    # |q|^2 and |q|^4 = |q^2|^2 along a circle are trig polynomials of degree
+    # power * deg / 2, so one grid of power * deg // 2 + 1 points gives each
+    # circle mean exactly, and the area integrals are sum |c_k|^2/(k + 1) over
+    # the coefficients of q and q^2
     rng = np.random.default_rng(19)
     for deg in range(17):
         c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
@@ -585,7 +620,7 @@ def test_disk_mean_even_powers_on_one_exact_grid(grid_shapes):
             got = disk_mean(AlgebraicPoly(c), power)
             want = float(np.sum(np.abs(coeffs) ** 2 / np.arange(1, len(coeffs) + 1)))
             assert got == pytest.approx(want, rel=1e-13), (deg, power)
-            assert grid_shapes == [(QuadratureConfig().radial_nodes, power * deg + 1)]
+            assert grid_shapes == [(QuadratureConfig().radial_nodes, power * deg // 2 + 1)]
 
 
 def test_disk_mean_refuses_a_power_that_is_not_finite_and_positive():
