@@ -22,13 +22,11 @@ and a value beyond the float range raises OutOfRange.
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
 the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
-|zP'| and |nP - zP'| for the malik and laguerre checks). The lags of each
-|h|^2 come from one exact matrix product over a read-only strided window (no
-loop over rows or terms), F on the engine's own grid of 16 (width + 1)
-points from one half-spectrum inverse FFT, and grid maxima are refined by Newton steps on exact derivatives; a single
-term steps on the w nonnegative lags of |h|^2, a sum of w frequencies in
-place of 2w - 1. Each row's result is its first best candidate, read from
-the row's run of candidates.
+|zP'| and |nP - zP'| for the malik and laguerre checks). F is sampled on
+the engine's own grid by one inverse FFT of the exact lags of each |h|^2,
+with no loop over rows or terms, and grid maxima are refined by bracketed
+Newton steps on exact derivatives; a single term steps on the w
+nonnegative lags of |h|^2, a sum of w frequencies in place of 2w - 1.
 """
 from __future__ import annotations
 
@@ -254,39 +252,39 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     shared by every row, or (R, T), one set per row. Returns per row
     (max, argmax) as arrays.
 
-    Rows are independent: a row's result is the same, bit for bit, whatever
-    other rows share its call, so callers may stack the rows of many inputs
-    of one width. Each row is first scaled by its own power of two, which is
-    exact, so nothing overflows or underflows. |h_t|^2 has the coefficients
-    b_m = sum_j c_{j+m} conj(c_j) at lags m >= 0 and conj(b_m) at -m, so one
-    matrix product over a sliding window of the zero-padded coefficients (a
-    read-only as_strided view, no copy) gives the lags m = 0..width-1 of
-    every row and term at once. A single-frequency row has
-    one nonzero product there, so its b is exactly [|c|^2, 0, ...] and its
-    grid is exactly flat; an FFT autocorrelation would round it. One
-    half-spectrum inverse FFT (irfft) of b gives F on a uniform grid of
-    16 (width + 1) points, width = h.shape[-1]: over 16 samples per period
-    of the top lag width - 1 of |h_t|^2, as _grid_candidates needs; a given
-    ``grid`` (at least 2 width - 1 points) overrides it. Every candidate of
-    _grid_candidates takes Newton steps x <- x - F'/F'' on exact derivatives,
-    clipped to one grid spacing around its start, or a half-spacing ascent
-    step where F'' >= 0, and the best iterate is kept; a row stops stepping
-    once none of its candidates moves by more than 1e-13. Candidates come
-    in one run per row, so each row's result, its first candidate (in grid
-    order) holding the row's best value, is read from the run starts with
-    two reduceat calls. A single term,
-    whose weight must be positive, steps on |h|^2 = b_0 + 2 Re sum_{m>=1}
-    b_m e^{imx}, which has the same maximizer and costs width frequencies
-    per step, no square root and no division. Several terms step on F
-    itself, evaluated from h_t, h_t' and h_t'' (a term has no derivative at
-    its zeros and adds none): square roots of the |h_t|^2 would lose half
-    the digits where a term nearly vanishes.
+    On a given grid a row's result is the same, bit for bit, whatever other
+    rows share its call. Each row is first scaled by its own power of two,
+    which is exact. One matrix product over a read-only strided window of the
+    zero-padded coefficients gives the lags b_m = sum_j c_{j+m} conj(c_j),
+    m = 0..width-1, of every |h_t|^2 (exactly [|c|^2, 0, ...] for a single
+    frequency: a flat grid, which an FFT autocorrelation would round), and one
+    irfft of b gives F on 16 (width + 1) points, over 16 samples per period of
+    the top lag, as _grid_candidates needs. A call with a negative weight gets
+    32 width points: a near-zero of a negatively weighted term is a peak of F
+    as narrow as the zero is near the circle, which the bandwidth does not
+    bound, and two such peaks within one spacing of the coarser grid hid the
+    higher (3 of 1000 laguerre rows of degree 8, roots at modulus 1..1.05;
+    none at 32 width). A given ``grid`` (at least 2 width - 1) overrides both.
+
+    Each candidate takes Newton steps x <- x - F'/F'' on exact derivatives,
+    or half-spacing ascent steps where F'' >= 0, inside a bracket of a maximum
+    that starts one spacing either side and shrinks to each iterate by the
+    sign of F'. A step out of the bracket, unless rounding-level (1e-13),
+    bisects it: on a narrow peak's flanks F'' is small and Newton overshoots.
+    A row stops once none of its candidates moves by more than 1e-13; its
+    result is its first candidate (in grid order) holding its best iterate,
+    read from the run starts with reduceat. A single term, whose weight must
+    be positive, steps on |h|^2 = b_0 + 2 Re sum_{m>=1} b_m e^{imx}: the same
+    maximizer, width frequencies, no square root. Several terms step on F
+    from h_t, h_t' and h_t'' (a term adds no derivative at its zeros): square
+    roots of |h_t|^2 would lose half the digits where a term nearly vanishes.
     """
     h, e = _prescaled(np.ascontiguousarray(h, dtype=np.complex128), axis=(1, 2))
     width = h.shape[-1]
     single = h.shape[1] == 1
     w = np.asarray(weights, dtype=np.float64)
-    grid = 16 * (width + 1) if grid is None else grid
+    if grid is None:
+        grid = 32 * width if (w < 0.0).any() else 16 * (width + 1)
     if grid < 2 * width - 1:
         raise InvalidParam(f"grid {grid} too small for {width} coefficients")
     # half[..., m] = sum_j c_{j+m} conj(c_j), the lags m >= 0 of |h_t|^2
@@ -330,10 +328,14 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     # every row has a candidate and rows ascend: row r's run starts at starts[r]
     starts = np.searchsorted(rows, np.arange(len(h)))
     for _ in range(_NEWTON_STEPS):
+        np.copyto(lo, x, where=f1 > 0.0)  # [lo, hi] brackets a maximum
+        np.copyto(hi, x, where=f1 < 0.0)
         concave = f2 < 0.0
         move = half_dx * np.sign(f1)
         np.divide(-f1, f2, out=move, where=concave)
-        x_next = np.minimum(np.maximum(x + move, lo), hi)
+        x_next = x + move
+        bisect = ((x_next <= lo) | (x_next >= hi)) & (np.abs(move) > 1e-13)
+        np.copyto(x_next, 0.5 * (lo + hi), where=bisect)
         moving = np.abs(x_next - x) > 1e-13
         if not moving.any():
             break
@@ -383,8 +385,8 @@ def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
 
     For even integer powers the integrand is itself a trig polynomial, of
     degree power*n for a trig p and power*n/2 for an algebraic one, so one
-    grid of one point more is exact; otherwise the grid doubles, adding only the new points, until successive norms agree
-    to rel_tol (_grid_rule).
+    grid of one point more is exact; otherwise the grid doubles, adding only
+    the new points, until successive norms agree to rel_tol (_grid_rule).
     """
     return lp_norms([p], [power], cfg)[0]
 

@@ -118,7 +118,8 @@ def test_circle_max_rows_are_independent():
             assert (val[r], x[r]) == (alone[0][0], alone[1][0]), r
     # malik (1, 1) rows, and laguerre (rho, -1) rows whose P has every root of
     # modulus >= rho as laguerre requires, reach the same maxima on the
-    # engine's default grid, 16 (9 + 1) points, as on 32 * 9
+    # engine's default grid as on 32 * 9: 16 (9 + 1) points for positive
+    # weights, 32 * 9 itself with a negative one
     rho = two_weights[:, 0]
     lag = np.array([[k * c, (8 - k) * c] for c in (
         s * from_roots(r * rng.uniform(1.0, 3.0, 8) * np.exp(2j * np.pi * rng.random(8))).coeffs
@@ -169,6 +170,26 @@ def test_circle_max_matches_convolve_reference():
             assert default[r] == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
             assert at_x == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
             assert abs((x[r] - ref_x + np.pi) % (2 * np.pi) - np.pi) <= 1e-7, (h.shape, r)
+
+
+def test_circle_max_reaches_dense_grid_maximum_of_laguerre_rows():
+    # rho|P'| - |Q'| for P of degree 8 with every root at modulus 1..1.05: a
+    # near-zero of Q' close to the circle is a peak of F narrower than a grid
+    # spacing, on whose flanks Newton overshoots (so the step bisects its
+    # bracket), and two such peaks may share a spacing of 16 (width + 1)
+    # points (so a negative weight doubles the grid). Each row's maximum is
+    # at least the maximum of a 2^14-point grid
+    rng = np.random.default_rng(6)
+    n, k = 8, np.arange(9)
+    c = np.array([from_roots(rng.uniform(1.0, 1.05, n) * np.exp(2j * np.pi * rng.random(n))).coeffs
+                  for _ in range(1000)])
+    got = circle_max(np.stack([k * c, (n - k) * c], axis=1), weights=(1.0, -1.0))[0]
+    for r in range(0, len(c), 100):
+        dense = np.abs(np.fft.fft(c[r:r + 100], 2**14))
+        zp = np.abs(np.fft.fft(k * c[r:r + 100], 2**14))
+        qp = np.abs(np.fft.fft((n - k) * c[r:r + 100], 2**14))
+        floor = (zp - qp).max(axis=1) - 1e-13 * n * dense.max(axis=1)
+        assert np.all(got[r:r + 100] >= floor), np.flatnonzero(got[r:r + 100] < floor) + r
 
 
 def test_circle_max_default_grid_is_the_trig_sup_grid():
