@@ -16,13 +16,18 @@ with its own check id, digest payload and params.
 
 Degenerate inputs (zero polynomial, degree too small) yield a report with
 status "degenerate" instead of a verdict; every inequality is vacuous there.
+
+Every check but gauss_lucas and the two identities is batched: its compute
+returns, per live input, only the _report keywords (measured, bound, and
+witnesses or abs_slack where it has them), and _batched alone joins them to
+each report's check id, digest payload, params and tol.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,7 +80,7 @@ class VerificationReport:
         return passes(self.measured, self.bound, self.tol, self.params.get("abs_slack"))
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "check_id": self.check_id,
             "digest": self.digest,
             "measured": self.measured,
@@ -87,7 +92,6 @@ class VerificationReport:
             "witnesses": [[float(x), float(v)] for x, v in self.witnesses],
             "params": self.params,
         }
-        return out
 
 
 def _digest(payload) -> str:
@@ -107,8 +111,7 @@ def _report(check_id, payload, measured, bound, tol, *, abs_slack=None,
             witnesses=(), params=None) -> VerificationReport:
     """An "ok" report; a non-finite measured or bound is an internal error
     (OutOfRange), never a report."""
-    measured = float(measured)
-    bound = float(bound)
+    measured, bound = float(measured), float(bound)
     if not (math.isfinite(measured) and math.isfinite(bound)):
         raise OutOfRange(f"{check_id}: measured {measured} and bound {bound} must be finite")
     params = dict(params or {})
@@ -126,9 +129,7 @@ def _report(check_id, payload, measured, bound, tol, *, abs_slack=None,
 
 
 def _degenerate(check_id, payload, params=None) -> VerificationReport:
-    rep = _report(check_id, payload, 0.0, 0.0, 0.0, params=params)
-    rep.status = "degenerate"
-    return rep
+    return replace(_report(check_id, payload, 0.0, 0.0, 0.0, params=params), status="degenerate")
 
 
 def parse_p(p) -> float:
@@ -142,16 +143,16 @@ def parse_p(p) -> float:
     return p
 
 
-def _batched(cases, compute) -> list:
+def _batched(cases, tol, compute) -> list:
     """Reports for ``cases``, a list of (check_id, payload, params, args)
     per input, in order. An input whose polynomial args[0] is zero gets a
-    degenerate report; compute(live) returns the reports of the others, given
-    their cases, in one pass over all of them."""
-    out = [_degenerate(cid, payload, params) if args[0].is_zero() else None
-           for cid, payload, params, args in cases]
-    live = [case for case, rep in zip(cases, out) if rep is None]
+    degenerate report; compute(live), given the args of the others, returns
+    one dict of _report keywords for each, in one pass over all of them."""
+    live = [args for *_, args in cases if not args[0].is_zero()]
     done = iter(compute(live) if live else ())
-    return [rep if rep is not None else next(done) for rep in out]
+    return [_degenerate(cid, payload, params) if args[0].is_zero()
+            else _report(cid, payload, tol=tol, params=params, **next(done))
+            for cid, payload, params, args in cases]
 
 
 def _sups(polys) -> list:
@@ -159,28 +160,33 @@ def _sups(polys) -> list:
     return [float(v) for v in sup_norms_argmax(polys)[0]]
 
 
-def _witnessed(live, measured, xmax, bounds, tol) -> list:
-    """Reports of ``live`` cases with their measured values, argmax angles and
-    bounds, each witnessed by its (argmax, measured) pair."""
-    return [_report(cid, payload, float(m), b, tol, witnesses=[(float(x), float(m))],
-                    params=params)
-            for (cid, payload, params, _), m, x, b in zip(live, measured, xmax, bounds)]
+def _pow(x, e) -> float:
+    """x ** e, bit for bit as Python computes it, or inf beyond the float
+    range, which _report refuses (OutOfRange)."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** e)
 
 
-def _sup_bound(live, tol, image, factor) -> list:
-    """Reports of sup|image(*args)| <= factor(*args) * sup|args[0]| for the
-    ``live`` cases, with one circle_max call per norm."""
-    measured, xmax = sup_norms_argmax([image(*args) for *_, args in live])
-    sups = _sups([args[0] for *_, args in live])
-    bounds = [factor(*args) * s for (*_, args), s in zip(live, sups)]
-    return _witnessed(live, measured, xmax, bounds, tol)
+def _witnessed(measured, xmax, bounds) -> list:
+    """_report keywords of measured values, argmax angles and bounds, each
+    witnessed by its (argmax, measured) pair."""
+    return [{"measured": float(m), "bound": b, "witnesses": [(float(x), float(m))]}
+            for m, x, b in zip(measured, xmax, bounds)]
+
+
+def _sup_bound(live, image, factor) -> list:
+    """_report keywords of sup|image(*args)| <= factor(*args) * sup|args[0]|
+    for the ``live`` args, with one circle_max call per norm."""
+    measured, xmax = sup_norms_argmax([image(*args) for args in live])
+    sups = _sups([args[0] for args in live])
+    return _witnessed(measured, xmax, [factor(*args) * s for args, s in zip(live, sups)])
 
 
 def _rung_norms(args, cfg) -> list:
-    """(||P'||_p, n ||P||_p), n the declared degree, as floats, for each (P, p)
-    in ``args`` with finite p: p = 0 is the Mahler norm through Jensen, one
-    input at a time, and every P' and P at p > 0 goes through one lp_norms
-    call."""
+    """_report keywords measured ||P'||_p and bound n ||P||_p, n the declared
+    degree, as floats, for each (P, p) in ``args`` with finite p: p = 0 is the
+    Mahler norm through Jensen, one input at a time, and every P' and P at
+    p > 0 goes through one lp_norms call."""
     polys = [t.derivative() for t, _ in args] + [t for t, _ in args]
     powers = [p for _, p in args] * 2
     vals = [0.0 if p > 0 or poly.is_zero() else mahler_jensen(poly)
@@ -188,7 +194,8 @@ def _rung_norms(args, cfg) -> list:
     lp = [i for i, p in enumerate(powers) if p > 0]
     for i, v in zip(lp, lp_norms([polys[i] for i in lp], [powers[i] for i in lp], cfg)):
         vals[i] = v
-    return [(vals[i], t.degree * vals[len(args) + i]) for i, (t, _) in enumerate(args)]
+    return [{"measured": vals[i], "bound": t.degree * vals[len(args) + i]}
+            for i, (t, _) in enumerate(args)]
 
 
 def _derivative_bound(cases, tol, cfg) -> list:
@@ -198,20 +205,13 @@ def _derivative_bound(cases, tol, cfg) -> list:
     circle_max call per norm, and the finite rungs their norms from
     _rung_norms."""
     def compute(live):
-        out = [None] * len(live)
-        finite = [i for i, (*_, (t, p)) in enumerate(live) if not math.isinf(p)]
-        for i, (measured, bound) in zip(finite, _rung_norms([live[i][3] for i in finite], cfg)):
-            cid, payload, params, _ = live[i]
-            out[i] = _report(cid, payload, measured, bound, tol, params=params)
-        rung = [i for i, (*_, (t, p)) in enumerate(live) if math.isinf(p)]
-        if rung:
-            reps = _sup_bound([live[i] for i in rung], tol,
-                              lambda t, p: t.derivative(), lambda t, p: t.degree)
-            for i, rep in zip(rung, reps):
-                out[i] = rep
-        return out
+        at_inf = [math.isinf(p) for _, p in live]
+        norms = iter(_rung_norms([a for a, s in zip(live, at_inf) if not s], cfg))
+        sups = iter(_sup_bound([a for a, s in zip(live, at_inf) if s],
+                               lambda t, p: t.derivative(), lambda t, p: t.degree))
+        return [next(sups) if s else next(norms) for s in at_inf]
 
-    return _batched(cases, compute)
+    return _batched(cases, tol, compute)
 
 
 def check_bernstein(t: TrigPoly, p, tol: float = DEFAULT_TOL,
@@ -250,14 +250,13 @@ def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_malik of each (p,) in ``cases``, all p of one degree n, with one
     circle_max call for the sups and one for the maxima."""
     def compute(live):
-        polys = [args[0] for *_, args in live]
-        n = polys[0].degree
+        polys = [p for p, in live]
         terms = [_derivative_terms(p * (1.0 / s)) for p, s in zip(polys, _sups(polys))]
         val, x = circle_max(np.stack(terms), weights=(1.0, 1.0))
-        return _witnessed(live, val, x, [n] * len(live), tol)
+        return _witnessed(val, x, [polys[0].degree] * len(live))
 
     return _batched([("malik", {"op": "malik", "poly": poly_to_json(p)}, {"n": p.degree}, (p,))
-                     for p, in cases], compute)
+                     for p, in cases], tol, compute)
 
 
 def _require_rho(cases):
@@ -267,9 +266,9 @@ def _require_rho(cases):
 
 
 def _require_roots_outside(live):
-    """Reject the ``live`` cases, args (p, rho, ...), where p has a root of
-    modulus below rho - 1e-6; a constant p has none."""
-    for *_, (p, rho, *_) in live:
+    """Reject the ``live`` args (p, rho, ...) where p has a root of modulus
+    below rho - 1e-6; a constant p has none."""
+    for p, rho, *_ in live:
         if p.effective_degree:
             lo = float(np.abs(root_array(p)).min())
             if lo < rho - 1e-6:
@@ -293,16 +292,14 @@ def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
 
     def compute(live):
         _require_roots_outside(live)
-        polys = [args[0] for *_, args in live]
-        n = polys[0].degree
-        weights = [(args[1], -1.0) for *_, args in live]
-        val, x = circle_max(np.stack([_derivative_terms(p) for p in polys]), weights=weights)
-        return [_report("laguerre", payload, float(m), 0.0, tol, abs_slack=tol * n * s,
-                        witnesses=[(float(xm), float(m))], params=params)
-                for (_, payload, params, _), m, xm, s in zip(live, val, x, _sups(polys))]
+        polys = [p for p, _ in live]
+        val, x = circle_max(np.stack([_derivative_terms(p) for p in polys]),
+                            weights=[(rho, -1.0) for _, rho in live])
+        return [dict(kw, abs_slack=tol * p.degree * s) for kw, p, s in
+                zip(_witnessed(val, x, [0.0] * len(live)), polys, _sups(polys))]
 
     return _batched([("laguerre", {"op": "laguerre", "rho": rho, "poly": poly_to_json(p)},
-                      {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], compute)
+                      {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], tol, compute)
 
 
 def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -317,11 +314,11 @@ def check_lax_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
 
     def compute(live):
         _require_roots_outside(live)
-        return _sup_bound(live, tol, lambda p, rho: p.derivative(),
+        return _sup_bound(live, lambda p, rho: p.derivative(),
                           lambda p, rho: p.degree / (1.0 + rho))
 
     return _batched([("lax_malik", {"op": "lax_malik", "rho": rho, "poly": poly_to_json(p)},
-                      {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], compute)
+                      {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], tol, compute)
 
 
 def check_ankeny_rivlin(p: AlgebraicPoly, rho: float, radius: float,
@@ -334,18 +331,18 @@ def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_ankeny_rivlin of each (p, rho, radius) in ``cases``, all p of one
     degree, with one circle_max call per norm."""
     _require_rho(cases)
-    if any(not (radius > 1.0) for *_, radius in cases):
-        raise InvalidParam("the growth bound is for radii R > 1")
+    if any(not (1.0 < radius < math.inf) for *_, radius in cases):
+        raise InvalidParam("the growth bound is for finite radii R > 1")
 
     def compute(live):
         _require_roots_outside(live)
-        return _sup_bound(live, tol, lambda p, rho, radius: p.dilate(radius),
+        return _sup_bound(live, lambda p, rho, radius: p.dilate(radius),
                           lambda p, rho, radius: (radius**p.degree + rho) / (1.0 + rho))
 
     return _batched([("ankeny_rivlin",
                       {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": poly_to_json(p)},
                       {"n": p.degree, "rho": rho, "R": radius}, (p, rho, radius))
-                     for p, rho, radius in cases], compute)
+                     for p, rho, radius in cases], tol, compute)
 
 
 def check_svdc(t: TrigPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -357,7 +354,7 @@ def check_svdc_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_svdc of each (t,) in ``cases``, all t of one degree n, with one
     circle_max call for the sups and one for the maxima."""
     def compute(live):
-        ts = [args[0] for *_, args in live]
+        ts = [t for t, in live]
         if not all(t.is_real_valued() for t in ts):
             raise NotRealValued("the pointwise bound needs a real-valued trig polynomial")
         n = ts[0].degree
@@ -368,11 +365,10 @@ def check_svdc_batch(cases, tol: float = DEFAULT_TOL) -> list:
             c_re = (tn.coeffs + np.conj(tn.coeffs[::-1])) / 2.0
             rows.append(1j * np.arange(-n, n + 1) * c_re + 1j * n * c_re)
         val, x = circle_max(np.stack(rows)[:, None])
-        measured = [float(v) ** 2 for v in val]
-        return _witnessed(live, measured, x, [float(n * n)] * len(live), tol)
+        return _witnessed([float(v) ** 2 for v in val], x, [float(n * n)] * len(live))
 
     return _batched([("svdc", {"op": "svdc", "poly": poly_to_json(t)}, {"n": t.degree}, (t,))
-                     for t, in cases], compute)
+                     for t, in cases], tol, compute)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -452,7 +448,13 @@ def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationRe
                    witnesses=witnesses, params=params)
 
 
-_EMBEDDING_KINDS = ("wiener", "besovinf1", "besov111")
+# kind -> (its norms of a list of inputs under a cfg, its constant at degree n)
+_EMBEDDINGS = {
+    "wiener": (lambda polys, cfg: [wiener_norm(p) for p in polys], wiener_bound_constant),
+    "besovinf1": (besov_inf1_seminorms, besov_inf1_bound_constant),
+    "besov111": (besov_111_seminorms, besov_111_bound_constant),
+}
+_EMBEDDING_KINDS = tuple(_EMBEDDINGS)
 
 
 def check_embedding(p: AlgebraicPoly, kind: str, tol: float = DEFAULT_TOL,
@@ -476,26 +478,16 @@ def check_embedding_batch(cases, tol: float = DEFAULT_TOL,
         raise InvalidParam(f"embedding kind must be one of {_EMBEDDING_KINDS}")
 
     def compute(live):
-        polys = [args[0] for *_, args in live]
-        measured = {}
-        for kind, seminorms in (("besovinf1", besov_inf1_seminorms),
-                                ("besov111", besov_111_seminorms)):
-            idx = [i for i, (*_, (_, k)) in enumerate(live) if k == kind]
-            measured.update(zip(idx, seminorms([polys[i] for i in idx], cfg)))
-        out = []
-        for i, ((cid, payload, params, (p, kind)), s) in enumerate(zip(live, _sups(polys))):
-            n = p.degree
-            if kind == "wiener":
-                value, const = wiener_norm(p), wiener_bound_constant(n)
-            elif kind == "besovinf1":
-                value, const = measured[i], besov_inf1_bound_constant(n)
-            else:
-                value, const = measured[i], besov_111_bound_constant(n)
-            out.append(_report(cid, payload, value, const * s, tol, params=params))
+        sups = _sups([p for p, _ in live])
+        out = [None] * len(live)
+        for kind, (norms, const) in _EMBEDDINGS.items():
+            idx = [i for i, (_, k) in enumerate(live) if k == kind]
+            for i, value in zip(idx, norms([live[i][0] for i in idx], cfg)):
+                out[i] = {"measured": value, "bound": const(live[i][0].degree) * sups[i]}
         return out
 
     return _batched([(f"embedding_{kind}", {"op": f"embedding_{kind}", "poly": poly_to_json(p)},
-                      {"n": p.degree, "kind": kind}, (p, kind)) for p, kind in cases], compute)
+                      {"n": p.degree, "kind": kind}, (p, kind)) for p, kind in cases], tol, compute)
 
 
 def check_dominated_derivative(p: AlgebraicPoly, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -531,6 +523,8 @@ def check_identity_logplus_batch(cases, tol: float = DEFAULT_TOL,
     every v go through one _circle_means call."""
     cfg = cfg or DEFAULT_CONFIG
     vs = [complex(v) for v, in cases]
+    if not np.isfinite(vs).all():
+        raise InvalidParam("v must be finite")
     if any(abs(abs(v) - 1.0) < 1e-6 for v in vs):
         raise OnUnitCircle("|v| = 1 is excluded (log singularity on the contour)")
     # stop on the Mahler measure exp(mean) = max(1, |v|), not on the mean
@@ -556,15 +550,12 @@ def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> Verifi
     Substituting a = u e^(-s) and then t = p s turns the right side into
     u^p * integral of t e^(-t) dt, evaluated by Gauss-Laguerre quadrature.
     """
-    if u < 0 or not (p > 0) or not math.isfinite(p):
-        raise InvalidParam("need u >= 0 and finite p > 0")
-    payload = {"op": "power_identity", "u": u, "p": p}
-    quad = float(u**p * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
-    rhs = float(u**p)
-    measured = abs(quad - rhs)
-    allowance = tol * (1.0 + rhs)
-    return _report("power_identity", payload, measured, allowance, 0.0,
-                   params={"u": u, "p": p, "lhs": quad, "rhs": rhs})
+    if not (0 <= u < math.inf and 0 < p < math.inf):  # also refuses nan
+        raise InvalidParam("need finite u >= 0 and finite p > 0")
+    rhs = _pow(u, p)
+    quad = float(rhs * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
+    return _report("power_identity", {"op": "power_identity", "u": u, "p": p}, abs(quad - rhs),
+                   tol * (1.0 + rhs), 0.0, params={"u": u, "p": p, "lhs": quad, "rhs": rhs})
 
 
 @dataclass(frozen=True)
@@ -616,17 +607,12 @@ def check_chi_version_batch(cases, tol: float = DEFAULT_TOL,
     """check_chi_version of each (t, chi) in ``cases``, all t of one degree,
     with the L^p norms of every x^e case from one lp_norms call."""
     def compute(live):
-        out = []
-        for (cid, payload, params, (t, e)), (measured, bound) in zip(
-                live, _rung_norms([args for *_, args in live], cfg)):
-            if e:
-                measured, bound = measured ** e, bound ** e
-            out.append(_report(cid, payload, measured, bound, tol, params=params))
-        return out
+        return [{k: _pow(v, e) for k, v in kw.items()} if e else kw
+                for (_, e), kw in zip(live, _rung_norms(live, cfg))]
 
     return _batched([("chi_bound", {"op": "chi", "chi": chi.name, "poly": poly_to_json(t)},
                       {"n": t.degree, "chi": chi.name}, (t, chi.exponent))
-                     for t, chi in cases], compute)
+                     for t, chi in cases], tol, compute)
 
 
 def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,

@@ -181,14 +181,21 @@ def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
     """Per row a[r] (of shape (offsets, points)), the sum of a[r]**p, or of
     log(a[r]) at p = 0; at p = 1 a is summed as it is (a**1.0 is an exact
-    copy)."""
+    copy), and below p = 1e-3, where a**p rounds to 1, the sum of
+    expm1(p log a[r]) = a[r]**p - 1."""
     if p == 1:
         return a.sum(axis=(1, 2))
+    if 0 < p < 1e-3:
+        with np.errstate(divide="ignore"):  # a = 0 adds expm1(-inf) = -1
+            return np.expm1(p * np.log(a)).sum(axis=(1, 2))
     return (a**p if p != 0 else np.log(a)).sum(axis=(1, 2))
 
 
 def _power_means(mean: np.ndarray, p: float) -> np.ndarray:
-    """mean**(1/p), or exp(mean) at p = 0."""
+    """mean**(1/p), or exp(mean) at p = 0, or exp(log1p(mean)/p) below
+    p = 1e-3, where the mean is of a**p - 1 (_power_sums)."""
+    if 0 < p < 1e-3:
+        return np.exp(np.log1p(mean) / p)
     return mean ** (1.0 / p) if p != 0 else np.exp(mean)
 
 

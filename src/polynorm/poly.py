@@ -166,8 +166,13 @@ class AlgebraicPoly:
         return AlgebraicPoly(np.conj(self.coeffs[::-1]))
 
     def dilate(self, r: float) -> "AlgebraicPoly":
-        """P_r with P_r(z) = P(rz), i.e. coefficients a_k r^k."""
-        return AlgebraicPoly(self.coeffs * (complex(r) ** np.arange(len(self.coeffs))))
+        """P_r with P_r(z) = P(rz), i.e. coefficients a_k r^k; a coefficient
+        beyond the float range raises OutOfRange (no warning escapes)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.coeffs * (complex(r) ** np.arange(len(self.coeffs)))
+        if not np.isfinite(c).all():
+            raise OutOfRange("dilated coefficients exceed the floating-point range")
+        return AlgebraicPoly(c)
 
     def values_on_grid(self, grid: int) -> np.ndarray:
         """P(e^{ix}) at the uniform angles x = 2*pi*t/grid."""

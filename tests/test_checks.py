@@ -510,3 +510,103 @@ def test_report_refuses_non_finite_numbers():
         with pytest.raises(OutOfRange):
             C._report("malik", [1.0], measured, bound, 1e-9)
     assert C._report("malik", [1.0], 1.0, 2.0, 1e-9).status == "ok"
+
+
+# ------------------------------------------------------------ typed errors
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_identity_refuses_non_finite_u():
+    for u in (math.nan, math.inf):
+        with pytest.raises(InvalidParam):
+            C.check_identity_power(u, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_identity_beyond_float_range_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        C.check_identity_power(1e200, 3.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_logplus_refuses_nan():
+    with pytest.raises(InvalidParam):
+        C.check_identity_logplus(complex(math.nan))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_logplus_refuses_infinity():
+    with pytest.raises(InvalidParam):
+        C.check_identity_logplus(complex(math.inf))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chi_power_beyond_float_range_is_out_of_range():
+    # ||T'||_2 and 5 ||T||_2 are finite near 1e300, their squares are not
+    t = _rand_trig(np.random.default_rng(54), 5) * 1e300
+    with pytest.raises(OutOfRange):
+        C.check_chi_version(t, C.ChiFunction.power(2.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ankeny_rivlin_beyond_float_range_is_out_of_range():
+    # the input is finite and valid; its dilation to R = 3 is not finite
+    p = from_roots([1.5, -2.0, 1.2j, 3.0, -1.0 - 1.0j]) * 1e306
+    with pytest.raises(OutOfRange):
+        C.check_ankeny_rivlin(p, 1.0, 3.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ankeny_rivlin_refuses_infinite_radius():
+    with pytest.raises(InvalidParam):
+        C.check_ankeny_rivlin(from_roots([1.5, -2.0]), 1.0, math.inf)
+
+
+# ------------------------------------------------------------- batch forms
+
+def _real_trig(rng, n):
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    return TrigPoly(np.concatenate([np.conj(c[:0:-1]), [c[0].real], c[1:]]))
+
+
+def _outside(rng, n):
+    # roots of modulus 1.2 to 2, so every rho = 1 check accepts it
+    return from_roots(rng.uniform(1.2, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+
+def test_batch_forms_match_single_inputs_around_a_zero_polynomial():
+    # every batched check takes a [live, zero, live] group (bernstein also at
+    # its p = 0 and p = inf rungs, embedding over mixed kinds, chi over log and
+    # powers): the zero input's report is degenerate and every report is the
+    # one its single-input form gives
+    rng = np.random.default_rng(61)
+    n = 5
+    zt, za = TrigPoly(np.zeros(2 * n + 1)), AlgebraicPoly(np.zeros(n + 1))
+    log, sq, root = (C.ChiFunction.parse(s) for s in ("log", "x^2", "x^0.3"))
+    groups = [
+        (C.check_bernstein_batch, C.check_bernstein,
+         [(_rand_trig(rng, n), 0.0), (zt, 2.0), (_rand_trig(rng, n), math.inf),
+          (_rand_trig(rng, n), 0.5), (zt, math.inf), (_rand_trig(rng, n), 2.0)]),
+        (C.check_dominated_derivative_batch, C.check_dominated_derivative,
+         [(_rand_alg(rng, n),), (za,), (_rand_alg(rng, n),)]),
+        (C.mate_nevai_compare_batch, C.mate_nevai_compare,
+         [(_rand_alg(rng, n), 0.5), (za, 0.25), (_rand_alg(rng, n), 0.25)]),
+        (C.check_chi_version_batch, C.check_chi_version,
+         [(_rand_trig(rng, n), sq), (zt, log), (_rand_trig(rng, n), log),
+          (_rand_trig(rng, n), root)]),
+        (C.check_malik_batch, C.check_malik, [(_rand_alg(rng, n),), (za,), (_rand_alg(rng, n),)]),
+        (C.check_laguerre_batch, C.check_laguerre,
+         [(_outside(rng, n), 1.0), (za, 1.0), (_outside(rng, n), 1.1)]),
+        (C.check_lax_malik_batch, C.check_lax_malik,
+         [(_outside(rng, n), 1.0), (za, 1.0), (_outside(rng, n), 1.1)]),
+        (C.check_ankeny_rivlin_batch, C.check_ankeny_rivlin,
+         [(_outside(rng, n), 1.0, 1.5), (za, 1.0, 2.0), (_outside(rng, n), 1.1, 2.0)]),
+        (C.check_svdc_batch, C.check_svdc, [(_real_trig(rng, n),), (zt,), (_real_trig(rng, n),)]),
+        (C.check_embedding_batch, C.check_embedding,
+         [(_rand_alg(rng, n), "besov111"), (za, "wiener"), (_rand_alg(rng, n), "wiener"),
+          (_rand_alg(rng, n), "besovinf1"), (za, "besov111"), (_rand_alg(rng, n), "besov111")]),
+    ]
+    for batch, single, cases in groups:
+        reps = batch(cases)
+        assert [r.to_json() for r in reps] == [single(*case).to_json() for case in cases]
+        assert [r.status for r in reps] == [
+            "degenerate" if case[0].is_zero() else "ok" for case in cases]

@@ -788,3 +788,18 @@ def test_rotation_invariance():
             else:
                 assert lp_norm(shifted, p) == pytest.approx(lp_norm(t, p), rel=1e-8)
         assert mahler_jensen(shifted) == pytest.approx(mahler_jensen(t), rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lp_norm_at_tiny_p_tends_to_the_mahler_norm():
+    # ||T||_p -> M(T) as p -> 0, and ||T||_p - M(T) is O(p) here, so below
+    # p = 1e-8 the two agree to 1e-8; a**p rounds to 1 at such p, so the
+    # mean of a**p - 1 has to be summed without forming a**p
+    rng = np.random.default_rng(5)
+    g, h = rng.standard_normal(9), rng.standard_normal(9)
+    t = TrigPoly((g + 1j * h) / np.sqrt(2))
+    mahler = mahler_quadrature(t)
+    assert mahler == pytest.approx(mahler_jensen(t), rel=1e-12)
+    for p in (1e-9, 1e-12, 1e-16):
+        assert lp_norm(t, p) == pytest.approx(mahler, rel=1e-9), p
+    assert lp_norm(t, 1e-6) == pytest.approx(mahler, rel=1e-6)

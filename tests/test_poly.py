@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynorm import poly as poly_mod
-from polynorm.errors import InvalidParam, ParseError, ZeroPolynomial
+from polynorm.errors import InvalidParam, OutOfRange, ParseError, ZeroPolynomial
 from polynorm.norms import mahler_jensen
 from polynorm.poly import (
     AlgebraicPoly,
@@ -436,3 +436,14 @@ def test_expsum_validation():
     f = ExponentialSum([1, 2j], [0.5, -1.25])
     assert f.bandwidth == pytest.approx(1.25)
     assert f(0.3) == pytest.approx(np.exp(0.15j) + 2j * np.exp(-0.375j))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dilate_beyond_float_range_is_out_of_range():
+    # a finite polynomial whose dilated coefficients overflow, or a radius
+    # that is not finite, raises OutOfRange with no overflow warning
+    p = AlgebraicPoly([1.0, 0.0, 1e300])
+    assert p.dilate(1e3).coeffs[2] == 1e306
+    for r in (1e5, math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            p.dilate(r)
