@@ -11,6 +11,7 @@ from .errors import (
     ParseError,
     PolynormError,
     RootInForbiddenRegion,
+    RootsNotConverged,
     ZeroPolynomial,
 )
 from .poly import (

@@ -21,6 +21,12 @@ class NearCircleRoot(PolynormError, ArithmeticError):
     """
 
 
+class RootsNotConverged(PolynormError, ArithmeticError):
+    """Root iteration ran out of its sweep budget before its stop test
+    passed, so its iterates are not a root set to working accuracy (roots
+    clustered within about 1e-3 of each other, at high degree)."""
+
+
 class OutOfRange(PolynormError, OverflowError):
     """A computed value exceeds the floating-point range (or, past an
     overflow, is not a number)."""

@@ -14,10 +14,10 @@ length per level, the initial grid and the first doubling sharing one),
 and converged rows drop out of the compacted arrays the loop carries. At
 an even integer power, |p|^power is itself a trig polynomial, so L^p norms
 and disk means alike take one exact grid of power (width - 1)/2 + 1 points
-and no doubling (_grid_rule). Area integrals are Gauss-Legendre in the
-radius over such rows, each input scaled by its own power of two. Both
-engines take coefficient rows as they are and scale each row themselves,
-and a value beyond the float range raises OutOfRange.
+and no doubling (_grid_rule). A radial integral is one _radial call: each
+input's row dilated to each Gauss-Legendre node in r, and one call of the
+per-circle engine (circle mean or max) on them all. Both engines scale each
+row by a power of two; a value beyond the float range raises OutOfRange.
 
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
@@ -180,14 +180,17 @@ def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
 
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
     """Per row a[r] (of shape (offsets, points)), the sum of a[r]**p, or of
-    log(a[r]) at p = 0; at p = 1 a is summed as it is (a**1.0 is an exact
-    copy), and below p = 1e-3, where a**p rounds to 1, the sum of
-    expm1(p log a[r]) = a[r]**p - 1."""
+    log(a[r]) at p = 0, where a zero sample raises NearCircleRoot; at p = 1
+    a is summed as it is (a**1.0 is an exact copy), and below p = 1e-3,
+    where a**p rounds to 1, the sum of expm1(p log a[r]) = a[r]**p - 1."""
     if p == 1:
         return a.sum(axis=(1, 2))
     if 0 < p < 1e-3:
         with np.errstate(divide="ignore"):  # a = 0 adds expm1(-inf) = -1
             return np.expm1(p * np.log(a)).sum(axis=(1, 2))
+    if p == 0 and not a.all():
+        raise NearCircleRoot("a circle sample is exactly 0, so the log mean is -inf; "
+                             "use mahler_jensen")
     return (a**p if p != 0 else np.log(a)).sum(axis=(1, 2))
 
 
@@ -469,8 +472,9 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
     """Mahler norm as exp of the grid-doubled circle mean of log|p|.
 
     Refuses (NearCircleRoot) when some root of the lift lies within 1e-3 of
-    the circle: the contour-log singularity makes plain quadrature unreliable
-    there and the Jensen path is authoritative.
+    the circle, or a grid sample is exactly 0: the contour-log singularity
+    makes plain quadrature unreliable there and the Jensen path is
+    authoritative. Roots that do not converge raise RootsNotConverged.
     """
     cfg = cfg or DEFAULT_CONFIG
     lift = p.to_algebraic() if isinstance(p, TrigPoly) else p
@@ -493,11 +497,6 @@ def wiener_norm(p: AlgebraicPoly) -> float:
     return _require_algebraic(p).wiener()
 
 
-def _dilated(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Row r holds the coefficients coeffs[k] radii[r]^k of q(radii[r] z)."""
-    return coeffs[None, :] * radii[:, None] ** np.arange(len(coeffs))[None, :]
-
-
 @functools.lru_cache(maxsize=8)
 def _radial_rule(nodes: int):
     """Gauss-Legendre nodes and weights on [0, 1], built once per node count
@@ -507,6 +506,15 @@ def _radial_rule(nodes: int):
     r.flags.writeable = False
     w.flags.writeable = False
     return r, w
+
+
+def _radial(coeffs: np.ndarray, nodes: int, per_circle):
+    """(r, w, values): the nodes and weights of _radial_rule, and per_circle's
+    value on each circle |z| = r of each row c of ``coeffs``, (inputs, nodes):
+    one per_circle call maps all the dilated rows c_k r^k to a value each."""
+    r, w = _radial_rule(nodes)
+    rows = coeffs[:, None, :] * r[:, None] ** np.arange(coeffs.shape[1])
+    return r, w, per_circle(rows.reshape(-1, coeffs.shape[1])).reshape(len(coeffs), len(r))
 
 
 def disk_mean(p: AlgebraicPoly, power: float = 1.0,
@@ -526,7 +534,7 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
 def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """disk_mean of each of the algebraic polynomials ``polys``, all of one
     declared degree: the circle means over every radius of every input come
-    from one _circle_means call, one row each, on the grid and budget of
+    from one _radial call of _circle_means, on the grid and budget of
     _grid_rule. ``power`` must be finite and positive; a zero polynomial
     has disk mean 0.
 
@@ -543,12 +551,10 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
     if not polys:
         return np.zeros(0)
     cfg = cfg or DEFAULT_CONFIG
-    r, w = _radial_rule(cfg.radial_nodes)
     coeffs, s = _prescaled(np.array([p.coeffs for p in polys], dtype=np.complex128), axis=1)
-    rows = np.concatenate([_dilated(c, r) for c in coeffs])
     grid0, budget = _grid_rule(power, polys[0], cfg)
-    means = _circle_means(rows, power, grid0, cfg.area_rel_tol,
-                          budget).reshape(len(polys), len(r))
+    r, w, means = _radial(coeffs, cfg.radial_nodes, lambda rows: _circle_means(
+        rows, power, grid0, cfg.area_rel_tol, budget))
     scale = s[:, 0] * power
     whole = np.floor(scale)
     return _scaled_back(2.0 * (w * r * means**power).sum(axis=1) * 2.0 ** (scale - whole),
@@ -573,16 +579,14 @@ def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -
 
 
 def besov_inf1_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """besov_inf1_seminorm of each of the algebraic polynomials ``polys``,
-    all of one declared degree: the sups over every radius of every input
-    come from one circle_max call, one row each."""
+    """besov_inf1_seminorm of each of the algebraic polynomials ``polys``, all
+    of one declared degree: every radial sup comes from one _radial call."""
     if not polys:
         return np.zeros(0)
-    r, w = _radial_rule((cfg or DEFAULT_CONFIG).radial_nodes)
-    derivs = [p.derivative() for p in polys]
-    rows = np.concatenate([_dilated(dp.coeffs, r) for dp in derivs])
-    sups = circle_max(rows[:, None])[0]
-    return (w * sups.reshape(len(polys), len(r))).sum(axis=1)
+    derivs = np.array([p.derivative().coeffs for p in polys])
+    _, w, sups = _radial(derivs, (cfg or DEFAULT_CONFIG).radial_nodes,
+                         lambda rows: circle_max(rows[:, None])[0])
+    return (w * sups).sum(axis=1)
 
 
 _NORM_KINDS = ("sup", "lp", "mahler", "wiener", "besov111", "besovinf1")

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParam, OutOfRange, ParseError, ZeroPolynomial
+from .errors import InvalidParam, OutOfRange, ParseError, RootsNotConverged, ZeroPolynomial
 
 _TWO_PI = 2.0 * np.pi
 
@@ -477,7 +477,9 @@ def _aberth(w: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarra
     left moving, the next sweep steps every root, and the loop stops only
     when that sweep's largest correction is below the same bound (any root
     that fails it keeps stepping), so the stop rule is the all-roots one:
-    the largest simultaneous correction is below tol * (1 + max|z|).
+    the largest simultaneous correction is below tol * (1 + max|z|). A
+    polynomial that has not passed it after max_iter sweeps raises
+    RootsNotConverged.
     """
     z = _initial_points(w)
     inner, outer = _newton_blocks(w)
@@ -498,11 +500,12 @@ def _aberth(w: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarra
         step = np.abs(corr)
         bound = tol * (1.0 + np.abs(z).max())
         if every and step.max() <= bound:
-            break
+            return z
         moving[idx] = step > bound
         if not moving.any():
             moving[:] = True
-    return z
+    raise RootsNotConverged(f"Aberth iteration at degree {len(z)} did not converge in "
+                            f"{max_iter} sweeps (last largest correction {step.max():.2e})")
 
 
 def _companion_roots(w: np.ndarray) -> np.ndarray:
@@ -527,8 +530,8 @@ def roots(p: AlgebraicPoly) -> RootSet:
     they are made monic. The remaining roots are companion-matrix eigenvalues
     up to degree ``_EIGVALS_MAX_DEGREE`` and Aberth iterates above it. The
     rebuild residual is left to ``RootSet.residual``, computed only when read.
-    Raises ZeroPolynomial on the zero polynomial; a nonzero constant yields
-    an empty root set.
+    Raises ZeroPolynomial on the zero polynomial, and RootsNotConverged when
+    Aberth runs out of sweeps; a nonzero constant yields an empty root set.
     """
     d_eff = p.effective_degree
     if d_eff is None:

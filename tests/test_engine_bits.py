@@ -1,8 +1,11 @@
-"""The circle engines' exact output bits on seeded inputs.
+"""The circle engines' exact output bits on seeded inputs, and those of the
+radial integrals built on them.
 
 Every value in engine_bits.json is float.hex() of a seeded call of
-_circle_means or circle_max. Both engines are tuned for speed from time to
-time, and a rewrite that only reorders work must keep every bit. One that
+_circle_means or circle_max, or of besov_111_seminorms, besov_inf1_seminorms
+and disk_means(., 2) (the radial-* pins) on seeded algebraic inputs at
+n = 1, 4 and 16, under the default and the light QuadratureConfig. Both
+engines are tuned for speed from time to time, and a rewrite that only reorders work must keep every bit. One that
 changes the arithmetic on purpose re-records the pins it moves and keeps
 the old ones as a reference file, every new value within a stated relative
 distance of its old pin: engine_bits_zero_padded.json holds the circle
@@ -11,7 +14,9 @@ FFT, which the grid0-point FFTs per offset replaced (within 2e-15; the
 largest move was 9.6e-16). The cases cover one row and many rows, one
 exponent and one per row (p = 0 included), doubling budgets 0, 3 and 6,
 tolerances 1e-8 and 1e-10 with rows that stop at different levels, and
-one- and two-term maxima with shared and per-row weights.
+one- and two-term maxima with shared and per-row weights. The radial pins
+hold the dilation and the weighting as well: a change to the radial rule
+re-records them under the same rule.
 """
 import json
 from pathlib import Path
@@ -19,7 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polynorm.norms import _circle_means, circle_max
+from polynorm.norms import (QuadratureConfig, _circle_means, besov_111_seminorms,
+                            besov_inf1_seminorms, circle_max, disk_means)
+from polynorm.poly import AlgebraicPoly
 
 
 def _gauss(rng, *shape):
@@ -65,6 +72,16 @@ def _cases():
                                           for v in out]
     yield "max-two-term-per-row", lambda: [v for h in (two_term, zp)
                                            for out in circle_max(h, 288, weights) for v in out]
+
+    rng = np.random.default_rng(11)
+    polys = [[AlgebraicPoly(_gauss(rng, n + 1)) for _ in range(4)] for n in (1, 4, 16)]
+    radial = {"besov111": besov_111_seminorms, "besovinf1": besov_inf1_seminorms,
+              "bergman": lambda ps, cfg: disk_means(ps, 2.0, cfg)}
+    for tag, cfg in (("default", None), ("light", QuadratureConfig(radial_nodes=32,
+                                                                   max_doublings=3))):
+        for name, fn in radial.items():
+            yield f"radial-{name}-{tag}", lambda fn=fn, cfg=cfg: [v for ps in polys
+                                                                  for v in fn(ps, cfg)]
 
 
 EXPECTED = json.loads((Path(__file__).parent / "engine_bits.json").read_text())

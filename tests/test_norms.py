@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynorm import norms
-from polynorm.errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolynomial
+from polynorm.errors import (InvalidParam, NearCircleRoot, OutOfRange, RootsNotConverged,
+                             ZeroPolynomial)
 from polynorm.norms import (
     QuadratureConfig,
     _circle_means,
@@ -510,6 +511,31 @@ def test_mahler_cross_method_random():
         outside = rng.uniform(1.1, 2.5, n) * np.exp(2j * np.pi * rng.random(n))
         t = TrigPoly(np.asarray(from_roots(np.concatenate([inside, outside])).coeffs))
         assert mahler_quadrature(t) == pytest.approx(mahler_jensen(t), rel=1e-6)
+
+
+def _root_clusters(d):
+    """d/4 centres at modulus 0.5..1.5, four roots 1e-3 from each, given by
+    coefficients alone: Aberth runs out of its sweeps on these."""
+    rng = np.random.default_rng(d)
+    centres = rng.uniform(0.5, 1.5, d // 4) * np.exp(2j * np.pi * rng.random(d // 4))
+    near = centres[:, None] + 1e-3 * np.exp(2j * np.pi * rng.random((d // 4, 4)))
+    return AlgebraicPoly(np.asarray(from_roots(near.ravel()).coeffs))
+
+
+@pytest.mark.parametrize("d", [48, 64, 128])
+@pytest.mark.parametrize("mahler", [mahler_jensen, mahler_quadrature], ids=["jensen", "quadrature"])
+def test_mahler_refuses_unconverged_roots(mahler, d):
+    # unconverged roots once gave 3341.0 from Jensen at d = 64, where the
+    # measure of these float coefficients is 1892.256, and 0.0 from quadrature
+    with pytest.raises(RootsNotConverged, match=f"degree {d} .* 200 sweeps"):
+        mahler(_root_clusters(d))
+
+
+def test_log_mean_of_a_zero_sample_raises():
+    # z^2 - 1 is exactly 0 at the grid points x = 0 and pi: log|.| is -inf
+    # there, and the mean must not come out as exp(-inf) = 0.0
+    with pytest.raises(NearCircleRoot, match="exactly 0"):
+        _circle_means([[-1, 0, 1]], 0.0, 32, 1e-10, 6)
 
 
 # --------------------------------------------------------- wiener and besov

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from polynorm import sweep
 from polynorm.cli import main
 from polynorm.errors import InvalidParam
 from polynorm.norms import QuadratureConfig
-from polynorm.poly import AlgebraicPoly, TrigPoly, poly_from_json, poly_to_json
+from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, poly_from_json, poly_to_json
 
 
 def _small_config(**overrides):
@@ -328,6 +329,18 @@ def test_cli_norm_mahler_and_wiener(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_cli_norm_mahler_exits_2_on_unconverged_roots(tmp_path, capsys):
+    # 16 clusters of four roots 1e-3 apart at d = 64: Aberth runs out of sweeps
+    rng = np.random.default_rng(64)
+    centres = rng.uniform(0.5, 1.5, 16) * np.exp(2j * np.pi * rng.random(16))
+    near = centres[:, None] + 1e-3 * np.exp(2j * np.pi * rng.random((16, 4)))
+    path = _write_poly(tmp_path, "clusters.json",
+                       AlgebraicPoly(np.asarray(from_roots(near.ravel()).coeffs)))
+    assert main(["norm", path, "--kind", "mahler"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "did not converge" in captured.err
+
+
 def test_cli_norm_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "alg", "degree": 2, "coeffs": [[1, 0]]}')
@@ -452,6 +465,33 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
         capsys.readouterr()
         blobs.append(Path(prefix + ".jsonl").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# sha256 of the default sweep's JSONL and CSV at three seeds
+DEFAULT_SWEEP_DIGESTS = {
+    0xBE2257: ("50c1268f1c56e4228121aa4a4f7003a00610f6992f506f19fc83654b8df48ebf",
+               "2d4e3b7b6c3a0cd0fc39021256bb46e2a09852218dc28808417f02a1ebfa2abf"),
+    1: ("78ac80dc68331142bff60d326b432a8d9b7ac1aba4111ad9f3201cbf9f698903",
+        "3793d1b33d15495bc4de0099e326ddf947a0be6ff1b9d91d2983c71f9d9ee4ce"),
+    4242: ("a414b0ebffc7b54d9132b6d291f0fad247582f4429a5cb20124df43ae74e529a",
+           "ac399a775981e83fd9271439d0ac291ffe04617056ed5bb0083e8b738220f5a0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_SWEEP_DIGESTS))
+def test_cli_verify_default_sweep_output_is_pinned(tmp_path, capsys, seed):
+    """The default sweep's output, byte for byte, as in test_engine_bits.py:
+    a change that only reorders or speeds up work keeps both digests, and
+    one that moves output on purpose re-records the digests it moves and
+    lists the moved reports, with their largest change, in CHANGES.md."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": seed}))
+    prefix = str(tmp_path / "out")
+    assert main(["verify", str(cfg_path), "--out", prefix]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(Path(prefix + ext).read_bytes()).hexdigest()
+                    for ext in (".jsonl", ".csv"))
+    assert digests == DEFAULT_SWEEP_DIGESTS[seed]
 
 
 def test_cli_verify_profile_leaves_outputs_alone(tmp_path, capsys):
