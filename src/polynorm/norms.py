@@ -509,9 +509,9 @@ def _radial_rule(nodes: int):
 
 
 def _radial(coeffs: np.ndarray, nodes: int, per_circle):
-    """(r, w, values): the nodes and weights of _radial_rule, and per_circle's
-    value on each circle |z| = r of each row c of ``coeffs``, (inputs, nodes):
-    one per_circle call maps all the dilated rows c_k r^k to a value each."""
+    """(r, w, values): the nodes and weights of _radial_rule, and values[i, j],
+    per_circle's value on the circle |z| = r[j] for row i of ``coeffs``, from
+    one per_circle call on all the dilated rows c_k r^k, one value each."""
     r, w = _radial_rule(nodes)
     rows = coeffs[:, None, :] * r[:, None] ** np.arange(coeffs.shape[1])
     return r, w, per_circle(rows.reshape(-1, coeffs.shape[1])).reshape(len(coeffs), len(r))
