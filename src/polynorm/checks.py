@@ -511,8 +511,11 @@ def check_identity_logplus(v: complex, tol: float = DEFAULT_TOL,
 
     By rotation invariance the inner unimodular factor is fixed to 1. The
     report carries the absolute discrepancy against an allowance of
-    tol * (1 + |log+ |v||); inputs within 1e-6 of the unit circle are
-    rejected since the integrand then has a near-contour log singularity.
+    tol * (1 + |log+ |v||). On the largest grid, of N = 64 * 2^(max_doublings
+    + 4) points, the rule errs by at most -log(1 - rho^N)/N, about rho^N/N,
+    rho = min(|v|, 1/|v|), which is infinite at |v| = 1 (a log singularity
+    on the contour): OnUnitCircle refuses each v where it exceeds half the
+    allowance, |v| within about 1.2e-4 of 1 under the default config.
     """
     return check_identity_logplus_batch([(v,)], tol, cfg)[0]
 
@@ -525,19 +528,24 @@ def check_identity_logplus_batch(cases, tol: float = DEFAULT_TOL,
     vs = [complex(v) for v, in cases]
     if not np.isfinite(vs).all():
         raise InvalidParam("v must be finite")
-    if any(abs(abs(v) - 1.0) < 1e-6 for v in vs):
-        raise OnUnitCircle("|v| = 1 is excluded (log singularity on the contour)")
+    rhs = [max(0.0, math.log(abs(v))) if v else 0.0 for v in vs]
+    n_max = 64 << (cfg.max_doublings + 4)
+    for v, h in zip(vs, rhs):
+        rho = min(abs(v), 1.0 / abs(v)) if v else 0.0
+        err = -math.log1p(-rho**n_max) / n_max if rho < 1 else math.inf
+        if err > 0.5 * tol * (1.0 + h):
+            raise OnUnitCircle(f"|v| = {abs(v):.8g} is too near the unit circle (log "
+                               f"singularity): the {n_max}-point rule errs by up to {err:.3g}")
     # stop on the Mahler measure exp(mean) = max(1, |v|), not on the mean
     # itself, which is 0 for |v| < 1 and so never meets a relative test
     rows = np.array([[v, 1.0] for v in vs], dtype=np.complex128).reshape(len(vs), 2)
     means = _circle_means(rows, 0.0, 64, cfg.rel_tol, cfg.max_doublings + 4)
     out = []
-    for v, mean in zip(vs, means.tolist()):
+    for v, h, mean in zip(vs, rhs, means.tolist()):
         quad = math.log(mean)
-        rhs = max(0.0, math.log(abs(v))) if v != 0 else 0.0
         out.append(_report("logplus", {"op": "logplus", "v": [v.real, v.imag]},
-                           abs(quad - rhs), tol * (1.0 + abs(rhs)), 0.0,
-                           params={"v_abs": abs(v), "lhs": quad, "rhs": rhs}))
+                           abs(quad - h), tol * (1.0 + h), 0.0,
+                           params={"v_abs": abs(v), "lhs": quad, "rhs": h}))
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels, measures, norms, sweep
 from .errors import PolynormError
 from .norms import QuadratureConfig, norm_value
-from .poly import AlgebraicPoly, ExponentialSum, TrigPoly, load_poly_file
+from .poly import ExponentialSum, TrigPoly, _read_json, load_poly_file
 
 _FMT = "{:.15g}"
 
@@ -34,10 +34,7 @@ def _fmt_complex(v: complex) -> str:
 
 
 def _load_cfg(path: str | None) -> QuadratureConfig:
-    if not path:
-        return QuadratureConfig()
-    with open(path, "r", encoding="utf-8") as handle:
-        return QuadratureConfig.from_json(json.load(handle))
+    return QuadratureConfig.from_json(_read_json(path)) if path else QuadratureConfig()
 
 
 def _cmd_norm(args) -> int:
@@ -96,15 +93,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise PolynormError(f"{args.config}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise PolynormError(f"{args.config}: a sweep config is a JSON object")
+    obj = _read_json(args.config) if args.config else {}
+    if not isinstance(obj, dict):
+        raise PolynormError(f"{args.config}: a sweep config is a JSON object")
     # the flags override the file before the config is validated, as one dict
     overrides = {"seed": args.seed, "trials": args.trials, "tol": args.tol,
                  "rho_list": None if args.rho is None else [args.rho],
@@ -220,7 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PolynormError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (PolynormError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,14 +31,10 @@ def grid_size(n: int) -> int:
     return 4 * n + 8
 
 
-def _kernel_mean(p, xi: complex, n: int | None, grid: int | None, kernel) -> complex:
-    """The mean of p(u) * conj(kernel(u, D_n(conj(xi) u))) over the N-point
-    rule: n defaults to max(deg p, 1) and may not be smaller, N defaults to
-    the 4n+8 exactness floor and may not drop below it."""
-    if n is None:
-        n = max(p.degree, 1)
-    if n < max(p.degree, 1):
-        raise InvalidParam(f"kernel degree parameter {n} below polynomial degree {p.degree}")
+def _kernel_mean(p, xi: complex, grid: int | None, kernel) -> complex:
+    """The N-point mean of p(u) conj(kernel(u, D_n(conj(xi) u))), n = max(deg p, 1),
+    where N defaults to the 4n+8 exactness floor and may not drop below it."""
+    n = max(p.degree, 1)
     N = grid_size(n) if grid is None else grid
     if N < grid_size(n):
         raise InvalidParam(f"grid {N} below the exactness floor {grid_size(n)}")
@@ -55,33 +51,31 @@ def _dirichlet_on_grid(n: int, xi: complex, grid: int) -> np.ndarray:
     return _grid_values(powers, 0, grid)
 
 
-def deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,
-                     grid: int | None = None) -> complex:
-    """P'(xi) = integral of P(u) * conj(u * D_n(conj(xi) u)^2) dm(u), |xi| <= 1."""
+def deriv_via_kernel(p: AlgebraicPoly, xi: complex, grid: int | None = None) -> complex:
+    """P'(xi) = integral of P(u) conj(u D_n(conj(xi) u)^2) dm(u), n = max(deg P, 1), |xi| <= 1."""
     xi = complex(xi)
     if abs(xi) > 1.0 + _BOUNDARY_TOL:
         raise InvalidParam("the first-derivative representation needs |xi| <= 1")
-    return _kernel_mean(p, xi, n, grid, lambda u, d: u * d * d)
+    return _kernel_mean(p, xi, grid, lambda u, d: u * d * d)
 
 
-def second_deriv_via_kernel(p: AlgebraicPoly, xi: complex, n: int | None = None,
-                            grid: int | None = None) -> complex:
-    """P''(xi) = 2 * integral of P(u) * conj(u^2 * D_n(conj(xi) u)^3) dm(u)."""
+def second_deriv_via_kernel(p: AlgebraicPoly, xi: complex, grid: int | None = None) -> complex:
+    """P''(xi) = 2 * integral of P(u) * conj(u^2 * D_n(conj(xi) u)^3) dm(u),
+    |xi| <= 1, with n = max(deg P, 1)."""
     xi = complex(xi)
     if abs(xi) > 1.0 + _BOUNDARY_TOL:
         raise InvalidParam("the second-derivative representation needs |xi| <= 1")
-    return 2.0 * _kernel_mean(p, xi, n, grid, lambda u, d: u * u * d * d * d)
+    return 2.0 * _kernel_mean(p, xi, grid, lambda u, d: u * u * d * d * d)
 
 
-def trig_deriv_via_kernel(t: TrigPoly, xi: complex, n: int | None = None,
-                          grid: int | None = None) -> complex:
-    """The z-derivative sum k a_k xi^(k-1) of a trig polynomial, |xi| = 1,
-    as the inner product against the two-sided kernel
+def trig_deriv_via_kernel(t: TrigPoly, xi: complex, grid: int | None = None) -> complex:
+    """The z-derivative sum k a_k xi^(k-1) of a trig polynomial, |xi| = 1, as
+    the inner product against the two-sided kernel, n = max(deg T, 1),
     K_xi(u) = u D_n(conj(xi) u)^2 - xi^2 conj(u) conj(D_n(conj(xi) u)^2)."""
     xi = complex(xi)
     if abs(abs(xi) - 1.0) > _BOUNDARY_TOL:
         raise InvalidParam("the trig kernel is defined for unimodular xi only")
-    return _kernel_mean(t, xi, n, grid,
+    return _kernel_mean(t, xi, grid,
                         lambda u, d: u * d**2 - xi * xi * np.conj(u) * np.conj(d**2))
 
 

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BandwidthExceeded, InvalidParam, ParseError
-from .poly import ExponentialSum, TrigPoly, _equal_arrays
+from .poly import ExponentialSum, TrigPoly, _equal_arrays, _exp_sum
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class DiscreteMeasure:
         f = np.asarray(freqs)
         m = int(np.abs(f).max(initial=0)) if f.dtype.kind in "iu" else f.size
         if m >= f.size:
-            return np.exp(1j * np.multiply.outer(f.astype(np.float64), self.nodes)) @ self.weights
+            return _exp_sum(f, self.nodes, self.weights)
         z = np.exp(1j * self.nodes)
         pw = np.empty((m + 1, z.size), dtype=np.complex128)
         pw[0] = 1.0

@@ -180,17 +180,19 @@ def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
 
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:
     """Per row a[r] (of shape (offsets, points)), the sum of a[r]**p, or of
-    log(a[r]) at p = 0, where a zero sample raises NearCircleRoot; at p = 1
-    a is summed as it is (a**1.0 is an exact copy), and below p = 1e-3,
-    where a**p rounds to 1, the sum of expm1(p log a[r]) = a[r]**p - 1."""
+    log(a[r]) at p = 0; at p = 1 a is summed as it is (a**1.0 is an exact
+    copy), and below p = 1e-3, where a**p rounds to 1, the sum of
+    expm1(p log a[r]) = a[r]**p - 1. A zero sample raises NearCircleRoot
+    below p = 1e-3: at p = 0 it adds log 0 = -inf, and above it adds -1 to
+    a sum whose mean is of order p, so the norm, that mean to the power 1/p,
+    collapses toward 0."""
     if p == 1:
         return a.sum(axis=(1, 2))
-    if 0 < p < 1e-3:
-        with np.errstate(divide="ignore"):  # a = 0 adds expm1(-inf) = -1
-            return np.expm1(p * np.log(a)).sum(axis=(1, 2))
-    if p == 0 and not a.all():
+    if p < 1e-3 and not a.all():
         raise NearCircleRoot("a circle sample is exactly 0, so the log mean is -inf; "
                              "use mahler_jensen")
+    if 0 < p < 1e-3:
+        return np.expm1(p * np.log(a)).sum(axis=(1, 2))
     return (a**p if p != 0 else np.log(a)).sum(axis=(1, 2))
 
 

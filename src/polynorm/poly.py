@@ -252,14 +252,14 @@ class TrigPoly:
         """The k >= 0 coefficients as an algebraic polynomial."""
         return AlgebraicPoly(self.coeffs[self.degree:])
 
-    def has_negative_frequencies(self, tol: float = 0.0) -> bool:
-        neg = self.coeffs[: self.degree]
-        return bool(np.any(np.abs(neg) > tol))
+    def has_negative_frequencies(self) -> bool:
+        """True when some a_k with k < 0 is nonzero (an exact test)."""
+        return bool(self.coeffs[: self.degree].any())
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """True when a_{-k} = conj(a_k) up to tol relative to the largest coefficient."""
+    def is_real_valued(self) -> bool:
+        """True when a_{-k} = conj(a_k) up to 1e-12 relative to the largest coefficient."""
         scale = max(float(np.abs(self.coeffs).max()), 1e-300)
-        return bool(np.abs(self.coeffs - np.conj(self.coeffs[::-1])).max() <= tol * scale)
+        return bool(np.abs(self.coeffs - np.conj(self.coeffs[::-1])).max() <= 1e-12 * scale)
 
     def shift(self, a: float) -> "TrigPoly":
         """T(. + a): coefficient k picks up the phase e^{ika}."""
@@ -276,6 +276,12 @@ class TrigPoly:
         return TrigPoly(self.coeffs * complex(other))
 
     __rmul__ = __mul__
+
+
+def _exp_sum(x, freqs: np.ndarray, amps: np.ndarray):
+    """sum_j amps[j] e^{i freqs[j] x} at each real x (a complex for a scalar x)."""
+    vals = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=np.float64), freqs)) @ amps
+    return complex(vals) if np.isscalar(x) else vals
 
 
 @dataclass(frozen=True)
@@ -312,17 +318,10 @@ class ExponentialSum:
         object.__setattr__(self, "bandwidth", bw)
 
     def __call__(self, x):
-        scalar = np.isscalar(x)
-        xv = np.asarray(x, dtype=np.float64)
-        vals = np.exp(1j * np.multiply.outer(xv, self.frequencies)) @ self.amplitudes
-        return complex(vals) if scalar else vals
+        return _exp_sum(x, self.frequencies, self.amplitudes)
 
     def derivative_values(self, x):
-        scalar = np.isscalar(x)
-        xv = np.asarray(x, dtype=np.float64)
-        w = 1j * self.frequencies * self.amplitudes
-        vals = np.exp(1j * np.multiply.outer(xv, self.frequencies)) @ w
-        return complex(vals) if scalar else vals
+        return _exp_sum(x, self.frequencies, 1j * self.frequencies * self.amplitudes)
 
     def amplitude_sum(self) -> float:
         return float(np.abs(self.amplitudes).sum())
@@ -680,11 +679,15 @@ def expsum_from_json(obj: dict) -> ExponentialSum:
         raise ParseError(str(exc)) from exc
 
 
-def load_poly_file(path):
-    """Load a polynomial (or exponential sum) from a JSON file."""
+def _read_json(path):
+    """The JSON value in the file at path; ParseError naming the file if it is not JSON."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-    return poly_from_json(obj)
+
+
+def load_poly_file(path):
+    """Load a polynomial (or exponential sum) from a JSON file."""
+    return poly_from_json(_read_json(path))

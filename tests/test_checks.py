@@ -11,7 +11,7 @@ from polynorm.errors import (
     OutOfRange,
     RootInForbiddenRegion,
 )
-from polynorm.norms import lp_norm, sup_norm
+from polynorm.norms import QuadratureConfig, lp_norm, sup_norm
 from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate, roots
 
 
@@ -336,6 +336,25 @@ def test_logplus_inside_stops_early(monkeypatch):
         grids.clear()
         assert C.check_identity_logplus(v).passed
         assert grids and max(grids) <= 1024, (v, grids)
+
+
+_LIGHT = QuadratureConfig(radial_nodes=32, max_doublings=3)
+
+
+@pytest.mark.parametrize("v, cfg", [(1.0001, None), (0.9999, None), (1.001, _LIGHT),
+                                    (0.999, _LIGHT)])
+def test_logplus_refuses_where_its_largest_grid_misses_the_allowance(v, cfg):
+    # the N-point rule errs by about rho^N/N, rho = min(|v|, 1/|v|): 2.2e-8 at
+    # N = 65536 (default) and 3.4e-8 at N = 8192 (light), over the 1e-8
+    # allowance of a true identity
+    with pytest.raises(OnUnitCircle, match="too near the unit circle"):
+        C.check_identity_logplus(v, cfg=cfg)
+
+
+@pytest.mark.parametrize("v, cfg", [(1.0002, None), (1.00015, None), (1.003, _LIGHT)])
+def test_logplus_passes_near_the_circle_where_its_grid_resolves(v, cfg):
+    # rho^N/N is 3.1e-11, 8.2e-10 and 2.7e-15 here, within half the allowance
+    assert C.check_identity_logplus(v, cfg=cfg).passed
 
 
 def test_power_identity():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynorm import norms
-from polynorm.errors import (InvalidParam, NearCircleRoot, OutOfRange, RootsNotConverged,
-                             ZeroPolynomial)
+from polynorm.errors import (InvalidParam, NearCircleRoot, OutOfRange, PolynormError,
+                             RootsNotConverged, ZeroPolynomial)
 from polynorm.norms import (
     QuadratureConfig,
     _circle_means,
@@ -536,6 +536,42 @@ def test_log_mean_of_a_zero_sample_raises():
     # there, and the mean must not come out as exp(-inf) = 0.0
     with pytest.raises(NearCircleRoot, match="exactly 0"):
         _circle_means([[-1, 0, 1]], 0.0, 32, 1e-10, 6)
+
+
+@pytest.mark.parametrize("power", [1e-12, 1e-6, 1e-4])
+def test_tiny_power_mean_of_a_zero_sample_raises(power):
+    # a zero sample of z^2 - 1 adds expm1(-inf) = -1 to a sum whose mean is
+    # of order p, which takes the norm (1.0000) to 0.0 at 1e-12 and 1e-6 and
+    # to 0.038 at 1e-4
+    with pytest.raises(NearCircleRoot, match="exactly 0"):
+        lp_norm(AlgebraicPoly([-1, 0, 1]), power)
+
+
+def _within_1e8_or_refused(compute, truth):
+    try:
+        value = compute()
+    except PolynormError:
+        return
+    assert value == pytest.approx(truth, rel=1e-8)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the grid does not follow the root distance")
+def test_roadmap_item_5_mahler_quadrature_of_a_root_just_outside_the_gate():
+    # the root -1.002 lies outside the 1e-3 NearCircleRoot gate, but
+    # _grid_rule(0.0) stops at 2048 points: 1.0019917568, 8.2e-6 off M = 1.002
+    _within_1e8_or_refused(lambda: mahler_quadrature(AlgebraicPoly([1.002, 1])), 1.002)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: an unconverged mean at small p is not flagged")
+def test_roadmap_item_1_lp_norm_at_p_1e3_with_roots_on_the_circle():
+    # |z^2 - 1| = 2|sin x|, whose p-th power has the mean
+    # 2^p G((p+1)/2) / (sqrt(pi) G(p/2+1)); the grid gives 0.7174 against 1.000411
+    p = 1e-3
+    mean = 2**p * math.gamma((p + 1) / 2) / (math.sqrt(math.pi) * math.gamma(p / 2 + 1))
+    truth = mean ** (1 / p)
+    _within_1e8_or_refused(lambda: lp_norm(AlgebraicPoly([-1, 0, 1]), p), truth)
 
 
 # --------------------------------------------------------- wiener and besov

@@ -361,6 +361,15 @@ def test_cli_norm_bad_input(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_cli_norm_names_a_malformed_cfg_file(tmp_path, capsys):
+    poly = _write_poly(tmp_path, "p.json", AlgebraicPoly([1, 1]))
+    cfg = tmp_path / "quad.json"
+    cfg.write_text("{max_doublings: 3}")
+    assert main(["norm", poly, "--kind", "lp", "--p", "1", "--cfg", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Expecting property name" in err
+
+
 def test_cli_diff_direct_and_riesz(tmp_path, capsys):
     exp1 = _write_poly(tmp_path, "e1.json", TrigPoly([0, 0, 1]))
     assert main(["diff", exp1, "--method", "direct", "--at", str(np.pi / 2)]) == 0
