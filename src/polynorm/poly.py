@@ -27,10 +27,11 @@ _TWO_PI = 2.0 * np.pi
 # Largest effective degree (after factoring out roots at the origin) whose
 # roots come from companion-matrix eigenvalues; Aberth takes over above it.
 # With one BLAS thread on a 2-core Xeon (median of three runs over ten random
-# polynomials), eigvals took 0.15 / 0.64 / 0.93 ms at d = 16 / 32 / 40
-# against 0.76 / 0.97 / 1.13 ms for Aberth, the two were even at d = 42 / 44
-# (1.01 / 1.19 against 1.02 / 1.26 ms), and eigvals lost from d = 46 on
-# (1.40 / 1.45 / 2.50 ms against 1.04 / 1.21 / 1.36 ms at d = 46 / 48 / 64).
+# polynomials, for three sets of ten), eigvals took 0.45 / 0.56 / 0.63 ms at
+# d = 36 / 40 / 42 against 0.62 / 0.64 / 0.66 ms for Aberth and won every
+# set, the two were even at d = 43 / 44 (0.65 / 0.68 against 0.66 / 0.67 ms),
+# and eigvals lost every set from d = 45 on (0.72 / 0.83 / 0.98 ms against
+# 0.66 / 0.74 / 0.73 ms at d = 45 / 48 / 52).
 _EIGVALS_MAX_DEGREE = 44
 
 
@@ -47,27 +48,45 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner for short polynomials, a cumulative power matrix otherwise.
+def _powers(z: np.ndarray, m: int) -> np.ndarray:
+    """The (m, len(z)) table of z^k, k = 0..m-1, for a one-dimensional z.
 
-    The power-matrix route trades memory (len(z) x len(coeffs)) for a handful
-    of vector ops, which wins once the coefficient loop would dominate; it
-    falls back to Horner when the matrix would be large. It still pays for
-    Aberth above ``_EIGVALS_MAX_DEGREE``: with Horner alone a ``roots`` call
-    took 4.9 / 6.0 / 12.2 / 26.7 ms at d = 45 / 64 / 128 / 256, against
-    1.5 / 1.5 / 3.0 / 8.6 ms with this branch (one BLAS thread, 2-core Xeon).
+    Built by doubling: once rows 0..k-1 hold z^0..z^(k-1), rows k..2k-1 are
+    those rows times z^k (itself z^(k/2) squared), so about log2(m) block
+    multiplies fill the table in place of an element-by-element product.
+    Row k carries up to about k roundings, as a sequential product does, but
+    the squarings pass each one on coherently rather than as a random walk:
+    at m = 257 on 128 random angles at each |z| in {0.9, 1, 1.1}, the worst
+    entry was 2.3e-14 |z|^k off a 40-digit reference, against 3.3e-15 |z|^k
+    for the sequential product.
+    """
+    pw = np.empty((m, z.size), dtype=np.complex128)
+    pw[0] = 1.0
+    pw[1:2] = z
+    k = 2
+    while k < m:
+        zk = pw[k // 2] * pw[k // 2]
+        np.multiply(pw[: min(k, m - k)], zk, out=pw[k : 2 * k])
+        k *= 2
+    return pw
+
+
+def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner for short polynomials, a power table (``_powers``) otherwise.
+
+    The power-table route trades memory (len(z) x len(coeffs)) for a handful
+    of block ops, which wins once the coefficient loop would dominate; it
+    falls back to Horner when the table would be large. It pays for Aberth
+    above ``_EIGVALS_MAX_DEGREE``: with Horner alone a ``roots`` call took
+    1.8 / 2.9 / 6.5 / 16.4 ms at d = 45 / 64 / 128 / 256, against
+    0.7 / 0.9 / 1.6 / 4.2 ms with this branch (one BLAS thread, 2-core Xeon).
     A two-dimensional ``coeffs`` is a block of columns, one polynomial each,
     all evaluated from the same powers of z.
     """
     m = len(coeffs)
     if m <= 8 or z.ndim != 1 or z.size * m > 2_000_000:
         return _horner(coeffs, z)
-    zc = np.ascontiguousarray(z, dtype=np.complex128)
-    pw = np.empty((z.size, m), dtype=np.complex128)
-    pw[:, 0] = 1.0
-    np.multiply.accumulate(np.broadcast_to(zc[:, None], (z.size, m - 1)), axis=1,
-                           out=pw[:, 1:])
-    return pw @ coeffs
+    return _powers(z, m).T @ coeffs
 
 
 def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
@@ -101,6 +120,12 @@ def _refuse_nonfinite(name: str, values: np.ndarray) -> None:
     # verify sweep builds thousands of polynomials
     if np.count_nonzero(np.isfinite(values)) != values.size:
         raise InvalidParam(f"{name} must be finite (no NaN or infinity)")
+
+
+def _refuse_overflow(values: np.ndarray) -> None:
+    """OutOfRange unless every value (taken at finite points) is finite."""
+    if not np.isfinite(values).all():
+        raise OutOfRange("polynomial value exceeds the floating-point range")
 
 
 def _equal_arrays(self, other):
@@ -150,8 +175,14 @@ class AlgebraicPoly:
         return not self.coeffs.any()
 
     def __call__(self, z):
+        """P(z); a non-finite z raises InvalidParam, and a value beyond the
+        float range OutOfRange (no warning escapes)."""
         scalar = np.isscalar(z)
-        vals = _poly_values(self.coeffs, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        _refuse_nonfinite("evaluation points", zv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _poly_values(self.coeffs, zv)
+        _refuse_overflow(vals)
         return complex(vals[0]) if scalar else vals.reshape(np.shape(z))
 
     def derivative(self) -> "AlgebraicPoly":
@@ -225,11 +256,16 @@ class TrigPoly:
         return complex(self.coeffs[n + k])
 
     def __call__(self, x):
-        """Evaluate via the lift: T(x) = Q(e^{ix}) e^{-inx} with Q(z) = z^n T(z)."""
+        """Evaluate via the lift: T(x) = Q(e^{ix}) e^{-inx} with Q(z) = z^n T(z).
+        A non-finite x raises InvalidParam, and a value beyond the float range
+        OutOfRange (no warning escapes)."""
         scalar = np.isscalar(x)
         xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        _refuse_nonfinite("evaluation points", xv)
         z = np.exp(1j * xv)
-        vals = _poly_values(self.coeffs, z.ravel()).reshape(z.shape) * np.exp(-1j * self.degree * xv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _poly_values(self.coeffs, z.ravel()).reshape(z.shape) * np.exp(-1j * self.degree * xv)
+        _refuse_overflow(vals)
         return complex(vals[0]) if scalar else vals.reshape(np.shape(x))
 
     def derivative(self) -> "TrigPoly":

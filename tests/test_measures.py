@@ -123,7 +123,11 @@ def test_transform_integer_and_real_frequencies_agree():
     rng = np.random.default_rng(8)
     mu = DiscreteMeasure(rng.standard_normal(9) + 1j * rng.standard_normal(9),
                          rng.uniform(-3.0, 3.0, 9))
-    for k in (np.arange(-12, 13), np.array([0]), np.array([0, 40]), np.arange(5, 9)):
+    cases = [(mu, k) for k in (np.arange(-12, 13), np.array([0]), np.array([0, 40]),
+                               np.arange(5, 9))]
+    # the highdeg benchmark's table: 129 rows of powers at 256 nodes
+    cases.append((riesz_measure(128), np.arange(-128, 129)))
+    for mu, k in cases:
         want = np.exp(1j * np.outer(k, mu.nodes)) @ mu.weights
         assert np.abs(mu.transform(k) - want).max() <= 1e-13 * mu.total_variation
 

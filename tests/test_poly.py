@@ -236,9 +236,25 @@ def test_newton_corrections_match_direct_evaluation(d):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
-@pytest.mark.parametrize("m", [5, 40])
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 257])
+@pytest.mark.parametrize("r", [0.9, 1.0, 1.1])
+def test_powers_match_sequential_products(m, r):
+    # the doubling table against z^k built one factor at a time; the
+    # squarings pass their roundings on, so allow about 450 units at k = 256
+    z = r * np.exp(2j * np.pi * np.random.default_rng(m).random(64))
+    want = np.empty((m, z.size), dtype=np.complex128)
+    want[0] = 1.0
+    for k in range(1, m):
+        want[k] = want[k - 1] * z
+    got = poly_mod._powers(z, m)
+    assert got.shape == (m, z.size)
+    assert np.all(np.abs(got - want) <= 1e-13 * r ** np.arange(m)[:, None])
+
+
+@pytest.mark.parametrize("m", [5, 40, 257])
 def test_poly_values_column_block_matches_each_column(m):
-    # m = 5 takes the Horner branch, m = 40 the power matrix
+    # m = 5 takes the Horner branch, m = 40 and 257 (a degree-128 lift) the
+    # power table
     rng = np.random.default_rng(m)
     block = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     z = 1.1 * np.exp(2j * np.pi * rng.random(30))
@@ -261,6 +277,21 @@ def test_aberth_stops_only_when_every_root_has_converged(w):
     # below tol * (1 + max|z|), however few of them the last sweeps stepped
     z = poly_mod._aberth(w)
     assert np.abs(_aberth_step(w, z)).max() <= 1e-14 * (1.0 + np.abs(z).max())
+
+
+def test_aberth_sweeps_within_budget_on_gaussian_lifts(monkeypatch):
+    # README's 7-24 sweeps for Gaussian lifts of degree 64-256: the rounding
+    # of the power table must not cost sweeps or accuracy
+    sweeps = []
+    newton = poly_mod._newton_corrections
+    monkeypatch.setattr(poly_mod, "_newton_corrections",
+                        lambda inner, outer, z: sweeps.append(1) or newton(inner, outer, z))
+    for n in (32, 64, 128):
+        for seed in range(20):
+            sweeps.clear()
+            rs = roots(generate("gaussian-random", n, seed=seed).to_algebraic())
+            assert len(sweeps) <= 24, (n, seed)
+            assert rs.residual <= 1e-10, (n, seed)
 
 
 def test_aberth_steps_only_moving_roots(monkeypatch):
@@ -436,6 +467,26 @@ def test_expsum_validation():
     f = ExponentialSum([1, 2j], [0.5, -1.25])
     assert f.bandwidth == pytest.approx(1.25)
     assert f(0.3) == pytest.approx(np.exp(0.15j) + 2j * np.exp(-0.375j))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_values_beyond_float_range_are_out_of_range():
+    # both branches of the evaluation (power table at 41 coefficients,
+    # Horner at 3) and the trig lift raise OutOfRange with no warning, and
+    # one overflowing point of an array is enough
+    cases = [(AlgebraicPoly(np.ones(41)), 1e8), (AlgebraicPoly([1.0, 2.0, 3.0]), 1e200),
+             (AlgebraicPoly(np.ones(41)), np.array([0.5, 1e8])),
+             (TrigPoly([1e308, 1e308, 1e308]), 0.0)]
+    for p, z in cases:
+        with pytest.raises(OutOfRange):
+            p(z)
+    assert AlgebraicPoly(np.ones(41))(2.0) == 2.0**41 - 1
+    assert TrigPoly([1e308, 0.0, 0.0])(0.0) == 1e308
+    # a point that is not finite is refused, not evaluated to NaN
+    for p, z in [(AlgebraicPoly(np.ones(41)), math.inf), (AlgebraicPoly([1.0, 2.0]), math.nan),
+                 (TrigPoly([1.0, 2.0, 3.0]), np.array([0.0, math.inf]))]:
+        with pytest.raises(InvalidParam):
+            p(z)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
