@@ -49,7 +49,7 @@ from .norms import (
     sup_norms_argmax,
     wiener_norm,
 )
-from .poly import AlgebraicPoly, TrigPoly, poly_to_json, root_array, roots
+from .poly import AlgebraicPoly, TrigPoly, _refuse_nonfinite, poly_to_json, root_array, roots
 
 DEFAULT_TOL = 1e-8
 HULL_TOL = 1e-7
@@ -526,8 +526,7 @@ def check_identity_logplus_batch(cases, tol: float = DEFAULT_TOL,
     every v go through one _circle_means call."""
     cfg = cfg or DEFAULT_CONFIG
     vs = [complex(v) for v, in cases]
-    if not np.isfinite(vs).all():
-        raise InvalidParam("v must be finite")
+    _refuse_nonfinite("v", np.asarray(vs))
     rhs = [max(0.0, math.log(abs(v))) if v else 0.0 for v in vs]
     n_max = 64 << (cfg.max_doublings + 4)
     for v, h in zip(vs, rhs):

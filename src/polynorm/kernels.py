@@ -13,17 +13,17 @@ import math
 import numpy as np
 
 from .errors import InvalidParam
-from .poly import AlgebraicPoly, TrigPoly, _grid_values, _horner
+from .poly import AlgebraicPoly, TrigPoly, _grid_values
 
 _BOUNDARY_TOL = 1e-12
 
 
 def dirichlet(n: int, z):
-    """D_n(z) = sum_{k=0}^{n-1} z^k (n terms), by Horner; vectorized in z."""
+    """D_n(z) = sum_{k=0}^{n-1} z^k (n terms): AlgebraicPoly(np.ones(n))(z),
+    so a scalar z gives a complex and an array of any shape its own shape."""
     if n < 1:
         raise InvalidParam("dirichlet kernel needs n >= 1")
-    out = _horner(np.ones(n), np.asarray(z, dtype=np.complex128))
-    return complex(out) if np.isscalar(z) else out
+    return AlgebraicPoly(np.ones(n))(z)
 
 
 def grid_size(n: int) -> int:

@@ -20,7 +20,8 @@ from functools import partial
 import numpy as np
 
 from .errors import BandwidthExceeded, InvalidParam, ParseError
-from .poly import ExponentialSum, TrigPoly, _equal_arrays, _exp_sum, _powers
+from .poly import (ExponentialSum, TrigPoly, _equal_arrays, _exp_sum, _is_integer, _powers,
+                   _refuse_nonfinite)
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class DiscreteMeasure:
         t = np.atleast_1d(np.asarray(self.nodes, dtype=np.float64)).copy()
         if w.shape != t.shape or w.ndim != 1:
             raise InvalidParam("weights and nodes must be matching vectors")
-        if not (np.isfinite(w).all() and np.isfinite(t).all()):
-            raise InvalidParam("weights and nodes must be finite")
+        _refuse_nonfinite("weights", w)
+        _refuse_nonfinite("nodes", t)
         if not (0.0 <= self.truncation_tail < math.inf):
             raise InvalidParam("truncation tail must be finite and nonnegative")
         if self.bandwidth is not None and not (0.0 < self.bandwidth < math.inf):
@@ -115,8 +116,8 @@ def riesz_measure(n: int) -> DiscreteMeasure:
     Atoms (c_r, x_r), r = 1..2n, with x_r = (2r-1)*pi/(2n) and
     c_r = (-1)^(r+1) / (4 n sin^2(x_r / 2)); the weight moduli sum to n.
     """
-    if n < 1:
-        raise InvalidParam("the differentiation measure needs n >= 1")
+    if not _is_integer(n) or n < 1:
+        raise InvalidParam("the differentiation measure needs an integer n >= 1")
     r = np.arange(1, 2 * n + 1)
     x = (2 * r - 1) * np.pi / (2 * n)
     c = ((-1.0) ** (r + 1)) / (4.0 * n * np.sin(x / 2.0) ** 2)
@@ -151,7 +152,7 @@ def boas_measure(lam: float, trunc: int = 401) -> DiscreteMeasure:
     """
     if not (lam > 0) or not math.isfinite(lam):
         raise InvalidParam("bandwidth must be positive and finite")
-    if trunc < 1 or trunc % 2 == 0:
+    if not _is_integer(trunc) or trunc < 1 or trunc % 2 == 0:
         raise InvalidParam("truncation order must be an odd integer >= 1")
     k_pos = np.arange(1, trunc + 1, 2)
     k = np.concatenate([-k_pos[::-1], k_pos])
@@ -189,8 +190,8 @@ def riesz_weight_identity(n: int) -> float:
 
     This restates that the differentiation-measure weight moduli sum to n.
     """
-    if n < 1:
-        raise InvalidParam("n >= 1 required")
+    if not _is_integer(n) or n < 1:
+        raise InvalidParam("an integer n >= 1 required")
     r = np.arange(1, 2 * n + 1)
     s = float(np.sum(1.0 / np.sin((2 * r - 1) * np.pi / (4.0 * n)) ** 2))
     return s / (4.0 * n * n)
@@ -210,8 +211,8 @@ def euler_partial_sums(terms: int) -> dict:
     ``normalized`` is 8/pi^2 times the odd partial sum (tends to 1 like 1/terms);
     the pi^2/6 estimate uses the exact relation full = (4/3) * odd.
     """
-    if terms < 1:
-        raise InvalidParam("need at least one term")
+    if not _is_integer(terms) or terms < 1:
+        raise InvalidParam("need an integer number of terms, at least one")
     r = np.arange(1, terms + 1, dtype=np.float64)
     odd_sum = float(np.sum((2.0 * r - 1.0) ** -2))
     return {

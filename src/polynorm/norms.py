@@ -32,21 +32,16 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolynomial
-from .poly import AlgebraicPoly, TrigPoly, _prescaled, root_array, roots
+from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
+from .poly import (AlgebraicPoly, TrigPoly, _in_range, _is_integer, _prescaled, root_array,
+                   roots)
 
 _TWO_PI = 2.0 * np.pi
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer (a bool is not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,7 @@ def _scaled_back(x: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
     """x * 2^e, exact; a value beyond the float range raises OutOfRange (no
     overflow warning escapes)."""
     with np.errstate(over="ignore"):
-        out = np.ldexp(x, e)
-    if not np.isfinite(out).all():
-        raise OutOfRange(f"{what} exceeds the floating-point range")
-    return out
+        return _in_range(np.ldexp(x, e), what)
 
 
 def _power_sums(a: np.ndarray, p: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -33,19 +34,6 @@ _TWO_PI = 2.0 * np.pi
 # and eigvals lost every set from d = 45 on (0.72 / 0.83 / 0.98 ms against
 # 0.66 / 0.74 / 0.73 ms at d = 45 / 48 / 52).
 _EIGVALS_MAX_DEGREE = 44
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate sum coeffs[k] z^k by Horner's scheme (vectorized in z).
-
-    A two-dimensional ``coeffs`` is a block of columns, one polynomial each;
-    the result then has a trailing axis with one entry per column.
-    """
-    zb = z.reshape(z.shape + (1,) * (coeffs.ndim - 1))
-    out = np.zeros(z.shape + coeffs.shape[1:], dtype=np.complex128)
-    for a in coeffs[::-1]:
-        out = out * zb + a
-    return out
 
 
 def _powers(z: np.ndarray, m: int) -> np.ndarray:
@@ -71,22 +59,27 @@ def _powers(z: np.ndarray, m: int) -> np.ndarray:
     return pw
 
 
-def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner for short polynomials, a power table (``_powers``) otherwise.
+# Largest power table (points x coefficients) that _poly_values builds at
+# once; a longer z is evaluated in chunks of at most this many entries.
+_TABLE_ENTRIES = 2_000_000
 
-    The power-table route trades memory (len(z) x len(coeffs)) for a handful
-    of block ops, which wins once the coefficient loop would dominate; it
-    falls back to Horner when the table would be large. It pays for Aberth
-    above ``_EIGVALS_MAX_DEGREE``: with Horner alone a ``roots`` call took
-    1.8 / 2.9 / 6.5 / 16.4 ms at d = 45 / 64 / 128 / 256, against
-    0.7 / 0.9 / 1.6 / 4.2 ms with this branch (one BLAS thread, 2-core Xeon).
+
+def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k at each point of a one-dimensional z, as
+    ``_powers(z, m).T @ coeffs`` (m = len(coeffs)), in chunks of z whose
+    tables stay within ``_TABLE_ENTRIES``.
+
     A two-dimensional ``coeffs`` is a block of columns, one polynomial each,
-    all evaluated from the same powers of z.
+    all evaluated from the same powers of z; the result then has a trailing
+    axis with one entry per column. The one-chunk case returns the product
+    itself, with no copy: Aberth's Newton step calls it at 2 to 128 points.
     """
     m = len(coeffs)
-    if m <= 8 or z.ndim != 1 or z.size * m > 2_000_000:
-        return _horner(coeffs, z)
-    return _powers(z, m).T @ coeffs
+    if z.size * m <= _TABLE_ENTRIES:
+        return _powers(z, m).T @ coeffs
+    step = max(_TABLE_ENTRIES // m, 1)
+    return np.concatenate([_powers(z[i : i + step], m).T @ coeffs
+                           for i in range(0, z.size, step)])
 
 
 def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
@@ -122,10 +115,17 @@ def _refuse_nonfinite(name: str, values: np.ndarray) -> None:
         raise InvalidParam(f"{name} must be finite (no NaN or infinity)")
 
 
-def _refuse_overflow(values: np.ndarray) -> None:
-    """OutOfRange unless every value (taken at finite points) is finite."""
+def _in_range(values, what: str):
+    """``values`` when every one is finite, else OutOfRange naming ``what``.
+    Callers compute ``values`` under np.errstate, so no warning escapes."""
     if not np.isfinite(values).all():
-        raise OutOfRange("polynomial value exceeds the floating-point range")
+        raise OutOfRange(f"{what} exceeds the floating-point range")
+    return values
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _equal_arrays(self, other):
@@ -178,12 +178,11 @@ class AlgebraicPoly:
         """P(z); a non-finite z raises InvalidParam, and a value beyond the
         float range OutOfRange (no warning escapes)."""
         scalar = np.isscalar(z)
-        zv = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        zv = np.asarray(z, dtype=np.complex128)
         _refuse_nonfinite("evaluation points", zv)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _poly_values(self.coeffs, zv)
-        _refuse_overflow(vals)
-        return complex(vals[0]) if scalar else vals.reshape(np.shape(z))
+            vals = _in_range(_poly_values(self.coeffs, zv.ravel()), "polynomial value")
+        return complex(vals[0]) if scalar else vals.reshape(zv.shape)
 
     def derivative(self) -> "AlgebraicPoly":
         """Coefficient k of P' is (k+1) a_{k+1}; declared degree max(0, n-1)."""
@@ -201,9 +200,7 @@ class AlgebraicPoly:
         beyond the float range raises OutOfRange (no warning escapes)."""
         with np.errstate(over="ignore", invalid="ignore"):
             c = self.coeffs * (complex(r) ** np.arange(len(self.coeffs)))
-        if not np.isfinite(c).all():
-            raise OutOfRange("dilated coefficients exceed the floating-point range")
-        return AlgebraicPoly(c)
+        return AlgebraicPoly(_in_range(c, "a dilated coefficient"))
 
     def values_on_grid(self, grid: int) -> np.ndarray:
         """P(e^{ix}) at the uniform angles x = 2*pi*t/grid."""
@@ -220,10 +217,7 @@ class AlgebraicPoly:
         """Sum of |a_k|; a sum beyond the float range raises OutOfRange (no
         overflow warning escapes)."""
         with np.errstate(over="ignore"):
-            total = float(np.abs(self.coeffs).sum())
-        if not math.isfinite(total):
-            raise OutOfRange("Wiener norm exceeds the floating-point range")
-        return total
+            return _in_range(float(np.abs(self.coeffs).sum()), "Wiener norm")
 
 
 @dataclass(frozen=True)
@@ -260,13 +254,13 @@ class TrigPoly:
         A non-finite x raises InvalidParam, and a value beyond the float range
         OutOfRange (no warning escapes)."""
         scalar = np.isscalar(x)
-        xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        xv = np.asarray(x, dtype=np.float64)
         _refuse_nonfinite("evaluation points", xv)
-        z = np.exp(1j * xv)
+        xr = xv.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _poly_values(self.coeffs, z.ravel()).reshape(z.shape) * np.exp(-1j * self.degree * xv)
-        _refuse_overflow(vals)
-        return complex(vals[0]) if scalar else vals.reshape(np.shape(x))
+            vals = _poly_values(self.coeffs, np.exp(1j * xr)) * np.exp(-1j * self.degree * xr)
+        vals = _in_range(vals, "polynomial value")
+        return complex(vals[0]) if scalar else vals.reshape(xv.shape)
 
     def derivative(self) -> "TrigPoly":
         """d/dx: coefficient k becomes i*k*a_k."""
@@ -343,8 +337,7 @@ class ExponentialSum:
         if np.unique(f).size != f.size:
             raise InvalidParam("frequencies must be distinct")
         bw = float(np.abs(f).max()) if self.bandwidth is None else float(self.bandwidth)
-        if not math.isfinite(bw):
-            raise InvalidParam("bandwidth must be finite (no NaN or infinity)")
+        _refuse_nonfinite("bandwidth", np.float64(bw))
         if np.abs(f).max() > bw + 1e-12:
             raise InvalidParam("bandwidth must dominate every |frequency|")
         a.flags.writeable = False

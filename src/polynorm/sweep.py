@@ -28,8 +28,8 @@ import numpy as np
 
 from . import checks as C
 from .errors import InvalidParam
-from .norms import QuadratureConfig, _is_integer
-from .poly import AlgebraicPoly, TrigPoly, generate, poly_to_json
+from .norms import QuadratureConfig
+from .poly import AlgebraicPoly, TrigPoly, _is_integer, generate, poly_to_json
 
 DEFAULT_SEED = 0xBE2257
 

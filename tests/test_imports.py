@@ -1,0 +1,36 @@
+"""Every name a module of the package imports is used in that module.
+
+The package's ``__init__.py`` is exempt: its imports are the public
+re-exports. No linter ships with the project, so this walks the syntax trees
+with ``ast`` alone.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polynorm"
+
+
+def _unused_imports(source: str) -> list:
+    """Names bound by an import statement that no expression reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_walk_finds_an_unused_import():
+    source = "import os\nimport sys\nfrom math import pi, tau as t\nsys.exit(t)\n"
+    assert _unused_imports(source) == ["os", "pi"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_imports(module):
+    assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []

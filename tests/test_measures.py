@@ -53,6 +53,19 @@ def test_riesz_measure_invalid():
         riesz_measure(0)
 
 
+def test_integer_parameters_refuse_floats_and_bools():
+    # a float or bool count is refused, not rounded into a measure or a sum
+    calls = [lambda: riesz_measure(2.5), lambda: riesz_measure(True),
+             lambda: riesz_weight_identity(2.0), lambda: boas_measure(1.0, 3.0),
+             lambda: boas_measure(1.0, True), lambda: euler_partial_sums(2.5),
+             lambda: euler_partial_sums(True)]
+    for call in calls:
+        with pytest.raises(InvalidParam):
+            call()
+    assert riesz_measure(np.int64(3)) == riesz_measure(3)
+    assert euler_partial_sums(np.int64(3))["terms"] == 3
+
+
 def test_riesz_differentiates_exponential():
     mu = riesz_measure(1)
     t = generate("extremal-exp", 1)  # e^{ix}

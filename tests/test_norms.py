@@ -41,7 +41,7 @@ def test_sup_examples():
 
 
 def _on_circle(p, x):
-    """|p| at the angles x by direct (Horner) evaluation, for either type."""
+    """|p| at the angles x by direct evaluation (the power table), for either type."""
     return np.abs(p(x) if isinstance(p, TrigPoly) else p(np.exp(1j * x)))
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polynorm import poly as poly_mod
 from polynorm.errors import InvalidParam, OutOfRange, ParseError, ZeroPolynomial
+from polynorm.kernels import dirichlet
 from polynorm.norms import mahler_jensen
 from polynorm.poly import (
     AlgebraicPoly,
@@ -253,8 +254,8 @@ def test_powers_match_sequential_products(m, r):
 
 @pytest.mark.parametrize("m", [5, 40, 257])
 def test_poly_values_column_block_matches_each_column(m):
-    # m = 5 takes the Horner branch, m = 40 and 257 (a degree-128 lift) the
-    # power table
+    # one power table serves both columns, from a short polynomial (m = 5)
+    # to a degree-128 lift (m = 257)
     rng = np.random.default_rng(m)
     block = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     z = 1.1 * np.exp(2j * np.pi * rng.random(30))
@@ -263,6 +264,34 @@ def test_poly_values_column_block_matches_each_column(m):
     for j in range(2):
         want = np.polynomial.polynomial.polyval(z, block[:, j])
         assert np.abs(got[:, j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_poly_values_in_chunks_past_the_table_cap():
+    # 65 coefficients at 40 000 points make a table past the cap, so the
+    # points are evaluated in chunks
+    rng = np.random.default_rng(65)
+    c = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    z = rng.uniform(0.5, 1.0, 40_000) * np.exp(2j * np.pi * rng.random(40_000))
+    assert z.size * len(c) > poly_mod._TABLE_ENTRIES
+    got = poly_mod._poly_values(c, z)
+    want = np.polynomial.polynomial.polyval(z, c)
+    assert got.shape == z.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_eval_of_an_array_keeps_its_shape_and_bits():
+    # an 8 x 16 array of points gives an 8 x 16 result with the same bits as
+    # the raveled points, and an empty array an empty result
+    rng = np.random.default_rng(16)
+    z = 1.05 * np.exp(2j * np.pi * rng.random((8, 16)))
+    x = 2 * np.pi * rng.random((8, 16))
+    t = TrigPoly(rng.standard_normal(257) + 1j * rng.standard_normal(257))
+    for f, pts in [(_rand_alg(rng, 256), z), (t, x), (lambda u: dirichlet(65, u), z)]:
+        got = f(pts)
+        assert got.shape == (8, 16)
+        assert np.array_equal(got, f(pts.ravel()).reshape(8, 16))
+        for empty in (np.zeros(0), np.zeros((0, 3))):
+            assert f(empty).shape == empty.shape
 
 
 def _aberth_inputs():
@@ -471,9 +500,9 @@ def test_expsum_validation():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_values_beyond_float_range_are_out_of_range():
-    # both branches of the evaluation (power table at 41 coefficients,
-    # Horner at 3) and the trig lift raise OutOfRange with no warning, and
-    # one overflowing point of an array is enough
+    # the power table, at 41 coefficients and at 3, and the trig lift raise
+    # OutOfRange with no warning, and one overflowing point of an array is
+    # enough
     cases = [(AlgebraicPoly(np.ones(41)), 1e8), (AlgebraicPoly([1.0, 2.0, 3.0]), 1e200),
              (AlgebraicPoly(np.ones(41)), np.array([0.5, 1e8])),
              (TrigPoly([1e308, 1e308, 1e308]), 0.0)]
