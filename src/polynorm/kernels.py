@@ -13,21 +13,27 @@ import math
 import numpy as np
 
 from .errors import InvalidParam
-from .poly import AlgebraicPoly, TrigPoly, _grid_values
+from .poly import AlgebraicPoly, TrigPoly, _grid_values, _is_integer
 
 _BOUNDARY_TOL = 1e-12
+
+
+def _require_integer(n, least: int) -> None:
+    """InvalidParam unless n is an integer >= least (a float or bool is not)."""
+    if not _is_integer(n) or n < least:
+        raise InvalidParam(f"degree must be an integer >= {least}")
 
 
 def dirichlet(n: int, z):
     """D_n(z) = sum_{k=0}^{n-1} z^k (n terms): AlgebraicPoly(np.ones(n))(z),
     so a scalar z gives a complex and an array of any shape its own shape."""
-    if n < 1:
-        raise InvalidParam("dirichlet kernel needs n >= 1")
+    _require_integer(n, 1)
     return AlgebraicPoly(np.ones(n))(z)
 
 
 def grid_size(n: int) -> int:
     """Smallest rule the representations below use for degree parameter n."""
+    _require_integer(n, 0)
     return 4 * n + 8
 
 
@@ -81,8 +87,7 @@ def trig_deriv_via_kernel(t: TrigPoly, xi: complex, grid: int | None = None) -> 
 
 def wiener_bound_constant(n: int) -> float:
     """sqrt(n+1): the Wiener-norm embedding constant at degree n."""
-    if n < 0:
-        raise InvalidParam("degree must be nonnegative")
+    _require_integer(n, 0)
     return math.sqrt(n + 1.0)
 
 
@@ -93,16 +98,16 @@ def besov_inf1_bound_constant(n: int, start_index: int = 0) -> float:
     constant term); start_index = 1 surfaces the alternate normalization that
     drops the first term, for side-by-side reporting.
     """
-    if n < 0:
-        raise InvalidParam("degree must be nonnegative")
+    _require_integer(n, 0)
+    if not _is_integer(start_index):
+        raise InvalidParam("start_index must be an integer")
     return float(sum(1.0 / (2 * k + 1) for k in range(start_index, n)))
 
 
 def besov_111_terms(n: int) -> np.ndarray:
     """The n terms gamma(k+3/2)^2 / (k! (k+1)!) via the stable recurrence
     term_{k+1} = term_k * (k+3/2)^2 / ((k+1)(k+2)), term_0 = pi/4."""
-    if n < 0:
-        raise InvalidParam("degree must be nonnegative")
+    _require_integer(n, 0)
     out = np.empty(n, dtype=np.float64)
     term = math.pi / 4.0
     for k in range(n):
@@ -123,8 +128,7 @@ def bergman_profile(n: int, u: complex) -> AlgebraicPoly:
     sum_{k<n} gamma(k+3/2)^2/(k!(k+1)!) for unimodular u, which cross-checks
     the disk quadrature against besov_111_terms.
     """
-    if n < 1:
-        raise InvalidParam("n >= 1 required")
+    _require_integer(n, 1)
     coeffs = np.empty(n, dtype=np.complex128)
     s = math.sqrt(math.pi) / 2.0  # gamma(3/2)
     uu = complex(u)

@@ -28,12 +28,13 @@ _TWO_PI = 2.0 * np.pi
 # Largest effective degree (after factoring out roots at the origin) whose
 # roots come from companion-matrix eigenvalues; Aberth takes over above it.
 # With one BLAS thread on a 2-core Xeon (median of three runs over ten random
-# polynomials, for three sets of ten), eigvals took 0.45 / 0.56 / 0.63 ms at
-# d = 36 / 40 / 42 against 0.62 / 0.64 / 0.66 ms for Aberth and won every
-# set, the two were even at d = 43 / 44 (0.65 / 0.68 against 0.66 / 0.67 ms),
-# and eigvals lost every set from d = 45 on (0.72 / 0.83 / 0.98 ms against
-# 0.66 / 0.74 / 0.73 ms at d = 45 / 48 / 52).
-_EIGVALS_MAX_DEGREE = 44
+# Gaussian polynomials, for three sets of ten at each d = 30..46), eigvals
+# won every set up to d = 35 (0.31 / 0.43 ms at d = 30 / 35 against 0.40 /
+# 0.45 ms for Aberth), the two were even at d = 36 / 37 (0.45 / 0.47 against
+# 0.47 / 0.48 ms), and Aberth won every set from d = 38 on (0.46 / 0.48 /
+# 0.52 ms against 0.51 / 0.55 / 0.76 ms at d = 38 / 40 / 46). Keep it above
+# 32, the largest lift degree of the default sweep and the ladder.
+_EIGVALS_MAX_DEGREE = 37
 
 
 def _powers(z: np.ndarray, m: int) -> np.ndarray:
@@ -72,7 +73,8 @@ def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     A two-dimensional ``coeffs`` is a block of columns, one polynomial each,
     all evaluated from the same powers of z; the result then has a trailing
     axis with one entry per column. The one-chunk case returns the product
-    itself, with no copy: Aberth's Newton step calls it at 2 to 128 points.
+    itself, with no copy: Aberth's Newton step calls it once per sweep, at
+    every moving root.
     """
     m = len(coeffs)
     if z.size * m <= _TABLE_ENTRIES:
@@ -425,43 +427,42 @@ def from_roots(rts, leading: complex = 1.0) -> AlgebraicPoly:
 
 
 def _newton_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two (d+1) x 2 coefficient blocks ``_newton_corrections`` evaluates.
+    """The (d+1) x 4 coefficient block [p, p', q, d q - u q'] that
+    ``_newton_corrections`` evaluates, returned as two views of it: the
+    inside pair of columns and the outside pair. ``_aberth`` builds it once.
 
-    For monic p with coefficients ``w``: inside the circle the columns are p
-    and p' (the latter padded with a zero). Outside, with u = 1/z and
-    q(u) = p(z)/z^d, they are q and d q - u q', whose coefficient k is
-    (d - k) q_k.
+    For monic p with coefficients ``w``, p' is padded with a zero; with
+    u = 1/z and q(u) = p(z)/z^d, coefficient k of q is w[d - k] and that of
+    d q - u q' is (d - k) q_k.
     """
     d = len(w) - 1
     k = np.arange(d + 1)
-    inner = np.zeros((d + 1, 2), dtype=np.complex128)
-    inner[:, 0] = w
-    inner[:-1, 1] = k[1:] * w[1:]
-    outer = np.empty((d + 1, 2), dtype=np.complex128)
-    outer[:, 0] = w[::-1]
-    outer[:, 1] = (d - k) * w[::-1]
-    return inner, outer
+    block = np.zeros((d + 1, 4), dtype=np.complex128)
+    block[:, 0] = w
+    block[:-1, 1] = k[1:] * w[1:]
+    block[:, 2] = w[::-1]
+    block[:, 3] = (d - k) * w[::-1]
+    return block[:, :2], block[:, 2:]
 
 
 def _newton_corrections(inner: np.ndarray, outer: np.ndarray, z: np.ndarray) -> np.ndarray:
     """p(z)/p'(z) for monic p, overflow-safe on both sides of the unit circle.
 
-    ``inner`` and ``outer`` come from ``_newton_blocks``. Direct evaluation is
-    bounded for |z| <= 1; outside, p(z) ~ |z|^d overflows at high degree, so
-    with u = 1/z the correction is computed as z q(u) / (d q(u) - u q'(u)),
-    which only ever evaluates inside the disk. Each side evaluates both of
-    its columns from one power matrix.
+    ``inner`` and ``outer`` are the two column pairs of one ``_newton_blocks``
+    block, so the product reads both through ``inner.base``, the whole
+    block. Direct evaluation is bounded for |z| <= 1; outside, p(z) ~ |z|^d
+    overflows at high degree, so with u = 1/z the correction is computed as
+    z q(u) / (d q(u) - u q'(u)), which only ever evaluates inside the disk.
+    One power table of w (w = z inside, 1/z outside) times the whole block
+    gives every point all four columns, and each point takes the pair for
+    its side.
     """
-    out = np.empty_like(z)
     inside = np.abs(z) <= 1.0
-    if inside.any():
-        v = _poly_values(inner, z[inside])
-        out[inside] = v[:, 0] / np.where(v[:, 1] == 0, 1e-300, v[:, 1])
-    if not inside.all():
-        zo = z[~inside]
-        v = _poly_values(outer, 1.0 / zo)
-        out[~inside] = zo * v[:, 0] / np.where(v[:, 1] == 0, 1e-300, v[:, 1])
-    return out
+    w = np.divide(1.0, z, out=z.copy(), where=~inside)
+    v = _poly_values(inner.base, w)
+    num = np.where(inside, v[:, 0], z * v[:, 2])
+    den = np.where(inside, v[:, 1], v[:, 3])
+    return num / np.where(den == 0, 1e-300, den)
 
 
 def _initial_points(w: np.ndarray) -> np.ndarray:
@@ -495,32 +496,42 @@ def _initial_points(w: np.ndarray) -> np.ndarray:
     return radii * (1.0 + 0.02 * np.cos(2.7 * j + 0.5)) * np.exp(1j * angles)
 
 
+# Rows of the Aberth sum formed at once: at d = 256 the 128 x d buffer
+# (0.5 MB) and Newton's power table (1 MB) fit a 2 MB L2 cache together.
+_ABERTH_ROWS = 128
+
+
 def _aberth(w: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
     """Simultaneous (Aberth-Ehrlich) iteration for all roots of a monic polynomial.
 
     ``w`` holds coefficients a_0..a_{d-1}, 1. Starts on slightly perturbed
     circles at the Newton-polygon modulus estimates. A sweep steps only the
-    roots whose last correction exceeded tol * (1 + max|z|); the Aberth sum
-    of each of them still runs over every current root. Once no root is
-    left moving, the next sweep steps every root, and the loop stops only
-    when that sweep's largest correction is below the same bound (any root
-    that fails it keeps stepping), so the stop rule is the all-roots one:
-    the largest simultaneous correction is below tol * (1 + max|z|). A
-    polynomial that has not passed it after max_iter sweeps raises
-    RootsNotConverged.
+    roots whose last correction exceeded tol * (1 + max|z|): their Newton
+    corrections come from one power table (``_newton_corrections``), and
+    the Aberth sum of each of them still runs over every current root, in
+    blocks of at most ``_ABERTH_ROWS`` rows. Once no root is left moving,
+    the next sweep steps every root, and the loop stops only when that
+    sweep's largest correction is below the same bound (any root that fails
+    it keeps stepping), so the stop rule is the all-roots one: the largest
+    simultaneous correction is below tol * (1 + max|z|). A polynomial that
+    has not passed it after max_iter sweeps raises RootsNotConverged.
     """
     z = _initial_points(w)
     inner, outer = _newton_blocks(w)
     moving = np.ones(len(z), dtype=bool)
-    buf = np.empty((len(z), len(z)), dtype=np.complex128)
+    rows = min(len(z), _ABERTH_ROWS)
+    buf = np.empty((rows, len(z)), dtype=np.complex128)
     for _ in range(max_iter):
         every = moving.all()
         idx = np.nonzero(moving)[0]
         zs = z[idx]
         newton = _newton_corrections(inner, outer, zs)
-        diff = np.subtract(zs[:, None], z, out=buf[: len(idx)])
-        diff[np.arange(len(idx)), idx] = np.inf
-        s = np.divide(1.0, diff, out=diff).sum(axis=1)
+        s = np.empty_like(zs)
+        for i in range(0, len(idx), rows):
+            blk = idx[i : i + rows]
+            diff = np.subtract(zs[i : i + rows, None], z, out=buf[: len(blk)])
+            diff[np.arange(len(blk)), blk] = np.inf
+            s[i : i + rows] = np.reciprocal(diff, out=diff).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = newton / (1.0 - newton * s)
         corr = np.where(np.isfinite(corr), corr, newton)

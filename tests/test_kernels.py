@@ -188,6 +188,29 @@ def test_wiener_bound_constant():
     assert wiener_bound_constant(8) == 3.0
 
 
+_DEGREE_TAKERS = {
+    "dirichlet": lambda n: dirichlet(n, 0.5),
+    "grid_size": grid_size,
+    "wiener": wiener_bound_constant,
+    "besov_inf1": besov_inf1_bound_constant,
+    "besov_inf1_start": lambda n: besov_inf1_bound_constant(3, start_index=n),
+    "besov_111_terms": besov_111_terms,
+    "besov_111": besov_111_bound_constant,
+    "bergman": lambda n: bergman_profile(n, 1.0).coeffs,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+@pytest.mark.parametrize("name", list(_DEGREE_TAKERS))
+def test_degree_parameters_refuse_floats_and_bools(name, value):
+    # a float or bool degree is refused, not rounded into a constant or a
+    # kernel; a numpy integer is still a degree
+    take = _DEGREE_TAKERS[name]
+    with pytest.raises(InvalidParam):
+        take(value)
+    assert np.array_equal(take(np.int64(2)), take(2))
+
+
 def test_besov_inf1_bound_constant():
     assert besov_inf1_bound_constant(1) == pytest.approx(1.0)
     assert besov_inf1_bound_constant(2) == pytest.approx(4 / 3)

@@ -225,16 +225,25 @@ def _aberth_step(w, z):
 
 @pytest.mark.parametrize("d", [64, 256])
 def test_newton_corrections_match_direct_evaluation(d):
+    # points on both sides of the circle at once, then all inside, all
+    # outside, all on |z| = 1 and a single point: each takes its own pair of
+    # columns from the one table
     rng = np.random.default_rng(d)
     w = _monic(_rand_alg(rng, d))
     dw = np.arange(1, d + 1) * w[1:]
     angles = 2 * np.pi * rng.random(40)
-    z = np.concatenate([r * np.exp(1j * angles) for r in (0.3, 0.9, 1.0, 1.1, 1.4)])
+    ring = {r: r * np.exp(1j * angles) for r in (0.3, 0.9, 1.0, 1.1, 1.4)}
+    point_sets = [np.concatenate(list(ring.values())),
+                  np.concatenate([ring[0.3], ring[0.9]]),
+                  np.concatenate([ring[1.1], ring[1.4]]),
+                  ring[1.0], ring[1.1][:1]]
     inner, outer = poly_mod._newton_blocks(w)
-    got = poly_mod._newton_corrections(inner, outer, z)
     P = np.polynomial.polynomial
-    want = P.polyval(z, w) / P.polyval(z, dw)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    for z in point_sets:
+        got = poly_mod._newton_corrections(inner, outer, z)
+        want = P.polyval(z, w) / P.polyval(z, dw)
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9, 257])
@@ -321,6 +330,25 @@ def test_aberth_sweeps_within_budget_on_gaussian_lifts(monkeypatch):
             rs = roots(generate("gaussian-random", n, seed=seed).to_algebraic())
             assert len(sweeps) <= 24, (n, seed)
             assert rs.residual <= 1e-10, (n, seed)
+
+
+def test_aberth_builds_one_power_table_per_sweep(monkeypatch):
+    # every sweep evaluates its moving roots, inside and outside the circle
+    # alike, from a single table of powers
+    w = _monic(generate("gaussian-random", 64, seed=64).to_algebraic())
+    tables, sweeps, mixed = [], [], []
+    powers, newton = poly_mod._powers, poly_mod._newton_corrections
+    monkeypatch.setattr(poly_mod, "_powers", lambda z, m: tables.append(1) or powers(z, m))
+
+    def counted(inner, outer, z):
+        sweeps.append(1)
+        mixed.append(0 < np.count_nonzero(np.abs(z) <= 1.0) < len(z))
+        return newton(inner, outer, z)
+
+    monkeypatch.setattr(poly_mod, "_newton_corrections", counted)
+    poly_mod._aberth(w)
+    assert any(mixed)
+    assert len(tables) == len(sweeps)
 
 
 def test_aberth_steps_only_moving_roots(monkeypatch):
