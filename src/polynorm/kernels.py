@@ -13,27 +13,21 @@ import math
 import numpy as np
 
 from .errors import InvalidParam
-from .poly import AlgebraicPoly, TrigPoly, _grid_values, _is_integer
+from .poly import AlgebraicPoly, TrigPoly, _grid_values, _require_integer
 
 _BOUNDARY_TOL = 1e-12
-
-
-def _require_integer(n, least: int) -> None:
-    """InvalidParam unless n is an integer >= least (a float or bool is not)."""
-    if not _is_integer(n) or n < least:
-        raise InvalidParam(f"degree must be an integer >= {least}")
 
 
 def dirichlet(n: int, z):
     """D_n(z) = sum_{k=0}^{n-1} z^k (n terms): AlgebraicPoly(np.ones(n))(z),
     so a scalar z gives a complex and an array of any shape its own shape."""
-    _require_integer(n, 1)
+    _require_integer(n, 1, "degree")
     return AlgebraicPoly(np.ones(n))(z)
 
 
 def grid_size(n: int) -> int:
     """Smallest rule the representations below use for degree parameter n."""
-    _require_integer(n, 0)
+    _require_integer(n, 0, "degree")
     return 4 * n + 8
 
 
@@ -42,8 +36,7 @@ def _kernel_mean(p, xi: complex, grid: int | None, kernel) -> complex:
     where N defaults to the 4n+8 exactness floor and may not drop below it."""
     n = max(p.degree, 1)
     N = grid_size(n) if grid is None else grid
-    if N < grid_size(n):
-        raise InvalidParam(f"grid {N} below the exactness floor {grid_size(n)}")
+    _require_integer(N, grid_size(n), "grid (the exactness floor 4n+8)")
     u = np.exp(2j * np.pi * np.arange(N) / N)
     vals = p.values_on_grid(N) * np.conj(kernel(u, _dirichlet_on_grid(n, xi, N)))
     return complex(vals.mean())
@@ -87,7 +80,7 @@ def trig_deriv_via_kernel(t: TrigPoly, xi: complex, grid: int | None = None) -> 
 
 def wiener_bound_constant(n: int) -> float:
     """sqrt(n+1): the Wiener-norm embedding constant at degree n."""
-    _require_integer(n, 0)
+    _require_integer(n, 0, "degree")
     return math.sqrt(n + 1.0)
 
 
@@ -96,18 +89,20 @@ def besov_inf1_bound_constant(n: int, start_index: int = 0) -> float:
 
     The stated constant starts the sum at k = 0 (its derivation begins at the
     constant term); start_index = 1 surfaces the alternate normalization that
-    drops the first term, for side-by-side reporting.
+    drops the first term, for side-by-side reporting. start_index lies in
+    0..n.
     """
-    _require_integer(n, 0)
-    if not _is_integer(start_index):
-        raise InvalidParam("start_index must be an integer")
+    _require_integer(n, 0, "degree")
+    _require_integer(start_index, 0, "start_index")
+    if start_index > n:
+        raise InvalidParam(f"start_index must be at most the degree {n}")
     return float(sum(1.0 / (2 * k + 1) for k in range(start_index, n)))
 
 
 def besov_111_terms(n: int) -> np.ndarray:
     """The n terms gamma(k+3/2)^2 / (k! (k+1)!) via the stable recurrence
     term_{k+1} = term_k * (k+3/2)^2 / ((k+1)(k+2)), term_0 = pi/4."""
-    _require_integer(n, 0)
+    _require_integer(n, 0, "degree")
     out = np.empty(n, dtype=np.float64)
     term = math.pi / 4.0
     for k in range(n):
@@ -128,7 +123,7 @@ def bergman_profile(n: int, u: complex) -> AlgebraicPoly:
     sum_{k<n} gamma(k+3/2)^2/(k!(k+1)!) for unimodular u, which cross-checks
     the disk quadrature against besov_111_terms.
     """
-    _require_integer(n, 1)
+    _require_integer(n, 1, "degree")
     coeffs = np.empty(n, dtype=np.complex128)
     s = math.sqrt(math.pi) / 2.0  # gamma(3/2)
     uu = complex(u)

@@ -19,9 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BandwidthExceeded, InvalidParam, ParseError
-from .poly import (ExponentialSum, TrigPoly, _equal_arrays, _exp_sum, _is_integer, _powers,
-                   _refuse_nonfinite)
+from .errors import BandwidthExceeded, InvalidParam
+from .poly import (ExponentialSum, TrigPoly, _equal_arrays, _exp_sum, _json_rows, _parsing,
+                   _powers, _refuse_nonfinite, _require_integer)
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,11 @@ class DiscreteMeasure:
         """Parse ``{"atoms": [[re, im, node], ...], "tail": t, "bandwidth": lam}``
         (bandwidth null or absent for an exact finite measure); ParseError on
         bad input."""
-        try:
-            rows = [[float(v) for v in a] for a in obj["atoms"]]
-            tail = float(obj.get("tail", 0.0))
+        with _parsing("measure"):
+            weights, atoms = _json_rows(obj["atoms"], 3)
             bandwidth = obj.get("bandwidth")
-            bandwidth = None if bandwidth is None else float(bandwidth)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"bad measure JSON: {exc}") from exc
-        if any(len(a) != 3 for a in rows):
-            raise ParseError("each measure atom must be [re, im, node]")
-        atoms = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-        try:
-            return cls(atoms[:, 0] + 1j * atoms[:, 1], atoms[:, 2], truncation_tail=tail,
-                       bandwidth=bandwidth)
-        except InvalidParam as exc:
-            raise ParseError(str(exc)) from exc
+            return cls(weights, atoms[:, 2], truncation_tail=float(obj.get("tail", 0.0)),
+                       bandwidth=None if bandwidth is None else float(bandwidth))
 
 
 def riesz_measure(n: int) -> DiscreteMeasure:
@@ -116,8 +106,7 @@ def riesz_measure(n: int) -> DiscreteMeasure:
     Atoms (c_r, x_r), r = 1..2n, with x_r = (2r-1)*pi/(2n) and
     c_r = (-1)^(r+1) / (4 n sin^2(x_r / 2)); the weight moduli sum to n.
     """
-    if not _is_integer(n) or n < 1:
-        raise InvalidParam("the differentiation measure needs an integer n >= 1")
+    _require_integer(n, 1, "the degree n of the differentiation measure")
     r = np.arange(1, 2 * n + 1)
     x = (2 * r - 1) * np.pi / (2 * n)
     c = ((-1.0) ** (r + 1)) / (4.0 * n * np.sin(x / 2.0) ** 2)
@@ -152,8 +141,9 @@ def boas_measure(lam: float, trunc: int = 401) -> DiscreteMeasure:
     """
     if not (lam > 0) or not math.isfinite(lam):
         raise InvalidParam("bandwidth must be positive and finite")
-    if not _is_integer(trunc) or trunc < 1 or trunc % 2 == 0:
-        raise InvalidParam("truncation order must be an odd integer >= 1")
+    _require_integer(trunc, 1, "truncation order")
+    if trunc % 2 == 0:
+        raise InvalidParam("truncation order must be odd")
     k_pos = np.arange(1, trunc + 1, 2)
     k = np.concatenate([-k_pos[::-1], k_pos])
     d = 4.0 * lam / (k.astype(np.float64) ** 2 * np.pi**2)
@@ -190,8 +180,7 @@ def riesz_weight_identity(n: int) -> float:
 
     This restates that the differentiation-measure weight moduli sum to n.
     """
-    if not _is_integer(n) or n < 1:
-        raise InvalidParam("an integer n >= 1 required")
+    _require_integer(n, 1, "n")
     r = np.arange(1, 2 * n + 1)
     s = float(np.sum(1.0 / np.sin((2 * r - 1) * np.pi / (4.0 * n)) ** 2))
     return s / (4.0 * n * n)
@@ -211,8 +200,7 @@ def euler_partial_sums(terms: int) -> dict:
     ``normalized`` is 8/pi^2 times the odd partial sum (tends to 1 like 1/terms);
     the pi^2/6 estimate uses the exact relation full = (4/3) * odd.
     """
-    if not _is_integer(terms) or terms < 1:
-        raise InvalidParam("need an integer number of terms, at least one")
+    _require_integer(terms, 1, "the number of terms")
     r = np.arange(1, terms + 1, dtype=np.float64)
     odd_sum = float(np.sum((2.0 * r - 1.0) ** -2))
     return {

@@ -38,10 +38,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import (AlgebraicPoly, TrigPoly, _in_range, _is_integer, _prescaled, root_array,
-                   roots)
-
-_TWO_PI = 2.0 * np.pi
+from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _in_range, _prescaled, _require_integer,
+                   root_array, roots)
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,8 @@ class QuadratureConfig:
     area_rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (_is_integer(self.max_doublings) and _is_integer(self.radial_nodes)):
-            raise InvalidParam("max_doublings and radial_nodes must be integers")
-        if self.max_doublings < 0 or self.radial_nodes < 2:
-            raise InvalidParam("bad quadrature configuration")
+        _require_integer(self.max_doublings, 0, "max_doublings")
+        _require_integer(self.radial_nodes, 2, "radial_nodes")
         if not (self.rel_tol > 0 and self.area_rel_tol > 0):  # also refuses nan
             raise InvalidParam("tolerances must be positive")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -128,6 +129,14 @@ def _in_range(values, what: str):
 def _is_integer(value) -> bool:
     """Whether ``value`` is an integer (a bool is not)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_integer(value, least: int, what: str) -> None:
+    """InvalidParam unless ``value`` is an integer >= least; a float or a
+    bool is not an integer, a numpy integer is. Every integer parameter of
+    the package (degrees, counts, budgets) goes through this one rule."""
+    if not _is_integer(value) or value < least:
+        raise InvalidParam(f"{what} must be an integer >= {least}")
 
 
 def _equal_arrays(self, other):
@@ -426,10 +435,9 @@ def from_roots(rts, leading: complex = 1.0) -> AlgebraicPoly:
     return AlgebraicPoly(_coeffs_from_roots(rts, complex(leading)), known_roots=tuple(rts))
 
 
-def _newton_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_blocks(w: np.ndarray) -> np.ndarray:
     """The (d+1) x 4 coefficient block [p, p', q, d q - u q'] that
-    ``_newton_corrections`` evaluates, returned as two views of it: the
-    inside pair of columns and the outside pair. ``_aberth`` builds it once.
+    ``_newton_corrections`` evaluates; ``_aberth`` builds it once.
 
     For monic p with coefficients ``w``, p' is padded with a zero; with
     u = 1/z and q(u) = p(z)/z^d, coefficient k of q is w[d - k] and that of
@@ -442,24 +450,22 @@ def _newton_blocks(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block[:-1, 1] = k[1:] * w[1:]
     block[:, 2] = w[::-1]
     block[:, 3] = (d - k) * w[::-1]
-    return block[:, :2], block[:, 2:]
+    return block
 
 
-def _newton_corrections(inner: np.ndarray, outer: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _newton_corrections(block: np.ndarray, z: np.ndarray) -> np.ndarray:
     """p(z)/p'(z) for monic p, overflow-safe on both sides of the unit circle.
 
-    ``inner`` and ``outer`` are the two column pairs of one ``_newton_blocks``
-    block, so the product reads both through ``inner.base``, the whole
-    block. Direct evaluation is bounded for |z| <= 1; outside, p(z) ~ |z|^d
-    overflows at high degree, so with u = 1/z the correction is computed as
-    z q(u) / (d q(u) - u q'(u)), which only ever evaluates inside the disk.
-    One power table of w (w = z inside, 1/z outside) times the whole block
-    gives every point all four columns, and each point takes the pair for
-    its side.
+    ``block`` is the ``_newton_blocks`` block of p. Direct evaluation is
+    bounded for |z| <= 1; outside, p(z) ~ |z|^d overflows at high degree, so
+    with u = 1/z the correction is computed as z q(u) / (d q(u) - u q'(u)),
+    which only ever evaluates inside the disk. One power table of w (w = z
+    inside, 1/z outside) times the whole block gives every point all four
+    columns, and each point takes the pair for its side.
     """
     inside = np.abs(z) <= 1.0
     w = np.divide(1.0, z, out=z.copy(), where=~inside)
-    v = _poly_values(inner.base, w)
+    v = _poly_values(block, w)
     num = np.where(inside, v[:, 0], z * v[:, 2])
     den = np.where(inside, v[:, 1], v[:, 3])
     return num / np.where(den == 0, 1e-300, den)
@@ -499,33 +505,38 @@ def _initial_points(w: np.ndarray) -> np.ndarray:
 # Rows of the Aberth sum formed at once: at d = 256 the 128 x d buffer
 # (0.5 MB) and Newton's power table (1 MB) fit a 2 MB L2 cache together.
 _ABERTH_ROWS = 128
+# Aberth's relative correction tolerance and its sweep budget.
+_ABERTH_TOL = 1e-14
+_ABERTH_SWEEPS = 200
 
 
-def _aberth(w: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarray:
+def _aberth(w: np.ndarray) -> np.ndarray:
     """Simultaneous (Aberth-Ehrlich) iteration for all roots of a monic polynomial.
 
     ``w`` holds coefficients a_0..a_{d-1}, 1. Starts on slightly perturbed
-    circles at the Newton-polygon modulus estimates. A sweep steps only the
-    roots whose last correction exceeded tol * (1 + max|z|): their Newton
-    corrections come from one power table (``_newton_corrections``), and
-    the Aberth sum of each of them still runs over every current root, in
-    blocks of at most ``_ABERTH_ROWS`` rows. Once no root is left moving,
+    circles at the Newton-polygon modulus estimates. With tol =
+    ``_ABERTH_TOL``, a sweep steps only the roots whose last correction
+    exceeded tol * (1 + max|z|): their Newton corrections come from one
+    power table (``_newton_corrections``), and the Aberth sum of each of
+    them still runs over every current root, in blocks of at most
+    ``_ABERTH_ROWS`` rows. Once no root is left moving,
     the next sweep steps every root, and the loop stops only when that
     sweep's largest correction is below the same bound (any root that fails
     it keeps stepping), so the stop rule is the all-roots one: the largest
     simultaneous correction is below tol * (1 + max|z|). A polynomial that
-    has not passed it after max_iter sweeps raises RootsNotConverged.
+    has not passed it after ``_ABERTH_SWEEPS`` sweeps raises
+    RootsNotConverged.
     """
     z = _initial_points(w)
-    inner, outer = _newton_blocks(w)
+    block = _newton_blocks(w)
     moving = np.ones(len(z), dtype=bool)
     rows = min(len(z), _ABERTH_ROWS)
     buf = np.empty((rows, len(z)), dtype=np.complex128)
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_SWEEPS):
         every = moving.all()
         idx = np.nonzero(moving)[0]
         zs = z[idx]
-        newton = _newton_corrections(inner, outer, zs)
+        newton = _newton_corrections(block, zs)
         s = np.empty_like(zs)
         for i in range(0, len(idx), rows):
             blk = idx[i : i + rows]
@@ -537,14 +548,14 @@ def _aberth(w: np.ndarray, tol: float = 1e-14, max_iter: int = 200) -> np.ndarra
         corr = np.where(np.isfinite(corr), corr, newton)
         z[idx] = zs - corr
         step = np.abs(corr)
-        bound = tol * (1.0 + np.abs(z).max())
+        bound = _ABERTH_TOL * (1.0 + np.abs(z).max())
         if every and step.max() <= bound:
             return z
         moving[idx] = step > bound
         if not moving.any():
             moving[:] = True
     raise RootsNotConverged(f"Aberth iteration at degree {len(z)} did not converge in "
-                            f"{max_iter} sweeps (last largest correction {step.max():.2e})")
+                            f"{_ABERTH_SWEEPS} sweeps (last largest correction {step.max():.2e})")
 
 
 def _companion_roots(w: np.ndarray) -> np.ndarray:
@@ -615,8 +626,7 @@ def generate(kind: str, n: int, seed: int = 0, rho: float | None = None):
       lax-extremal      AlgebraicPoly ((z + rho)/(1 + rho))^n, requires rho >= 1
       roots-outside     AlgebraicPoly with all roots of modulus >= rho
     """
-    if n < 0:
-        raise InvalidParam("degree must be nonnegative")
+    _require_integer(n, 0, "degree")
     rng = np.random.default_rng(seed)
     if kind == "gaussian-random":
         re = rng.standard_normal(2 * n + 1)
@@ -648,6 +658,8 @@ def generate(kind: str, n: int, seed: int = 0, rho: float | None = None):
 # {"type": "alg"|"trig", "degree": n, "coeffs": [[re, im], ...]} with coeffs
 # ordered a_0..a_n (alg) or a_{-n}..a_n (trig); exponential sums use
 # {"type": "expsum", "bandwidth": lam, "terms": [[re, im, freq], ...]}.
+# The degree is an integer >= 0, and every row has exactly its width of
+# numbers; anything else is a ParseError.
 # ---------------------------------------------------------------------------
 
 
@@ -665,58 +677,61 @@ def poly_to_json(p) -> dict:
     }
 
 
-def _pairs_to_complex(pairs) -> np.ndarray:
+@contextmanager
+def _parsing(what: str):
+    """Every JSON parser runs in this block: a missing or malformed field,
+    and a constructor's InvalidParam (a ValueError), leave it as a
+    ParseError about ``what``; a ParseError passes as it is."""
     try:
-        arr = np.asarray([[float(re), float(im)] for re, im in pairs], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"coefficients must be [re, im] pairs: {exc}") from exc
-    return arr.reshape(-1, 2).view(np.complex128)[:, 0]
+        yield
+    except ParseError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"bad {what} JSON: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad {what} JSON: {exc}") from exc
+
+
+def _json_rows(rows, width: int):
+    """(z, a) for a JSON list of rows of exactly ``width`` numbers each: a
+    the (len(rows), width) float array, z its first two columns read as
+    re + i*im through a view, with no arithmetic, so no number changes by a
+    bit. ValueError on a row of another width (``_parsing`` reports it)."""
+    a = np.asarray(rows, dtype=np.float64)
+    if a.shape[1:] != (width,) and a.shape != (0,):
+        raise ValueError(f"every row must be {width} numbers")
+    a = a.reshape(-1, width)
+    return a[:, :2].view(np.complex128)[:, 0], a
 
 
 def poly_from_json(obj: dict):
-    """Parse the polynomial interchange format, rejecting length mismatches
-    and (through the constructors) non-finite numbers."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ParseError("polynomial JSON must be an object with a 'type' field")
-    kind = obj["type"]
-    if kind == "expsum":
-        return expsum_from_json(obj)
-    try:
-        degree = int(obj["degree"])
-        coeffs = _pairs_to_complex(obj["coeffs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad polynomial JSON: {exc}") from exc
-    if degree < 0:
-        raise ParseError("degree must be nonnegative")
-    if kind == "alg":
-        cls, need, rule = AlgebraicPoly, degree + 1, "degree+1"
-    elif kind == "trig":
-        cls, need, rule = TrigPoly, 2 * degree + 1, "2*degree+1"
-    else:
-        raise ParseError(f"unknown polynomial type {kind!r}")
-    if len(coeffs) != need:
-        raise ParseError(
-            f"{kind} coeffs length {len(coeffs)} does not match degree {degree} (need {rule})"
-        )
-    try:
+    """Parse the polynomial interchange format, rejecting a degree that is
+    not an integer >= 0, length mismatches and (through the constructors)
+    non-finite numbers."""
+    with _parsing("polynomial"):
+        kind = obj["type"]
+        if kind == "expsum":
+            return expsum_from_json(obj)
+        degree = obj["degree"]
+        _require_integer(degree, 0, "degree")
+        coeffs = _json_rows(obj["coeffs"], 2)[0]
+        if kind == "alg":
+            cls, need, rule = AlgebraicPoly, degree + 1, "degree+1"
+        elif kind == "trig":
+            cls, need, rule = TrigPoly, 2 * degree + 1, "2*degree+1"
+        else:
+            raise ParseError(f"unknown polynomial type {kind!r}")
+        if len(coeffs) != need:
+            raise ParseError(
+                f"{kind} coeffs length {len(coeffs)} does not match degree {degree} (need {rule})"
+            )
         return cls(coeffs)
-    except InvalidParam as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def expsum_from_json(obj: dict) -> ExponentialSum:
-    try:
-        terms = obj["terms"]
-        amps = np.asarray([complex(t[0], t[1]) for t in terms])
-        freqs = np.asarray([float(t[2]) for t in terms])
-        bw = obj.get("bandwidth")
-        bw = None if bw is None else float(bw)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"bad expsum JSON: {exc}") from exc
-    try:
-        return ExponentialSum(amps, freqs, bw)
-    except InvalidParam as exc:
-        raise ParseError(str(exc)) from exc
+    with _parsing("expsum"):
+        amps, terms = _json_rows(obj["terms"], 3)
+        return ExponentialSum(amps, terms[:, 2], obj.get("bandwidth"))
 
 
 def _read_json(path):

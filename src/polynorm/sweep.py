@@ -29,7 +29,8 @@ import numpy as np
 from . import checks as C
 from .errors import InvalidParam
 from .norms import QuadratureConfig
-from .poly import AlgebraicPoly, TrigPoly, _is_integer, generate, poly_to_json
+from .poly import (AlgebraicPoly, TrigPoly, _is_integer, _require_integer, generate,
+                   poly_to_json)
 
 DEFAULT_SEED = 0xBE2257
 
@@ -62,13 +63,13 @@ class SweepConfig:
             raise InvalidParam("checks, degrees and the *_list fields must be lists, "
                                "and tol_overrides an object")
         self.p_list = [C.parse_p(p) for p in self.p_list]
-        if not (_is_integer(self.trials) and _is_integer(self.seed)
-                and all(map(_is_integer, self.degrees))):
-            raise InvalidParam("trials, seed and degrees must be integers")
-        if self.trials < 1:
-            raise InvalidParam("trials must be >= 1")
-        if not self.degrees or min(self.degrees) < 1:
-            raise InvalidParam("degrees must be >= 1")
+        if not _is_integer(self.seed):
+            raise InvalidParam("seed must be an integer")
+        _require_integer(self.trials, 1, "trials")
+        if not self.degrees:
+            raise InvalidParam("degrees must not be empty")
+        for n in self.degrees:
+            _require_integer(n, 1, "every degree")
         unknown = [c for c in [*self.checks, *self.tol_overrides] if c not in ALL_CHECKS]
         if unknown:
             raise InvalidParam(f"unknown checks {unknown} in checks or tol_overrides; "

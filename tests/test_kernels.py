@@ -20,7 +20,7 @@ from polynorm.kernels import (
     wiener_bound_constant,
 )
 from polynorm.norms import disk_mean, sup_norm
-from polynorm.poly import AlgebraicPoly, TrigPoly
+from polynorm.poly import AlgebraicPoly, TrigPoly, generate
 
 
 def _rand_alg(rng, n):
@@ -97,6 +97,8 @@ def test_kernel_grid_floor_enforced():
     p = AlgebraicPoly([0, 0, 1])
     with pytest.raises(InvalidParam):
         deriv_via_kernel(p, 0.5, grid=8)  # below 4n+8
+    with pytest.raises(InvalidParam):
+        deriv_via_kernel(p, 0.5, grid=40.0)  # a float, not a grid size
 
 
 # ------------------------------------------------------- second derivative rep
@@ -197,6 +199,12 @@ _DEGREE_TAKERS = {
     "besov_111_terms": besov_111_terms,
     "besov_111": besov_111_bound_constant,
     "bergman": lambda n: bergman_profile(n, 1.0).coeffs,
+    # the generators take their degree by the same rule
+    "gaussian-random": lambda n: generate("gaussian-random", n).coeffs,
+    "unimodular-random": lambda n: generate("unimodular-random", n).coeffs,
+    "extremal-exp": lambda n: generate("extremal-exp", n).coeffs,
+    "lax-extremal": lambda n: generate("lax-extremal", n, rho=1.5).coeffs,
+    "roots-outside": lambda n: generate("roots-outside", n, rho=1.5).coeffs,
 }
 
 
@@ -217,6 +225,11 @@ def test_besov_inf1_bound_constant():
     assert besov_inf1_bound_constant(3) == pytest.approx(23 / 15)
     # alternate normalization drops the k = 0 term
     assert besov_inf1_bound_constant(3, start_index=1) == pytest.approx(23 / 15 - 1)
+    # the sum starts inside 0..n, or it is refused rather than summed
+    for start in (-1, 4):
+        with pytest.raises(InvalidParam):
+            besov_inf1_bound_constant(3, start_index=start)
+    assert besov_inf1_bound_constant(3, start_index=3) == 0.0
 
 
 def test_besov_111_bound_constant():

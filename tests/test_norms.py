@@ -852,6 +852,29 @@ def test_rotation_invariance():
         assert mahler_jensen(shifted) == pytest.approx(mahler_jensen(t), rel=1e-8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_rotation_and_reflection_leave_norms_unchanged(n, seed, k):
+    # metamorphic relations (ROADMAP item 13): the rotation T(. + a) and the
+    # reflection conj(T), coefficients conj(c[::-1]), have the modulus of T
+    # on the circle, so the sup, the even L^p norms and the Mahler measure
+    # agree to rounding. a = k (sqrt 5 - 1) mod 2 pi is no dyadic multiple of
+    # a start grid's spacing, at which a rotation would only permute grid
+    # points. Non-even p is left out: its doubling rule can stop early, and
+    # a shift moves such a norm by up to about 1e-7 (CHANGES.md, FOUND).
+    t = generate("gaussian-random", n, seed=seed)
+    a = k * (math.sqrt(5.0) - 1.0) % (2 * math.pi)
+    for moved in (t.shift(a), TrigPoly(np.conj(t.coeffs[::-1]))):
+        assert sup_norm(moved) == pytest.approx(sup_norm(t), rel=1e-13)
+        for p in (2.0, 4.0):
+            assert lp_norm(moved, p) == pytest.approx(lp_norm(t, p), rel=1e-13)
+        assert mahler_jensen(moved) == pytest.approx(mahler_jensen(t), rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lp_norm_at_tiny_p_tends_to_the_mahler_norm():
     # ||T||_p -> M(T) as p -> 0, and ||T||_p - M(T) is O(p) here, so below

@@ -216,8 +216,7 @@ def _monic(p):
 
 def _aberth_step(w, z):
     # one simultaneous Aberth correction of every root of monic w at z
-    inner, outer = poly_mod._newton_blocks(w)
-    newton = poly_mod._newton_corrections(inner, outer, z)
+    newton = poly_mod._newton_corrections(poly_mod._newton_blocks(w), z)
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, np.inf)
     return newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
@@ -237,10 +236,10 @@ def test_newton_corrections_match_direct_evaluation(d):
                   np.concatenate([ring[0.3], ring[0.9]]),
                   np.concatenate([ring[1.1], ring[1.4]]),
                   ring[1.0], ring[1.1][:1]]
-    inner, outer = poly_mod._newton_blocks(w)
+    block = poly_mod._newton_blocks(w)
     P = np.polynomial.polynomial
     for z in point_sets:
-        got = poly_mod._newton_corrections(inner, outer, z)
+        got = poly_mod._newton_corrections(block, z)
         want = P.polyval(z, w) / P.polyval(z, dw)
         assert got.shape == z.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -323,7 +322,7 @@ def test_aberth_sweeps_within_budget_on_gaussian_lifts(monkeypatch):
     sweeps = []
     newton = poly_mod._newton_corrections
     monkeypatch.setattr(poly_mod, "_newton_corrections",
-                        lambda inner, outer, z: sweeps.append(1) or newton(inner, outer, z))
+                        lambda block, z: sweeps.append(1) or newton(block, z))
     for n in (32, 64, 128):
         for seed in range(20):
             sweeps.clear()
@@ -340,10 +339,10 @@ def test_aberth_builds_one_power_table_per_sweep(monkeypatch):
     powers, newton = poly_mod._powers, poly_mod._newton_corrections
     monkeypatch.setattr(poly_mod, "_powers", lambda z, m: tables.append(1) or powers(z, m))
 
-    def counted(inner, outer, z):
+    def counted(block, z):
         sweeps.append(1)
         mixed.append(0 < np.count_nonzero(np.abs(z) <= 1.0) < len(z))
-        return newton(inner, outer, z)
+        return newton(block, z)
 
     monkeypatch.setattr(poly_mod, "_newton_corrections", counted)
     poly_mod._aberth(w)
@@ -357,7 +356,7 @@ def test_aberth_steps_only_moving_roots(monkeypatch):
     sizes = []
     newton = poly_mod._newton_corrections
     monkeypatch.setattr(poly_mod, "_newton_corrections",
-                        lambda inner, outer, z: sizes.append(len(z)) or newton(inner, outer, z))
+                        lambda block, z: sizes.append(len(z)) or newton(block, z))
     poly_mod._aberth(w)
     assert sizes[0] == sizes[-1] == 2 * n
     assert sum(sizes) < 2 * n * len(sizes)
@@ -487,6 +486,20 @@ def test_json_rejects_length_mismatch():
     for kind in ("alg", "trig"):
         with pytest.raises(ParseError):
             poly_from_json({"type": kind, "degree": 0, "coeffs": []})
+    # the degree is an integer >= 0 (not a float, bool or string), and every
+    # row has exactly its width: 2 numbers a coefficient, 3 an expsum term
+    for degree in (1.7, True, "1", -1):
+        with pytest.raises(ParseError):
+            poly_from_json({"type": "alg", "degree": degree, "coeffs": [[1, 0], [2, 0]]})
+    for coeffs in ([[1, 0], [2, 0, 5]], [[1, 0], [2]], [1, 2], [[[1, 0], [2, 0]]]):
+        with pytest.raises(ParseError):
+            poly_from_json({"type": "alg", "degree": 1, "coeffs": coeffs})
+    for terms in ([[1, 0, 1.0, 99]], [[1, 0]], [[1, 0, 1.0], [1, 0]]):
+        with pytest.raises(ParseError):
+            poly_from_json({"type": "expsum", "terms": terms})
+    p = poly_from_json({"type": "trig", "degree": np.int64(1),
+                        "coeffs": [[1, 0], [2, -0.0], [0, 3]]})
+    assert p == TrigPoly([1, 2, 3j]) and np.signbit(p.coeffs[1].imag)
 
 
 def test_constructors_refuse_non_finite_numbers():

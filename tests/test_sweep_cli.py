@@ -346,6 +346,10 @@ def test_cli_norm_bad_input(tmp_path, capsys):
     bad.write_text('{"type": "alg", "degree": 2, "coeffs": [[1, 0]]}')
     assert main(["norm", str(bad), "--kind", "sup"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a degree that is not an integer is refused, not truncated to one
+    bad.write_text('{"type": "alg", "degree": 1.7, "coeffs": [[1, 0], [2, 0]]}')
+    assert main(["norm", str(bad), "--kind", "sup"]) == 2
+    assert "degree" in capsys.readouterr().err
     # non-finite values are rejected when the file is read, not printed as nan
     nan = tmp_path / "nan.json"
     nan.write_text('{"type": "alg", "degree": 1, "coeffs": [[NaN, 0], [1, 0]]}')
