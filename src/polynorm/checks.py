@@ -49,7 +49,8 @@ from .norms import (
     sup_norms_argmax,
     wiener_norm,
 )
-from .poly import AlgebraicPoly, TrigPoly, _refuse_nonfinite, poly_to_json, root_array, roots
+from .poly import (AlgebraicPoly, TrigPoly, _refuse_nonfinite, _require_real, poly_to_json,
+                   root_array, roots)
 
 DEFAULT_TOL = 1e-8
 HULL_TOL = 1e-7
@@ -133,14 +134,13 @@ def _degenerate(check_id, payload, params=None) -> VerificationReport:
 
 
 def parse_p(p) -> float:
-    """p as a float: a number or numeric string >= 0, or "sup" for inf."""
-    try:
-        p = math.inf if isinstance(p, str) and p.lower() == "sup" else float(p)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParam(f"p must be a number, 'inf' or 'sup', got {p!r}") from exc
-    if not p >= 0:  # also refuses nan
-        raise InvalidParam(f"p must be >= 0 or inf, got {p!r}")
-    return p
+    """p as a float: a real number >= 0, or the sup rung inf, given as
+    math.inf or as the string "inf", "infinity" or "sup" in any case."""
+    if (isinstance(p, str) and p.lower() in ("inf", "infinity", "sup")
+            or isinstance(p, float) and p == math.inf):
+        return math.inf
+    _require_real(p, "p", lambda v: v >= 0, ">= 0, or inf, 'inf' or 'sup'")
+    return float(p)
 
 
 def _batched(cases, tol, compute) -> list:
@@ -148,6 +148,7 @@ def _batched(cases, tol, compute) -> list:
     per input, in order. An input whose polynomial args[0] is zero gets a
     degenerate report; compute(live), given the args of the others, returns
     one dict of _report keywords for each, in one pass over all of them."""
+    _require_real(tol, "tol", lambda v: v >= 0, ">= 0")
     live = [args for *_, args in cases if not args[0].is_zero()]
     done = iter(compute(live) if live else ())
     return [_degenerate(cid, payload, params) if args[0].is_zero()
@@ -261,8 +262,7 @@ def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
 
 def _require_rho(cases):
     for _, rho, *_ in cases:
-        if not (rho >= 1.0):  # also refuses nan
-            raise InvalidParam("rho >= 1 required")
+        _require_real(rho, "rho", lambda v: v >= 1, ">= 1")
 
 
 def _require_roots_outside(live):
@@ -331,8 +331,8 @@ def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_ankeny_rivlin of each (p, rho, radius) in ``cases``, all p of one
     degree, with one circle_max call per norm."""
     _require_rho(cases)
-    if any(not (1.0 < radius < math.inf) for *_, radius in cases):
-        raise InvalidParam("the growth bound is for finite radii R > 1")
+    for *_, radius in cases:
+        _require_real(radius, "the growth radius R", lambda v: v > 1, "> 1")
 
     def compute(live):
         _require_roots_outside(live)
@@ -428,6 +428,7 @@ def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationRe
     measured is the largest distance from a derivative root to the hull;
     bound is zero with absolute slack tol * (1 + root scale).
     """
+    _require_real(tol, "tol", lambda v: v >= 0, ">= 0")
     payload = {"op": "gauss_lucas", "poly": poly_to_json(p)}
     params = {"n": p.degree}
     if p.effective_degree is None or p.effective_degree < 2:
@@ -524,6 +525,7 @@ def check_identity_logplus_batch(cases, tol: float = DEFAULT_TOL,
                                  cfg: QuadratureConfig | None = None) -> list:
     """check_identity_logplus of each (v,) in ``cases``: the rows [v, 1] of
     every v go through one _circle_means call."""
+    _require_real(tol, "tol", lambda v: v >= 0, ">= 0")
     cfg = cfg or DEFAULT_CONFIG
     vs = [complex(v) for v, in cases]
     _refuse_nonfinite("v", np.asarray(vs))
@@ -557,8 +559,9 @@ def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> Verifi
     Substituting a = u e^(-s) and then t = p s turns the right side into
     u^p * integral of t e^(-t) dt, evaluated by Gauss-Laguerre quadrature.
     """
-    if not (0 <= u < math.inf and 0 < p < math.inf):  # also refuses nan
-        raise InvalidParam("need finite u >= 0 and finite p > 0")
+    _require_real(u, "u", lambda v: v >= 0, ">= 0")
+    _require_real(p, "p", lambda v: v > 0, "> 0")
+    _require_real(tol, "tol", lambda v: v >= 0, ">= 0")
     rhs = _pow(u, p)
     quad = float(rhs * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
     return _report("power_identity", {"op": "power_identity", "u": u, "p": p}, abs(quad - rhs),
@@ -575,13 +578,11 @@ class ChiFunction:
     exponent: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.exponent) and self.exponent >= 0):
-            raise InvalidParam(f"chi needs a finite exponent >= 0, got {self.exponent!r}")
+        _require_real(self.exponent, "chi's exponent", lambda v: v >= 0, ">= 0")
 
     @staticmethod
     def power(exponent: float) -> "ChiFunction":
-        if not (exponent > 0):
-            raise InvalidParam("power chi needs a positive exponent")
+        _require_real(exponent, "a power chi's exponent", lambda v: v > 0, "> 0")
         return ChiFunction(name=f"x^{exponent:g}", exponent=exponent)
 
     @staticmethod
@@ -633,8 +634,8 @@ def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,
 def mate_nevai_compare_batch(cases, tol: float = DEFAULT_TOL,
                              cfg: QuadratureConfig | None = None) -> list:
     """mate_nevai_compare of each (p, power) in ``cases``, all p of one degree."""
-    if any(not (0.0 < power < 1.0) for _, power in cases):
-        raise InvalidParam("the comparison is for 0 < p < 1")
+    for _, power in cases:
+        _require_real(power, "the Mate-Nevai power p", lambda v: 0 < v < 1, "in (0, 1)")
     reps = _derivative_bound([("mate_nevai",
                                {"op": "mate_nevai", "p": power, "poly": poly_to_json(p)},
                                {"n": p.degree, "p": power,

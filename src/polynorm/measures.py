@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BandwidthExceeded, InvalidParam
 from .poly import (ExponentialSum, TrigPoly, _equal_arrays, _exp_sum, _json_rows, _parsing,
-                   _powers, _refuse_nonfinite, _require_integer)
+                   _powers, _refuse_nonfinite, _require_integer, _require_real)
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,9 @@ class DiscreteMeasure:
             raise InvalidParam("weights and nodes must be matching vectors")
         _refuse_nonfinite("weights", w)
         _refuse_nonfinite("nodes", t)
-        if not (0.0 <= self.truncation_tail < math.inf):
-            raise InvalidParam("truncation tail must be finite and nonnegative")
-        if self.bandwidth is not None and not (0.0 < self.bandwidth < math.inf):
-            raise InvalidParam("bandwidth must be finite and positive")
+        _require_real(self.truncation_tail, "truncation tail", lambda v: v >= 0, ">= 0")
+        if self.bandwidth is not None:
+            _require_real(self.bandwidth, "bandwidth", lambda v: v > 0, "> 0")
         w.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -95,9 +94,8 @@ class DiscreteMeasure:
         bad input."""
         with _parsing("measure"):
             weights, atoms = _json_rows(obj["atoms"], 3)
-            bandwidth = obj.get("bandwidth")
-            return cls(weights, atoms[:, 2], truncation_tail=float(obj.get("tail", 0.0)),
-                       bandwidth=None if bandwidth is None else float(bandwidth))
+            return cls(weights, atoms[:, 2], truncation_tail=obj.get("tail", 0.0),
+                       bandwidth=obj.get("bandwidth"))
 
 
 def riesz_measure(n: int) -> DiscreteMeasure:
@@ -139,8 +137,7 @@ def boas_measure(lam: float, trunc: int = 401) -> DiscreteMeasure:
     The stored tail is the exact variation of the dropped atoms, at most
     8*lam/(pi^2 * trunc); total variation increases to lam as trunc grows.
     """
-    if not (lam > 0) or not math.isfinite(lam):
-        raise InvalidParam("bandwidth must be positive and finite")
+    _require_real(lam, "bandwidth", lambda v: v > 0, "> 0")
     _require_integer(trunc, 1, "truncation order")
     if trunc % 2 == 0:
         raise InvalidParam("truncation order must be odd")

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _in_range, _prescaled, _require_integer,
-                   root_array, roots)
+                   _require_real, root_array, roots)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class QuadratureConfig:
     def __post_init__(self):
         _require_integer(self.max_doublings, 0, "max_doublings")
         _require_integer(self.radial_nodes, 2, "radial_nodes")
-        if not (self.rel_tol > 0 and self.area_rel_tol > 0):  # also refuses nan
-            raise InvalidParam("tolerances must be positive")
+        _require_real(self.rel_tol, "rel_tol", lambda v: v > 0, "> 0")
+        _require_real(self.area_rel_tol, "area_rel_tol", lambda v: v > 0, "> 0")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -405,8 +405,8 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
     out = [0.0] * len(polys)
     groups: dict = {}
     for i, (p, power) in enumerate(zip(polys, powers)):
-        if not (power > 0) or not math.isfinite(power):
-            raise InvalidParam("lp_norm needs finite p > 0; use the mahler functions for p = 0")
+        _require_real(power, "the L^p exponent", lambda v: v > 0,
+                      "> 0 (the mahler functions cover p = 0)")
         if not isinstance(p, (TrigPoly, AlgebraicPoly)):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
         groups.setdefault((len(p.coeffs),) + _grid_rule(power, p, cfg), []).append(i)
@@ -536,8 +536,7 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
     exactly when s power is an integer; one beyond the float range raises
     OutOfRange.
     """
-    if not (power > 0) or not math.isfinite(power):
-        raise InvalidParam("disk_mean needs a finite power > 0")
+    _require_real(power, "the disk mean's power", lambda v: v > 0, "> 0")
     if not polys:
         return np.zeros(0)
     cfg = cfg or DEFAULT_CONFIG
@@ -589,8 +588,6 @@ def norm_value(p, kind: str, power: float | None = None,
     if kind == "sup":
         return sup_norm(p)
     if kind == "lp":
-        if power is None or not math.isfinite(power) or power <= 0:
-            raise InvalidParam("lp requires finite p > 0 (mahler covers p = 0)")
         return lp_norm(p, power, cfg)
     if kind == "mahler":
         return mahler_jensen(p)

@@ -139,6 +139,21 @@ def _require_integer(value, least: int, what: str) -> None:
         raise InvalidParam(f"{what} must be an integer >= {least}")
 
 
+def _require_real(value, what: str, ok, rule: str) -> None:
+    """InvalidParam unless ``value`` is a finite real number for which
+    ok(value) holds, ``rule`` saying so in words. A bool is not a real number
+    (numpy's is no numbers.Real either), nor is a string; a numpy float or
+    integer is. Every real parameter of the package (exponents, radii,
+    tolerances, bandwidths) goes through this one rule."""
+    try:
+        good = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and ok(value))
+    except OverflowError:  # an integer beyond the float range
+        good = False
+    if not good:
+        raise InvalidParam(f"{what} must be a finite real number {rule}, got {value!r}")
+
+
 def _equal_arrays(self, other):
     """``==`` for the frozen array dataclasses: the same type, and every
     compared field equal by value (np.array_equal), where the generated
@@ -347,8 +362,9 @@ class ExponentialSum:
         _refuse_nonfinite("frequencies", f)
         if np.unique(f).size != f.size:
             raise InvalidParam("frequencies must be distinct")
+        if self.bandwidth is not None:
+            _require_real(self.bandwidth, "bandwidth", lambda b: b >= 0, ">= 0")
         bw = float(np.abs(f).max()) if self.bandwidth is None else float(self.bandwidth)
-        _refuse_nonfinite("bandwidth", np.float64(bw))
         if np.abs(f).max() > bw + 1e-12:
             raise InvalidParam("bandwidth must dominate every |frequency|")
         a.flags.writeable = False
@@ -639,12 +655,10 @@ def generate(kind: str, n: int, seed: int = 0, rho: float | None = None):
         c[-1] = 1.0
         return TrigPoly(c)
     if kind == "lax-extremal":
-        if rho is None or rho < 1.0:
-            raise InvalidParam("lax-extremal requires rho >= 1")
+        _require_real(rho, "lax-extremal's rho", lambda r: r >= 1, ">= 1")
         return from_roots([-rho] * n, leading=(1.0 + rho) ** (-n))
     if kind == "roots-outside":
-        if rho is None or rho <= 0.0:
-            raise InvalidParam("roots-outside requires rho > 0")
+        _require_real(rho, "roots-outside's rho", lambda r: r > 0, "> 0")
         moduli = rho * (1.0 + rng.random(n))
         angles = _TWO_PI * rng.random(n)
         lead = np.exp(2j * np.pi * rng.random()) * (0.5 + rng.random())

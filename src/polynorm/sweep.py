@@ -29,8 +29,8 @@ import numpy as np
 from . import checks as C
 from .errors import InvalidParam
 from .norms import QuadratureConfig
-from .poly import (AlgebraicPoly, TrigPoly, _is_integer, _require_integer, generate,
-                   poly_to_json)
+from .poly import (AlgebraicPoly, TrigPoly, _is_integer, _require_integer, _require_real,
+                   generate, poly_to_json)
 
 DEFAULT_SEED = 0xBE2257
 
@@ -77,14 +77,13 @@ class SweepConfig:
         repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
         if repeated:
             raise InvalidParam(f"checks {repeated} listed more than once")
-        if not (0.0 < self.bound_scale <= 1.0 + 1e-12):
-            raise InvalidParam("bound_scale must be in (0, 1]")
-        if not _finite(self.rho_list, lambda rho: rho >= 1.0):
-            raise InvalidParam("rho_list values must be finite and >= 1")
-        if not _finite(self.radius_list, lambda radius: radius > 1.0):
-            raise InvalidParam("radius_list values must be finite and > 1")
-        if not _finite([self.tol, *self.tol_overrides.values()], lambda t: t >= 0):
-            raise InvalidParam("tol and tol_overrides must be finite and >= 0")
+        _require_real(self.bound_scale, "bound_scale", lambda s: 0 < s <= 1 + 1e-12, "in (0, 1]")
+        for rho in self.rho_list:
+            _require_real(rho, "every rho_list value", lambda v: v >= 1, ">= 1")
+        for radius in self.radius_list:
+            _require_real(radius, "every radius_list value", lambda v: v > 1, "> 1")
+        for tol in [self.tol, *self.tol_overrides.values()]:
+            _require_real(tol, "tol and every tol_overrides value", lambda v: v >= 0, ">= 0")
         for name in self.chi_list:
             C.ChiFunction.parse(name)
         for check_id in self.checks:
@@ -107,11 +106,6 @@ class SweepConfig:
 
     def cfg(self) -> QuadratureConfig:
         return QuadratureConfig.from_json(self.quadrature)
-
-
-def _finite(values, ok) -> bool:
-    """Whether each of ``values`` is a finite number for which ok holds."""
-    return all(isinstance(v, (int, float)) and math.isfinite(v) and ok(v) for v in values)
 
 
 def trial_seed(master: int, check_id: str, index: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polynorm import checks as C
 from polynorm import kernels as kernels_mod
 from polynorm.errors import InvalidParam
 from polynorm.kernels import (
@@ -19,8 +20,10 @@ from polynorm.kernels import (
     trig_deriv_via_kernel,
     wiener_bound_constant,
 )
-from polynorm.norms import disk_mean, sup_norm
-from polynorm.poly import AlgebraicPoly, TrigPoly, generate
+from polynorm.measures import DiscreteMeasure, boas_measure
+from polynorm.norms import QuadratureConfig, disk_mean, lp_norm, norm_value, sup_norm
+from polynorm.poly import AlgebraicPoly, ExponentialSum, TrigPoly, generate
+from polynorm.sweep import SweepConfig
 
 
 def _rand_alg(rng, n):
@@ -217,6 +220,57 @@ def test_degree_parameters_refuse_floats_and_bools(name, value):
     with pytest.raises(InvalidParam):
         take(value)
     assert np.array_equal(take(np.int64(2)), take(2))
+
+
+_ALG = AlgebraicPoly([1.0, 0.5, 0.25])
+_TRIG = TrigPoly([0.5, 1.0, 0.25])
+# name -> (a call taking the parameter, a value it accepts)
+_REAL_TAKERS = {
+    "rel_tol": (lambda v: QuadratureConfig(rel_tol=v), 1e-10),
+    "area_rel_tol": (lambda v: QuadratureConfig(area_rel_tol=v), 1e-8),
+    "lp_norm power": (lambda v: lp_norm(_TRIG, v), 1.5),
+    "norm_value power": (lambda v: norm_value(_TRIG, "lp", v), 1.5),
+    "disk_mean power": (lambda v: disk_mean(_ALG, v), 1.5),
+    "truncation_tail": (lambda v: DiscreteMeasure([1.0], [0.0], truncation_tail=v), 0.5),
+    "measure bandwidth": (lambda v: DiscreteMeasure([1.0], [0.0], bandwidth=v), 1.5),
+    "boas lam": (boas_measure, 1.5),
+    "expsum bandwidth": (lambda v: ExponentialSum([1.0], [0.5], bandwidth=v), 1.5),
+    "lax-extremal rho": (lambda v: generate("lax-extremal", 2, rho=v), 1.5),
+    "roots-outside rho": (lambda v: generate("roots-outside", 2, rho=v), 1.5),
+    # inf is the sup rung of the ladder, so parse_p is asked for -inf there
+    "parse_p": (lambda v: C.parse_p(-v if v == math.inf else v), 1.5),
+    "laguerre rho": (lambda v: C.check_laguerre(_ALG, v), 1.5),
+    "lax_malik rho": (lambda v: C.check_lax_malik(_ALG, v), 1.5),
+    "ankeny_rivlin rho": (lambda v: C.check_ankeny_rivlin(_ALG, v, 2.0), 1.5),
+    "ankeny_rivlin radius": (lambda v: C.check_ankeny_rivlin(_ALG, 1.0, v), 1.5),
+    "power_identity u": (lambda v: C.check_identity_power(v, 1.5), 1.5),
+    "power_identity p": (lambda v: C.check_identity_power(1.5, v), 1.5),
+    "chi exponent": (lambda v: C.ChiFunction("x^e", v), 1.5),
+    "chi power": (C.ChiFunction.power, 1.5),
+    "mate_nevai power": (lambda v: C.mate_nevai_compare(_ALG, v), 0.5),
+    "bernstein tol": (lambda v: C.check_bernstein(_TRIG, 2.0, v), 1e-8),
+    "malik tol": (lambda v: C.check_malik(_ALG, v), 1e-8),
+    "gauss_lucas tol": (lambda v: C.check_gauss_lucas(_ALG, v), 1e-7),
+    "power_identity tol": (lambda v: C.check_identity_power(1.5, 1.5, v), 1e-8),
+    "logplus tol": (lambda v: C.check_identity_logplus(0.5, v), 1e-8),
+    "sweep tol": (lambda v: SweepConfig(tol=v), 1e-8),
+    "sweep tol_overrides": (lambda v: SweepConfig(tol_overrides={"malik": v}), 1e-8),
+    "sweep bound_scale": (lambda v: SweepConfig(bound_scale=v), 0.5),
+    "sweep rho_list": (lambda v: SweepConfig(rho_list=[v]), 1.5),
+    "sweep radius_list": (lambda v: SweepConfig(radius_list=[v]), 1.5),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, math.nan, math.inf, "2"],
+                         ids=["True", "np.True_", "nan", "inf", "str"])
+@pytest.mark.parametrize("name", list(_REAL_TAKERS))
+def test_real_parameters_refuse_bools_nonfinite_and_strings(name, value):
+    # a bool is not read as 1.0, nor a string as its number, and no real
+    # parameter lets NaN or infinity through to a value or a verdict
+    take, good = _REAL_TAKERS[name]
+    take(good)
+    with pytest.raises(InvalidParam):
+        take(value)
 
 
 def test_besov_inf1_bound_constant():

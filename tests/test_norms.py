@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -859,20 +860,27 @@ def test_rotation_invariance():
     st.integers(min_value=1, max_value=10**6),
 )
 def test_rotation_and_reflection_leave_norms_unchanged(n, seed, k):
-    # metamorphic relations (ROADMAP item 13): the rotation T(. + a) and the
-    # reflection conj(T), coefficients conj(c[::-1]), have the modulus of T
-    # on the circle, so the sup, the even L^p norms and the Mahler measure
-    # agree to rounding. a = k (sqrt 5 - 1) mod 2 pi is no dyadic multiple of
-    # a start grid's spacing, at which a rotation would only permute grid
-    # points. Non-even p is left out: its doubling rule can stop early, and
-    # a shift moves such a norm by up to about 1e-7 (CHANGES.md, FOUND).
+    # metamorphic relations (ROADMAP item 13): the rotation T(. + a), the
+    # reflection conj(T), coefficients conj(c[::-1]), and the reciprocal
+    # z^n conj(P(1/conj z)) of the analytic part P have the modulus of the
+    # original on the circle, so the sup, the even L^p norms and the Mahler
+    # measure agree to rounding; a rotation P(e^{ia} z) also keeps the disk
+    # mean of |P|^2, which takes one exact grid. a = k (sqrt 5 - 1) mod 2 pi
+    # is no dyadic multiple of a start grid's spacing, at which a rotation
+    # would only permute grid points. Non-even p is left out: its doubling
+    # rule can stop early, and a shift moves such a norm by up to about 1e-7
+    # (CHANGES.md, FOUND).
     t = generate("gaussian-random", n, seed=seed)
     a = k * (math.sqrt(5.0) - 1.0) % (2 * math.pi)
-    for moved in (t.shift(a), TrigPoly(np.conj(t.coeffs[::-1]))):
-        assert sup_norm(moved) == pytest.approx(sup_norm(t), rel=1e-13)
+    alg = t.analytic_part()
+    for orig, moved in ((t, t.shift(a)), (t, TrigPoly(np.conj(t.coeffs[::-1]))),
+                        (alg, alg.reciprocal())):
+        assert sup_norm(moved) == pytest.approx(sup_norm(orig), rel=1e-13)
         for p in (2.0, 4.0):
-            assert lp_norm(moved, p) == pytest.approx(lp_norm(t, p), rel=1e-13)
-        assert mahler_jensen(moved) == pytest.approx(mahler_jensen(t), rel=1e-12)
+            assert lp_norm(moved, p) == pytest.approx(lp_norm(orig, p), rel=1e-13)
+        assert mahler_jensen(moved) == pytest.approx(mahler_jensen(orig), rel=1e-12)
+    rotated = alg.dilate(cmath.exp(1j * a))
+    assert disk_mean(rotated, 2.0) == pytest.approx(disk_mean(alg, 2.0), rel=1e-13)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
