@@ -596,7 +596,11 @@ class ChiFunction:
         if name == "log":
             return ChiFunction.log()
         if name.startswith("x^"):
-            return ChiFunction.power(float(name[2:]))
+            try:
+                exponent = float(name[2:])
+            except ValueError:  # not a number: power() refuses the text itself
+                exponent = name[2:]
+            return ChiFunction.power(exponent)
         raise InvalidParam(f"unknown chi spec {name!r}; use 'log' or 'x^<p>'")
 
 

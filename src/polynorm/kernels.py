@@ -44,7 +44,9 @@ def _kernel_mean(p, xi: complex, grid: int | None, kernel) -> complex:
 
 def _dirichlet_on_grid(n: int, xi: complex, grid: int) -> np.ndarray:
     """D_n(conj(xi) u) at the grid points u = e^{2 pi i t/grid}: the grid
-    values of the coefficients conj(xi)^j, j < n, by one FFT."""
+    values of the coefficients conj(xi)^j, j < n, by one _grid_values call
+    (a product with a cached DFT block up to poly._DFT_MAX_WIDTH
+    coefficients, an FFT above)."""
     powers = np.ones(n, dtype=np.complex128)
     np.multiply.accumulate(np.full(n - 1, np.conj(xi)), out=powers[1:])
     return _grid_values(powers, 0, grid)

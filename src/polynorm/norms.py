@@ -9,9 +9,12 @@ mean M_p of |p| (M_0 = exp of the mean of log|p|) on many circles at once,
 one row of coefficients (and, if need be, one exponent p) each, doubling
 each row's grid until that row's M_p changes by at most the relative
 tolerance; a doubling evaluates only the new points, as the initial grid
-shifted by each of the level's offsets (one batched FFT of that grid's
-length per level, the initial grid and the first doubling sharing one),
-and converged rows drop out of the compacted arrays the loop carries. At
+shifted by each of the level's offsets (one batched poly._grid_values call
+of that grid's length per level, the initial grid and the first doubling
+sharing one), and converged rows drop out of the compacted arrays the loop
+carries. _grid_values is the one grid evaluator of the package: rows at
+most poly._DFT_MAX_WIDTH wide are one matrix product with a cached DFT
+block, wider rows one zero-padded inverse FFT. At
 an even integer power, |p|^power is itself a trig polynomial, so L^p norms
 and disk means alike take one exact grid of power (width - 1)/2 + 1 points
 and no doubling (_grid_rule). A radial integral is one _radial call: each
@@ -23,9 +26,9 @@ Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
 the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
 |zP'| and |nP - zP'| for the malik and laguerre checks). F is sampled on
-the engine's own grid by one inverse FFT of the exact lags of each |h|^2,
-with no loop over rows or terms, and grid maxima are refined by bracketed
-Newton steps on exact derivatives; a single term steps on the w
+the engine's own grid by one _grid_values call on the exact lags of each
+|h|^2, with no loop over rows or terms, and grid maxima are refined by
+bracketed Newton steps on exact derivatives; a single term steps on the w
 nonnegative lags of |h|^2, a sum of w frequencies in place of 2w - 1.
 """
 from __future__ import annotations
@@ -38,8 +41,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
-from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _in_range, _prescaled, _require_integer,
-                   _require_real, root_array, roots)
+from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _grid_values, _in_range, _prescaled,
+                   _require_integer, _require_real, root_array, roots)
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,15 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     evaluates only the N new points x = pi (2t + 1)/N. Writing
     t = s + q N/grid0 shows them as the grid0-point grid shifted by the
     N/grid0 offsets theta_s = pi (2s + 1)/N, so a level is one batched
-    grid0-point FFT of the coefficients times e^{ij theta_s}, one transform
-    per offset. The offsets of a level are those of the level before, each
+    grid0-point _grid_values call on the coefficients times e^{ij theta_s},
+    one row per offset: one matrix product with the cached DFT block for
+    rows at most poly._DFT_MAX_WIDTH wide, one FFT per row above. The
+    offsets of a level are those of the level before, each
     minus and plus pi/N (the first level has the one offset pi/grid0), so
     the loop carries each row times the twiddles of its last offsets and
     makes the next level's by one broadcast multiply with e^{-+ i pi j/N}
     (_twiddles). Every row with a budget needs the first level, so the
-    initial grid and the first level's offset share one FFT. After that,
+    initial grid and the first level's offset share one call. After that,
     only rows still changing take part: the shifted coefficients, running
     sums, last values and exponents of those rows are carried as compacted
     arrays, cut down only on a level where some row stops. The test is
@@ -123,7 +128,7 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     # shifted[r, s]: row r times e^{ij theta} for the s-th offset theta of a
     # level; first the initial grid (theta = 0) and the first level's pi/grid0
     shifted = np.stack([rows, rows * steps[0, 1]], axis=1) if max_doublings else rows[:, None]
-    a = np.abs(np.fft.ifft(shifted, grid0, norm="forward"))
+    a = np.abs(_grid_values(shifted, 0, grid0))
     sums = _each_exponent(_power_sums, a[:, :1], p)
     value = _each_exponent(_power_means, sums / grid0, p)
     # the rows still changing: their indices, shifted rows, sums, values, exponents
@@ -131,7 +136,7 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     for level, step in enumerate(steps):
         if level:
             shifted = (shifted[:, :, None] * step).reshape(len(shifted), -1, width)
-            a = np.abs(np.fft.ifft(shifted, grid0, norm="forward"))
+            a = np.abs(_grid_values(shifted, 0, grid0))
         else:
             shifted, a = shifted[:, 1:], a[:, 1:]
         sums += _each_exponent(_power_sums, a, p)
@@ -257,10 +262,12 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     which is exact. One matrix product over a read-only strided window of the
     zero-padded coefficients gives the lags b_m = sum_j c_{j+m} conj(c_j),
     m = 0..width-1, of every |h_t|^2 (exactly [|c|^2, 0, ...] for a single
-    frequency: a flat grid, which an FFT autocorrelation would round), and one
-    irfft of b gives F on 16 (width + 1) points, over 16 samples per period of
-    the top lag, as _grid_candidates needs. A call with a negative weight gets
-    32 width points: a near-zero of a negatively weighted term is a peak of F
+    frequency: a flat grid, which an FFT autocorrelation would round), and
+    the real part of one _grid_values call on b_0, 2 b_1, ..., 2 b_{width-1}
+    (the product with a cached DFT block up to poly._DFT_MAX_WIDTH lags, the
+    FFT above) gives F on 16 (width + 1) points, over 16 samples per period
+    of the top lag, as _grid_candidates needs. A call with a negative weight
+    gets 32 width points: a near-zero of a negatively weighted term is a peak of F
     as narrow as the zero is near the circle, which the bandwidth does not
     bound, and two such peaks within one spacing of the coarser grid hid the
     higher (3 of 1000 laguerre rows of degree 8, roots at modulus 1..1.05;
@@ -287,24 +294,24 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
         grid = 32 * width if (w < 0.0).any() else 16 * (width + 1)
     if grid < 2 * width - 1:
         raise InvalidParam(f"grid {grid} too small for {width} coefficients")
-    # half[..., m] = sum_j c_{j+m} conj(c_j), the lags m >= 0 of |h_t|^2
+    # the lags sum_j c_{j+m} conj(c_j), m >= 0, of every |h_t|^2
     padded = np.zeros(h.shape[:-1] + (2 * width - 1,), dtype=np.complex128)
     padded[..., :width] = h
     windows = as_strided(padded, h.shape + (width,), padded.strides + padded.strides[-1:],
                          writeable=False)  # windows[..., m, :] = padded[..., m:m + width]
-    half = (windows @ np.conj(h)[..., None])[..., 0]
-    g = np.fft.irfft(half, grid, norm="forward")
+    m = np.arange(width)
+    # |h_t|^2 = Re sum_m b_m e^{imx}, b the lags with those of m >= 1 doubled
+    b = (windows @ np.conj(h)[..., None])[..., 0] * np.where(m > 0, 2.0, 1.0)
+    g = _grid_values(b, 0, grid).real
     vals = g[:, 0] if single else (np.sqrt(np.maximum(g, 0.0)) * w[..., None]).sum(axis=1)
     rows, cols = _grid_candidates(vals)
     dx = _TWO_PI / grid
     x0 = cols * dx
     wk = w[rows].T if w.ndim == 2 else w[:, None]  # (T, candidates) or (T, 1)
 
-    m = np.arange(width)
     im = 1j * m
     if single:
-        b = half[:, 0] * np.where(m > 0, 2.0, 1.0)  # F = Re sum_m b_m e^{imx}
-        coef = _with_derivatives(b, im, -(m * m))[rows]
+        coef = _with_derivatives(b[:, 0], im, -(m * m))[rows]
 
         def objective(x):
             return np.einsum("kj,kjs->sk", np.exp(np.multiply.outer(x, im)), coef).real

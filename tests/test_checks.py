@@ -13,6 +13,7 @@ from polynorm.errors import (
 )
 from polynorm.norms import QuadratureConfig, lp_norm, sup_norm
 from polynorm.poly import AlgebraicPoly, TrigPoly, from_roots, generate, roots
+from polynorm.sweep import SweepConfig
 
 
 def _rand_trig(rng, n):
@@ -410,6 +411,16 @@ def test_chi_refuses_non_finite_exponents():
             C.ChiFunction.parse(name)
     with pytest.raises(InvalidParam):
         C.ChiFunction(name="x^inf", exponent=math.inf)
+
+
+def test_chi_refuses_exponents_that_are_not_numbers():
+    # float() would raise a bare ValueError on these; the exponent goes
+    # through _require_real instead, in parse and in SweepConfig alike
+    for name in ("x^abc", "x^True", "x^", "x^1,5"):
+        with pytest.raises(InvalidParam):
+            C.ChiFunction.parse(name)
+        with pytest.raises(InvalidParam):
+            SweepConfig(chi_list=["log", name])
 
 
 def test_mate_nevai_compare():

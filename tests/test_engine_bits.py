@@ -11,7 +11,10 @@ the old ones as a reference file, every new value within a stated relative
 distance of its old pin: engine_bits_zero_padded.json holds the circle
 means of the engine that evaluated each doubling level as one zero-padded
 FFT, which the grid0-point FFTs per offset replaced (within 2e-15; the
-largest move was 9.6e-16). The cases cover one row and many rows, one
+largest move was 9.6e-16), and engine_bits_fft.json holds the pins that
+moved when rows at most poly._DFT_MAX_WIDTH wide left the FFT for one
+matrix product with a DFT block (within 2e-15; the largest move was
+7.9e-16). The cases cover one row and many rows, one
 exponent and one per row (p = 0 included), doubling budgets 0, 3 and 6,
 tolerances 1e-8 and 1e-10 with rows that stop at different levels, and
 one- and two-term maxima with shared and per-row weights. The radial pins
@@ -86,6 +89,7 @@ def _cases():
 
 EXPECTED = json.loads((Path(__file__).parent / "engine_bits.json").read_text())
 ZERO_PADDED = json.loads((Path(__file__).parent / "engine_bits_zero_padded.json").read_text())
+FFT = json.loads((Path(__file__).parent / "engine_bits_fft.json").read_text())
 
 CASES = dict(_cases())
 
@@ -95,8 +99,17 @@ def test_engine_bits(name):
     assert [float(v).hex() for v in CASES[name]()] == EXPECTED[name]
 
 
+def _near(old_pins, name):
+    new = np.array([float.fromhex(v) for v in EXPECTED[name]])
+    old = np.array([float.fromhex(v) for v in old_pins[name]])
+    return np.all(np.abs(new - old) <= 2e-15 * np.abs(old))
+
+
 @pytest.mark.parametrize("name", sorted(ZERO_PADDED))
 def test_circle_means_near_zero_padded_pins(name):
-    new = np.array([float.fromhex(v) for v in EXPECTED[name]])
-    old = np.array([float.fromhex(v) for v in ZERO_PADDED[name]])
-    assert np.all(np.abs(new - old) <= 2e-15 * np.abs(old))
+    assert _near(ZERO_PADDED, name)
+
+
+@pytest.mark.parametrize("name", sorted(FFT))
+def test_engine_bits_near_fft_pins(name):
+    assert _near(FFT, name)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynorm import norms
+from polynorm import poly as poly_mod
 from polynorm.errors import (InvalidParam, NearCircleRoot, OutOfRange, PolynormError,
                              RootsNotConverged, ZeroPolynomial)
 from polynorm.norms import (
@@ -151,7 +152,7 @@ def _convolve_sup(c, grid):
 
 
 def test_circle_max_matches_convolve_reference():
-    # the half-lag matrix product, the irfft grid and the half-length Newton
+    # the half-lag matrix product, its _grid_values grid and the half-length Newton
     # sums give the max of the full np.convolve spectrum to rounding, and
     # |h| at the returned angle is that max. The angle itself is fixed only
     # to about sqrt(eps): |h|^2 changes by (dx)^2 |h''| / 2 < eps |h|^2 there
@@ -384,17 +385,40 @@ def test_circle_means_offsets_land_on_the_doubled_grid():
 @pytest.fixture
 def grid_shapes(monkeypatch):
     # (rows, points per row) of every batch of grid values _circle_means
-    # evaluates, each one inverse FFT over (rows, offsets, grid0) points
+    # evaluates, each one poly._grid_values call over (rows, offsets, grid0)
+    # points
     shapes = []
-    ifft = np.fft.ifft
 
-    def recording(c, *args, **kwargs):
-        values = ifft(c, *args, **kwargs)
+    def recording(c, *args):
+        values = _grid_values(c, *args)
         shapes.append((len(values), values[0].size))
         return values
 
-    monkeypatch.setattr(np.fft, "ifft", recording)
+    monkeypatch.setattr(norms, "_grid_values", recording)
     return shapes
+
+
+def test_circle_max_grid_of_a_single_frequency_is_flat(monkeypatch):
+    # the lags of |c e^{ikx}|^2 are exactly (|c|^2, 0, ..., 0), so in either
+    # branch of _grid_values every grid point of F is exactly |c|^2, and the
+    # row's one candidate is its first point
+    grids = []
+
+    def recording(b, *args):
+        values = _grid_values(b, *args)
+        grids.append(values.real)
+        return values
+
+    monkeypatch.setattr(norms, "_grid_values", recording)
+    for width in (1, 2, 9, poly_mod._DFT_MAX_WIDTH, poly_mod._DFT_MAX_WIDTH + 1, 65):
+        for k in {0, width // 2, width - 1}:
+            h = np.zeros((3, 1, width), dtype=np.complex128)
+            h[:, 0, k] = (0.3 - 1.7j, 5.0, 1e-3j)
+            grids.clear()
+            top, x = circle_max(h)
+            (g,) = grids
+            assert np.all(g == g[..., :1]), (width, k)
+            assert top.tolist() == [abs(0.3 - 1.7j), 5.0, 1e-3] and x.tolist() == [0.0] * 3
 
 
 def test_circle_means_rows_converge_alone(grid_shapes):

@@ -14,6 +14,7 @@ from polynorm.poly import (
     AlgebraicPoly,
     ExponentialSum,
     TrigPoly,
+    _grid_values,
     from_roots,
     generate,
     poly_from_json,
@@ -285,6 +286,47 @@ def test_poly_values_in_chunks_past_the_table_cap():
     want = np.polynomial.polynomial.polyval(z, c)
     assert got.shape == z.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_grid_values_rows_match_one_row_calls_bit_for_bit():
+    # every width of the product branch and the first of the FFT branch: a
+    # row's values do not depend on the rows beside it, in a flat batch or
+    # a (rows, offsets) one as _circle_means passes; a lone row is
+    # multiplied beside a zero row, since numpy's gemv rounds a one-row
+    # product differently from the gemm of a batch
+    rng = np.random.default_rng(29)
+    for m in range(1, poly_mod._DFT_MAX_WIDTH + 2):
+        grid, kmin = 16 * (m + 1), -(m // 2)
+        for count in (1, 2, 3, 7, 64, 65):
+            c = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+            batch = _grid_values(c, kmin, grid)
+            assert batch.shape == (count, grid)
+            for row, got in zip(c, batch):
+                assert np.array_equal(got, _grid_values(row, kmin, grid)), (m, count)
+            if count % 2 == 0:
+                pairs = _grid_values(c.reshape(count // 2, 2, m), kmin, grid)
+                assert np.array_equal(pairs.reshape(count, grid), batch), (m, count)
+
+
+def test_grid_values_branches_match_the_direct_sum():
+    # the product (narrow rows, short grids) and the FFT (wide rows, or a
+    # block past _DFT_MAX_ENTRIES) both give sum_j c_j e^{i(kmin+j)x} to
+    # 1e-14 of sum |c_j|, against a sum of e^{2 pi i ((kmin+j) t mod grid)/grid}
+    rng = np.random.default_rng(31)
+    wide = poly_mod._DFT_MAX_WIDTH + 1
+    for m, grid in ((1, 1), (1, 16), (2, 3), (9, 160), (17, 544), (wide - 1, wide - 1),
+                    (wide - 1, 16 * wide), (wide, 16 * (wide + 1)), (65, 528), (129, 1040),
+                    (5, poly_mod._DFT_MAX_ENTRIES // 5 + 1)):
+        c = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        for kmin in (0, -(m // 2), 7, -3 * grid - 1):
+            k = kmin + np.arange(m)
+            e = np.exp(2j * np.pi * (np.multiply.outer(np.arange(grid), k) % grid) / grid)
+            want = (e[None] * c[:, None, :]).sum(axis=-1)
+            got = _grid_values(c, kmin, grid)
+            scale = np.abs(c).sum(axis=1)[:, None]
+            assert np.all(np.abs(got - want) <= 1e-14 * scale), (m, grid, kmin)
+    with pytest.raises(InvalidParam):
+        _grid_values(np.ones(5), 0, 4)
 
 
 def test_eval_of_an_array_keeps_its_shape_and_bits():
@@ -561,10 +603,27 @@ def test_values_beyond_float_range_are_out_of_range():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dilate_beyond_float_range_is_out_of_range():
-    # a finite polynomial whose dilated coefficients overflow, or a radius
-    # that is not finite, raises OutOfRange with no overflow warning
+    # a finite polynomial whose dilated coefficients overflow raises
+    # OutOfRange with no overflow warning (a radius that is not finite is
+    # refused before: test_shift_and_dilate_refuse_bools_and_non_finite)
     p = AlgebraicPoly([1.0, 0.0, 1e300])
     assert p.dilate(1e3).coeffs[2] == 1e306
-    for r in (1e5, math.inf, math.nan):
+    for r in (1e5, -1e5, 1e5j):
         with pytest.raises(OutOfRange):
             p.dilate(r)
+
+
+def test_shift_and_dilate_refuse_bools_and_non_finite():
+    # a bool is not an angle or a radius (True would shift by 1 rad and
+    # dilate by 1); a complex radius, which rotates, stays allowed
+    t, p = TrigPoly([1.0, 2.0, 3j]), AlgebraicPoly([1.0, -2.0, 0.5j])
+    for a in (True, False, np.True_, math.inf, math.nan, 1j, "0.5", None):
+        with pytest.raises(InvalidParam):
+            t.shift(a)
+    for r in (True, False, np.True_, math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+              complex(math.nan, 0.0), 10**400, "2", None):
+        with pytest.raises(InvalidParam):
+            p.dilate(r)
+    assert t.shift(np.float64(0.5)) == t.shift(0.5)
+    assert p.dilate(1j).coeffs.tolist() == [1.0, -2j, -0.5j]
+    assert p.dilate(np.int64(2)) == p.dilate(2.0)

@@ -482,12 +482,12 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
 
 # sha256 of the default sweep's JSONL and CSV at three seeds
 DEFAULT_SWEEP_DIGESTS = {
-    0xBE2257: ("50c1268f1c56e4228121aa4a4f7003a00610f6992f506f19fc83654b8df48ebf",
-               "2d4e3b7b6c3a0cd0fc39021256bb46e2a09852218dc28808417f02a1ebfa2abf"),
-    1: ("78ac80dc68331142bff60d326b432a8d9b7ac1aba4111ad9f3201cbf9f698903",
-        "3793d1b33d15495bc4de0099e326ddf947a0be6ff1b9d91d2983c71f9d9ee4ce"),
-    4242: ("a414b0ebffc7b54d9132b6d291f0fad247582f4429a5cb20124df43ae74e529a",
-           "ac399a775981e83fd9271439d0ac291ffe04617056ed5bb0083e8b738220f5a0"),
+    0xBE2257: ("8011a7a5c1c297372509bac75cdd2439947891b2449ff552a864964b8ab2cf90",
+               "f0f159412dee5f2ba4c39326ec759f49e7ae43be5e66614fda2a7f14cb0f8e48"),
+    1: ("79be4847910e2b550e54de4ce36fec485ae7c36fa0cb7b55778e78e52f13db3b",
+        "0d56b8158f600b9dba89bb2b9e5d65e12aa5a324fd2926042bd2208fc081db84"),
+    4242: ("9cd198f13a3a778cf7aa567c35bbe3d9d2b683695e2487b4e8c1c6b4144fb2a6",
+           "f6c8a4314782bd354f8fcda4330204b56f5a2c7c44aac4b38120a3c18c0acb4b"),
 }
 
 
