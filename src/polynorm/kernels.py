@@ -123,7 +123,8 @@ def bergman_profile(n: int, u: complex) -> AlgebraicPoly:
 
     Its squared Bergman norm (normalized-area L^2 on the disk) equals
     sum_{k<n} gamma(k+3/2)^2/(k!(k+1)!) for unimodular u, which cross-checks
-    the disk quadrature against besov_111_terms.
+    disk_mean(., 2), the closed form sum_k |c_k|^2/(k+1), against
+    besov_111_terms; the disk quadrature itself is checked at power 1.
     """
     _require_integer(n, 1, "degree")
     coeffs = np.empty(n, dtype=np.complex128)

@@ -14,13 +14,16 @@ of that grid's length per level, the initial grid and the first doubling
 sharing one), and converged rows drop out of the compacted arrays the loop
 carries. _grid_values is the one grid evaluator of the package: rows at
 most poly._DFT_MAX_WIDTH wide are one matrix product with a cached DFT
-block, wider rows one zero-padded inverse FFT. At
-an even integer power, |p|^power is itself a trig polynomial, so L^p norms
-and disk means alike take one exact grid of power (width - 1)/2 + 1 points
-and no doubling (_grid_rule). A radial integral is one _radial call: each
-input's row dilated to each Gauss-Legendre node in r, and one call of the
-per-circle engine (circle mean or max) on them all. Both engines scale each
-row by a power of two; a value beyond the float range raises OutOfRange.
+block, wider rows one zero-padded inverse FFT. Two integrals need no
+grid: the L^2 norm is Parseval's sqrt(sum |c_k|^2) (_root_sum_squares), and
+the disk mean of |p|^(2m) is the Bergman-space sum
+sum_k |(p^m)_k|^2/(k + 1) (_bergman_sums), both with no BLAS call. At any
+other even integer power, |p|^power is itself a trig polynomial, so an L^p
+norm takes one exact grid of power (width - 1)/2 + 1 points and no doubling
+(_grid_rule). Any other disk integral is one _radial call: each input's row
+dilated to each Gauss-Legendre node in r, and one call of the per-circle
+engine (circle mean or max) on them all. Every engine scales each row by a
+power of two; a value beyond the float range raises OutOfRange.
 
 Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _grid_values, _in_range, _prescaled,
@@ -56,7 +59,10 @@ class QuadratureConfig:
 
     The engines choose their own grids (_grid_rule, circle_max), and
     max_doublings does not apply to an even integer power, which takes one
-    exact grid. from_json refuses an unknown key with InvalidParam.
+    exact grid. None of the four applies to an L^2 norm or to a disk mean at
+    an even integer power, which are sums over the coefficients (the largest
+    grid that max_doublings reaches still bounds which even powers count as
+    exact). from_json refuses an unknown key with InvalidParam.
     """
 
     max_doublings: int = 6
@@ -383,31 +389,43 @@ def sup_norms_argmax(polys):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
     if not polys:
         return np.zeros(0), np.zeros(0)
-    return circle_max(np.stack([p.coeffs for p in polys])[:, None])
+    return circle_max(_stacked([p.coeffs for p in polys])[:, None])
+
+
+def _stacked(rows) -> np.ndarray:
+    """The coefficient ``rows`` of a batch call as one complex array; rows of
+    different widths raise InvalidParam."""
+    if len({len(c) for c in rows}) > 1:
+        raise InvalidParam("a batch call takes polynomials of one width (one declared degree)")
+    return np.array(rows, dtype=np.complex128)
 
 
 def lp_norm(p, power: float, cfg: QuadratureConfig | None = None) -> float:
     """(integral of |p|^power dm)^(1/power) for finite power > 0: lp_norms of
     the one polynomial p.
 
-    For even integer powers the integrand is itself a trig polynomial, of
-    degree power*n for a trig p and power*n/2 for an algebraic one, so one
-    grid of one point more is exact; otherwise the grid doubles, adding only
-    the new points, until successive norms agree to rel_tol (_grid_rule).
+    At power 2 this is Parseval's sqrt(sum |c_k|^2), with no grid. For other
+    even integer powers the integrand is itself a trig polynomial, of degree
+    power*n for a trig p and power*n/2 for an algebraic one, so one grid of
+    one point more is exact; otherwise the grid doubles, adding only the new
+    points, until successive norms agree to rel_tol (_grid_rule).
     """
     return lp_norms([p], [power], cfg)[0]
 
 
 def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
-    """lp_norm of each polys[i] at powers[i], as a list of floats.
+    """lp_norm of each polys[i] at powers[i], as a list of floats; lists of
+    different lengths raise InvalidParam.
 
     The rows that share their width, initial grid and doubling budget go
-    through one _circle_means call, whose rows are independent, so each value
-    is the same, bit for bit, as the one lp_norm gives alone. The derivative
-    of an algebraic polynomial has a smaller initial grid than the
-    polynomial, and an even integer power has its own exact grid and no
-    doublings.
+    through one _circle_means call, or at power 2 one _root_sum_squares call
+    (grid 0), whose rows are independent, so each value is the same, bit for
+    bit, as the one lp_norm gives alone. The derivative of an algebraic
+    polynomial has a smaller initial grid than the polynomial, and an even
+    integer power has its own exact grid and no doublings.
     """
+    if len(polys) != len(powers):
+        raise InvalidParam(f"{len(polys)} polynomials but {len(powers)} powers")
     cfg = cfg or DEFAULT_CONFIG
     out = [0.0] * len(polys)
     groups: dict = {}
@@ -416,36 +434,54 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
                       "> 0 (the mahler functions cover p = 0)")
         if not isinstance(p, (TrigPoly, AlgebraicPoly)):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
-        groups.setdefault((len(p.coeffs),) + _grid_rule(power, p, cfg), []).append(i)
+        rule = (0, 0) if power == 2 else _grid_rule(power, p, cfg)
+        groups.setdefault((len(p.coeffs),) + rule, []).append(i)
     for (_, grid0, budget), idx in groups.items():
-        exps = [powers[i] for i in idx]
-        exps = float(exps[0]) if len(set(exps)) == 1 else exps
-        norms = _circle_means(np.array([polys[i].coeffs for i in idx]), exps, grid0,
-                              cfg.rel_tol, budget)
+        rows = np.array([polys[i].coeffs for i in idx])
+        if grid0:
+            exps = [powers[i] for i in idx]
+            exps = float(exps[0]) if len(set(exps)) == 1 else exps
+            norms = _circle_means(rows, exps, grid0, cfg.rel_tol, budget)
+        else:
+            norms = _root_sum_squares(rows)
         for i, norm in zip(idx, norms.tolist()):
             out[i] = norm
     return out
 
 
+def _root_sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Per row c, Parseval's L^2 norm sqrt(sum_k |c_k|^2), taken of the row
+    divided by its own power of two (_prescaled) and scaled back: no BLAS
+    call, and no other row enters a row's bits."""
+    rows, e = _prescaled(rows, axis=1)
+    f = rows.view(np.float64)
+    return _scaled_back(np.sqrt((f * f).sum(axis=1)), e[:, 0], "L^2 norm")
+
+
 def _grid_rule(power, p, cfg: QuadratureConfig) -> tuple:
     """(initial grid, doubling budget) of the circle means of |q|^power for
-    rows q as wide as p's coefficients: the rule of lp_norms, disk_means and
-    mahler_quadrature (power 0).
+    rows q as wide as p's coefficients, the rule of lp_norms, disk_means and
+    mahler_quadrature (power 0): the _exact_grid with budget 0 where there is
+    one, else 16 (n + 1) points, n the declared degree, with
+    cfg.max_doublings."""
+    exact = _exact_grid(power, p, cfg)
+    return (exact, 0) if exact else (16 * (p.degree + 1), cfg.max_doublings)
 
-    At an even integer power > 0, |q|^power is a trig polynomial of degree
-    (power/2)(width - 1), which the trapezoid rule integrates exactly on one
-    point more: power * n + 1 points for a trig row, power * n/2 + 1 for an
-    algebraic one, with budget 0. A power whose exact grid would exceed the
-    largest grid doubling reaches, and any other power, starts at 16 (n + 1)
-    points, n the declared degree, with cfg.max_doublings.
-    """
-    grid0 = 16 * (p.degree + 1)
+
+def _exact_grid(power, p, cfg: QuadratureConfig) -> int:
+    """At an even integer power > 0, |q|^power, for rows q as wide as p's
+    coefficients, is a trig polynomial of degree (power/2)(width - 1), which
+    the trapezoid rule integrates exactly on one point more: power * n + 1
+    points for a trig row, power * n/2 + 1 for an algebraic one. That grid,
+    if no larger than the largest grid doubling reaches from 16 (n + 1)
+    points, n the declared degree; else 0. disk_means takes its closed form
+    on the same powers."""
     rounded = round(power)
     if rounded == power and rounded > 0 and rounded % 2 == 0:
         exact = int(rounded) // 2 * (len(p.coeffs) - 1) + 1
-        if exact <= grid0 << cfg.max_doublings:
-            return exact, 0
-    return grid0, cfg.max_doublings
+        if exact <= 16 * (p.degree + 1) << cfg.max_doublings:
+            return exact
+    return 0
 
 
 def mahler_jensen(p) -> float:
@@ -518,22 +554,24 @@ def disk_mean(p: AlgebraicPoly, power: float = 1.0,
               cfg: QuadratureConfig | None = None) -> float:
     """integral of |p|^power over the disk against normalized area measure.
 
-    Polar form 2 * int_0^1 r * M(r)^power dr with Gauss-Legendre radial
-    nodes, M(r) the power mean M_power of |p| on the circle of radius r: one
-    row of _circle_means on the dilated coefficients c_k r^k. At an even
-    integer power that row takes one exact grid of power * n/2 + 1 points;
-    otherwise its angular grid doubles, adding only the new points, until
+    At an even integer power the sum of _bergman_sums over the coefficients,
+    with no grid. Otherwise the polar form 2 * int_0^1 r * M(r)^power dr with
+    Gauss-Legendre radial nodes, M(r) the power mean M_power of |p| on the
+    circle of radius r: one row of _circle_means on the dilated coefficients
+    c_k r^k, whose angular grid doubles, adding only the new points, until
     M(r) changes by at most area_rel_tol (_grid_rule).
     """
     return float(disk_means([p], power, cfg)[0])
 
 
 def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """disk_mean of each of the algebraic polynomials ``polys``, all of one
-    declared degree: the circle means over every radius of every input come
-    from one _radial call of _circle_means, on the grid and budget of
-    _grid_rule. ``power`` must be finite and positive; a zero polynomial
-    has disk mean 0.
+    """disk_mean of each of ``polys``, algebraic polynomials (or analytic
+    TrigPoly, taken as their analytic part) of one declared degree; other
+    inputs, or mixed degrees, raise InvalidParam. At an even integer power
+    that _exact_grid covers, each value is one row of _bergman_sums; at any
+    other, the circle means over every radius of every input come from one
+    _radial call of _circle_means, on the grid and budget of _grid_rule.
+    ``power`` must be finite and positive; a zero polynomial has disk mean 0.
 
     Each input is first divided by its own power of two 2^s (_prescaled),
     which is exact, so its circle means stay in range even where those of
@@ -547,7 +585,11 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
     if not polys:
         return np.zeros(0)
     cfg = cfg or DEFAULT_CONFIG
-    coeffs, s = _prescaled(np.array([p.coeffs for p in polys], dtype=np.complex128), axis=1)
+    polys = [_require_algebraic(p) for p in polys]
+    coeffs, s = _prescaled(_stacked([p.coeffs for p in polys]), axis=1)
+    if _exact_grid(power, polys[0], cfg):
+        m = int(power) // 2
+        return _scaled_back(_bergman_sums(coeffs, m), s[:, 0] * (2 * m), "disk mean")
     grid0, budget = _grid_rule(power, polys[0], cfg)
     r, w, means = _radial(coeffs, cfg.radial_nodes, lambda rows: _circle_means(
         rows, power, grid0, cfg.area_rel_tol, budget))
@@ -557,15 +599,38 @@ def disk_means(polys, power: float = 1.0, cfg: QuadratureConfig | None = None) -
                         whole.astype(int), "disk mean")
 
 
+def _bergman_sums(rows: np.ndarray, m: int) -> np.ndarray:
+    """Per row c of P(z) = sum_k c_k z^k, the disk mean of |P|^(2m):
+    sum_k |(P^m)_k|^2/(k + 1), as the z^k are orthogonal on the disk with
+    mean |z^k|^2 = 1/(k + 1) (the Bergman-space norm). Each of the m - 1
+    products by c sums the windows of the zero-padded running power times c
+    reversed: no BLAS call, and no other row enters a row's bits. A value
+    beyond the float range comes back inf or NaN, for the caller to refuse.
+    """
+    width = rows.shape[1]
+    q = rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m - 1):
+            padded = np.zeros((len(q), q.shape[1] + 2 * (width - 1)), dtype=np.complex128)
+            padded[:, width - 1:width - 1 + q.shape[1]] = q
+            # windows[r, k, i] = padded[r, k + i], so the sum over i of
+            # windows[r, k, i] c[r, width - 1 - i] is (q c)_k
+            windows = sliding_window_view(padded, width, axis=1)
+            q = (windows * rows[:, None, ::-1]).sum(axis=2)
+        return ((q.real**2 + q.imag**2) / np.arange(1, q.shape[1] + 1)).sum(axis=1)
+
+
 def besov_111_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
-    """integral of |p''| over the disk against normalized area measure."""
-    return disk_mean(p.derivative().derivative(), 1.0, cfg)
+    """integral of |p''| over the disk against normalized area measure, for
+    p taken as in disk_means."""
+    return disk_mean(_require_algebraic(p).derivative().derivative(), 1.0, cfg)
 
 
 def besov_111_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """besov_111_seminorm of each of the algebraic polynomials ``polys``, all
-    of one declared degree, through one disk_means call."""
-    return disk_means([p.derivative().derivative() for p in polys], 1.0, cfg)
+    """besov_111_seminorm of each of ``polys``, algebraic polynomials or
+    analytic TrigPoly (as in disk_means), through one disk_means call."""
+    return disk_means([_require_algebraic(p).derivative().derivative() for p in polys],
+                      1.0, cfg)
 
 
 def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -> float:
@@ -575,11 +640,11 @@ def besov_inf1_seminorm(p: AlgebraicPoly, cfg: QuadratureConfig | None = None) -
 
 
 def besov_inf1_seminorms(polys, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """besov_inf1_seminorm of each of the algebraic polynomials ``polys``, all
-    of one declared degree: every radial sup comes from one _radial call."""
+    """besov_inf1_seminorm of each of ``polys``, of one declared degree and
+    taken as in disk_means: every radial sup comes from one _radial call."""
     if not polys:
         return np.zeros(0)
-    derivs = np.array([p.derivative().coeffs for p in polys])
+    derivs = _stacked([_require_algebraic(p).derivative().coeffs for p in polys])
     _, w, sups = _radial(derivs, (cfg or DEFAULT_CONFIG).radial_nodes,
                          lambda rows: circle_max(rows[:, None])[0])
     return (w * sups).sum(axis=1)
@@ -601,9 +666,9 @@ def norm_value(p, kind: str, power: float | None = None,
     if kind == "wiener":
         return wiener_norm(p)
     if kind == "besov111":
-        return besov_111_seminorm(_require_algebraic(p), cfg)
+        return besov_111_seminorm(p, cfg)
     if kind == "besovinf1":
-        return besov_inf1_seminorm(_require_algebraic(p), cfg)
+        return besov_inf1_seminorm(p, cfg)
     raise InvalidParam(f"unknown norm kind {kind!r}; choices: {_NORM_KINDS}")
 
 

@@ -1,35 +1,48 @@
 """The circle engines' exact output bits on seeded inputs, and those of the
-radial integrals built on them.
+disk integrals built on them.
 
 Every value in engine_bits.json is float.hex() of a seeded call of
 _circle_means or circle_max, or of besov_111_seminorms, besov_inf1_seminorms
 and disk_means(., 2) (the radial-* pins) on seeded algebraic inputs at
 n = 1, 4 and 16, under the default and the light QuadratureConfig. Both
-engines are tuned for speed from time to time, and a rewrite that only reorders work must keep every bit. One that
-changes the arithmetic on purpose re-records the pins it moves and keeps
-the old ones as a reference file, every new value within a stated relative
-distance of its old pin: engine_bits_zero_padded.json holds the circle
-means of the engine that evaluated each doubling level as one zero-padded
-FFT, which the grid0-point FFTs per offset replaced (within 2e-15; the
-largest move was 9.6e-16), and engine_bits_fft.json holds the pins that
-moved when rows at most poly._DFT_MAX_WIDTH wide left the FFT for one
-matrix product with a DFT block (within 2e-15; the largest move was
-7.9e-16). The cases cover one row and many rows, one
-exponent and one per row (p = 0 included), doubling budgets 0, 3 and 6,
-tolerances 1e-8 and 1e-10 with rows that stop at different levels, and
-one- and two-term maxima with shared and per-row weights. The radial pins
-hold the dilation and the weighting as well: a change to the radial rule
-re-records them under the same rule.
+engines are tuned for speed from time to time, and a rewrite that only
+reorders work must keep every bit. One that changes the arithmetic on
+purpose re-records the pins it moves and keeps the old ones as a reference
+file, every new value within a stated relative distance of its old pin:
+engine_bits_zero_padded.json holds the circle means of the engine that
+evaluated each doubling level as one zero-padded FFT, which the grid0-point
+FFTs per offset replaced (within 2e-15; the largest move was 9.6e-16), and
+engine_bits_fft.json holds the pins that moved when rows at most
+poly._DFT_MAX_WIDTH wide left the FFT for one matrix product with a DFT
+block (within 2e-15; the largest move was 7.9e-16). The cases cover one row
+and many rows, one exponent and one per row (p = 0 included), doubling
+budgets 0, 3 and 6, tolerances 1e-8 and 1e-10 with rows that stop at
+different levels, and one- and two-term maxima with shared and per-row
+weights. The Besov pins hold the dilation and the weighting as well: a
+change to the radial rule re-records them under the same rule.
+
+disk_means(., 2) takes no grid and no radial rule: it is the sum
+sum_k |c_k|^2/(k + 1) over the coefficients, so its default and light pins
+are equal, and they are held to the exact rational value of that sum over
+the float inputs instead of to an older engine's pins (which were up to
+7e-15 off it). The closed forms, that sum at every even power and the L^2
+norm, make no BLAS call, so child processes under other OpenBLAS kernels
+must reproduce their bits, where the grid product's bits move.
 """
 import json
+import os
+import platform
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polynorm.norms import (QuadratureConfig, _circle_means, besov_111_seminorms,
-                            besov_inf1_seminorms, circle_max, disk_means)
-from polynorm.poly import AlgebraicPoly
+                            besov_inf1_seminorms, circle_max, disk_means, lp_norms)
+from polynorm.poly import AlgebraicPoly, TrigPoly
 
 
 def _gauss(rng, *shape):
@@ -76,8 +89,7 @@ def _cases():
     yield "max-two-term-per-row", lambda: [v for h in (two_term, zp)
                                            for out in circle_max(h, 288, weights) for v in out]
 
-    rng = np.random.default_rng(11)
-    polys = [[AlgebraicPoly(_gauss(rng, n + 1)) for _ in range(4)] for n in (1, 4, 16)]
+    polys = _radial_inputs()
     radial = {"besov111": besov_111_seminorms, "besovinf1": besov_inf1_seminorms,
               "bergman": lambda ps, cfg: disk_means(ps, 2.0, cfg)}
     for tag, cfg in (("default", None), ("light", QuadratureConfig(radial_nodes=32,
@@ -85,6 +97,12 @@ def _cases():
         for name, fn in radial.items():
             yield f"radial-{name}-{tag}", lambda fn=fn, cfg=cfg: [v for ps in polys
                                                                   for v in fn(ps, cfg)]
+
+
+def _radial_inputs():
+    """Four seeded algebraic polynomials at each of n = 1, 4 and 16."""
+    rng = np.random.default_rng(11)
+    return [[AlgebraicPoly(_gauss(rng, n + 1)) for _ in range(4)] for n in (1, 4, 16)]
 
 
 EXPECTED = json.loads((Path(__file__).parent / "engine_bits.json").read_text())
@@ -113,3 +131,52 @@ def test_circle_means_near_zero_padded_pins(name):
 @pytest.mark.parametrize("name", sorted(FFT))
 def test_engine_bits_near_fft_pins(name):
     assert _near(FFT, name)
+
+
+@pytest.mark.parametrize("name", ["radial-bergman-default", "radial-bergman-light"])
+def test_bergman_pins_are_the_exact_sums(name):
+    # the float inputs are exact rationals, and so is sum |c_k|^2/(k + 1)
+    want = [sum((Fraction(c.real) ** 2 + Fraction(c.imag) ** 2) / (k + 1)
+                for k, c in enumerate(p.coeffs)) for ps in _radial_inputs() for p in ps]
+    got = [Fraction(float.fromhex(v)) for v in EXPECTED[name]]
+    assert all(abs(g - w) <= 1e-15 * w for g, w in zip(got, want))
+
+
+def _closed_form_bits() -> list:
+    """float.hex of the closed forms on seeded inputs: L^2 norms of trig and
+    algebraic rows at widths 1..33, and disk means at powers 2, 4 and 6,
+    every input in one batch call."""
+    rng = np.random.default_rng(77)
+    trig = [TrigPoly(_gauss(rng, 2 * n + 1)) for n in range(17)]
+    alg = [AlgebraicPoly(_gauss(rng, w)) for w in range(1, 34)]
+    batches = [[AlgebraicPoly(_gauss(rng, n + 1)) for _ in range(5)] for n in (1, 4, 16, 32)]
+    values = lp_norms(trig + alg, [2.0] * (len(trig) + len(alg)))
+    for power in (2.0, 4.0, 6.0):
+        values += [v for ps in batches for v in disk_means(ps, power)]
+    return [float(v).hex() for v in values]
+
+
+def _has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_closed_forms_do_not_depend_on_the_blas_kernel(kernel):
+    # numpy's bundled OpenBLAS picks its kernel per CPU at load time, and
+    # OPENBLAS_CORETYPE forces one in a child process; a grid product
+    # (zgemm) rounds differently under Prescott and Haswell, the closed forms
+    # must not. Haswell's kernel needs AVX2.
+    if kernel == "Haswell" and not _has_avx2():
+        pytest.skip("this CPU has no AVX2 for the Haswell kernel")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = "import json, test_engine_bits as t; print(json.dumps(t._closed_form_bits()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert json.loads(out.stdout) == _closed_form_bits()

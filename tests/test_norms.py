@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -471,6 +472,11 @@ def test_lp_norms_equal_lp_norm_bit_for_bit():
     assert got[4] == 0.0
     with pytest.raises(InvalidParam):
         norms.lp_norms(polys[:2], [1.0, 0.0])
+    # one power per polynomial: a missing power once gave a confident 0.0,
+    # and an extra one was ignored
+    for short, long in ((polys[:2], powers[:1]), (polys[:1], powers[:2])):
+        with pytest.raises(InvalidParam):
+            norms.lp_norms(short, long)
 
 
 def test_circle_means_zero_budget_is_one_grid(grid_shapes):
@@ -714,21 +720,57 @@ def test_disk_mean_monomials():
         assert disk_mean(AlgebraicPoly(mono), 1.0) == pytest.approx(2 / (k + 2), rel=1e-10)
 
 
-def test_disk_mean_even_powers_on_one_exact_grid(grid_shapes):
-    # |q|^2 and |q|^4 = |q^2|^2 along a circle are trig polynomials of degree
-    # power * deg / 2, so one grid of power * deg // 2 + 1 points gives each
-    # circle mean exactly, and the area integrals are sum |c_k|^2/(k + 1) over
-    # the coefficients of q and q^2
+def test_disk_mean_even_powers_evaluate_no_grid(grid_shapes):
+    # the disk means of |q|^2 and |q|^4 = |q^2|^2 are sum |c_k|^2/(k + 1) over
+    # the coefficients of q and q^2, taken from the coefficients with no grid
     rng = np.random.default_rng(19)
     for deg in range(17):
         c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         c2 = np.convolve(c, c)
         for power, coeffs in ((2, c), (4, c2)):
-            grid_shapes.clear()
             got = disk_mean(AlgebraicPoly(c), power)
             want = float(np.sum(np.abs(coeffs) ** 2 / np.arange(1, len(coeffs) + 1)))
-            assert got == pytest.approx(want, rel=1e-13), (deg, power)
-            assert grid_shapes == [(QuadratureConfig().radial_nodes, power * deg // 2 + 1)]
+            assert got == pytest.approx(want, rel=2e-15), (deg, power)
+    assert grid_shapes == []
+
+
+def _gaussian_integer_powers(c, m):
+    """The coefficients of P, P^2, ..., P^m as (re, im) pairs of Python ints,
+    for P with the Gaussian-integer coefficients ``c``."""
+    powers = [c]
+    for _ in range(m - 1):
+        q = [(0, 0)] * (len(powers[-1]) + len(c) - 1)
+        for i, (x, y) in enumerate(powers[-1]):
+            for j, (u, v) in enumerate(c):
+                re, im = q[i + j]
+                q[i + j] = (re + x * u - y * v, im + x * v + y * u)
+        powers.append(q)
+    return powers
+
+
+@pytest.mark.parametrize("n", [1, 16, 63, 64, 200])
+def test_even_power_disk_means_and_l2_norms_are_exact(n, grid_shapes):
+    # with Gaussian-integer coefficients, the disk mean of |P|^(2m) is the
+    # rational sum_k |(P^m)_k|^2/(k + 1) and ||P||_2^2 the integer
+    # sum |c_k|^2, so both have exact references in Python ints; a grid rule
+    # exact only while m n < 64 missed them by up to 3.6e-8 at n = 200
+    rng = np.random.default_rng(n)
+    re, im = rng.integers(-9, 10, (2, 2 * n + 1))
+    c = [(int(a), int(b)) for a, b in zip(re[:n + 1], im[:n + 1])]
+    p = AlgebraicPoly(re[:n + 1] + 1j * im[:n + 1])
+    batch = [p, p.reciprocal(), AlgebraicPoly(np.zeros(n + 1)), p * 1e-300]
+    for m, q in enumerate(_gaussian_integer_powers(c, 3), start=1):
+        want = sum(Fraction(a * a + b * b, k + 1) for k, (a, b) in enumerate(q))
+        assert abs(Fraction(disk_mean(p, 2 * m)) - want) <= 1e-15 * want, m
+        assert norms.disk_means(batch, 2 * m).tolist() == [disk_mean(x, 2 * m) for x in batch]
+    t = TrigPoly(re + 1j * im)
+    for x in (p, t):
+        squares = int(np.sum(x.coeffs.real.astype(np.int64) ** 2 + x.coeffs.imag.astype(np.int64) ** 2))
+        want = Fraction(math.isqrt(squares << 200), 1 << 100)  # sqrt to 2^-100
+        assert abs(Fraction(lp_norm(x, 2.0)) - want) <= 1e-15 * want
+    mixed = batch + [t, t.derivative(), t * 1e300]
+    assert norms.lp_norms(mixed, [2.0] * len(mixed)) == [lp_norm(x, 2) for x in mixed]
+    assert grid_shapes == []
 
 
 def test_disk_mean_refuses_a_power_that_is_not_finite_and_positive():
@@ -740,6 +782,35 @@ def test_disk_mean_refuses_a_power_that_is_not_finite_and_positive():
             norms.disk_means([p, AlgebraicPoly(np.zeros(3))], power)
 
 
+def test_disk_and_besov_forms_take_analytic_polynomials_of_one_degree():
+    # an analytic TrigPoly is its analytic part; one with a negative
+    # frequency has no disk integral (its lift's was returned), and a
+    # non-polynomial or a batch of mixed degrees is a typed error, not an
+    # AttributeError or numpy's ValueError
+    cfg = QuadratureConfig(radial_nodes=8)
+    singles = {"disk_mean": lambda q: disk_mean(q, 2.0, cfg),
+               "disk_mean 1": lambda q: disk_mean(q, 1.0, cfg),
+               "besov_111": lambda q: besov_111_seminorm(q, cfg),
+               "besov_inf1": lambda q: besov_inf1_seminorm(q, cfg)}
+    batches = {"disk_means": lambda qs: norms.disk_means(qs, 2.0, cfg),
+               "besov_111": lambda qs: norms.besov_111_seminorms(qs, cfg),
+               "besov_inf1": lambda qs: norms.besov_inf1_seminorms(qs, cfg),
+               "sup_norms_argmax": lambda qs: norms.sup_norms_argmax(qs)[0]}
+    alg = AlgebraicPoly([2.0, 3.0 - 1j, 0.5, 1j])
+    for name, fn in singles.items():
+        assert fn(TrigPoly(np.concatenate([np.zeros(3), alg.coeffs]))) == fn(alg), name
+        for bad in (TrigPoly([1.0, 2.0, 3.0]), "x", alg.coeffs):
+            with pytest.raises(InvalidParam):
+                fn(bad)
+    mixed = [alg, AlgebraicPoly([1.0, 2.0, 3.0, 4.0, 5.0])]
+    for name, fn in batches.items():
+        with pytest.raises(InvalidParam):
+            fn(mixed)
+    for name in ("disk_means", "besov_111", "besov_inf1"):
+        with pytest.raises(InvalidParam):
+            batches[name]([alg, TrigPoly([1.0, 2.0, 3.0])])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_disk_means_zero_rows_are_exactly_zero():
     # a zero input, or one with a zero second derivative, gives exactly 0 and
@@ -747,7 +818,7 @@ def test_disk_means_zero_rows_are_exactly_zero():
     rng = np.random.default_rng(19)
     polys = [AlgebraicPoly(rng.standard_normal(5) + 1j * rng.standard_normal(5)),
              AlgebraicPoly(np.zeros(5)), AlgebraicPoly([1.0, -3.0, 0, 0, 0])]
-    for power in (0.5, 1.0, 2.0):
+    for power in (0.5, 1.0, 2.0, 4.0, 6.0):
         got = norms.disk_means(polys, power)
         assert got[1] == 0.0
         assert got.tolist() == [disk_mean(p, power) for p in polys]
@@ -889,7 +960,7 @@ def test_rotation_and_reflection_leave_norms_unchanged(n, seed, k):
     # z^n conj(P(1/conj z)) of the analytic part P have the modulus of the
     # original on the circle, so the sup, the even L^p norms and the Mahler
     # measure agree to rounding; a rotation P(e^{ia} z) also keeps the disk
-    # mean of |P|^2, which takes one exact grid. a = k (sqrt 5 - 1) mod 2 pi
+    # mean of |P|^2, a sum over the coefficients. a = k (sqrt 5 - 1) mod 2 pi
     # is no dyadic multiple of a start grid's spacing, at which a rotation
     # would only permute grid points. Non-even p is left out: its doubling
     # rule can stop early, and a shift moves such a norm by up to about 1e-7
@@ -904,7 +975,7 @@ def test_rotation_and_reflection_leave_norms_unchanged(n, seed, k):
             assert lp_norm(moved, p) == pytest.approx(lp_norm(orig, p), rel=1e-13)
         assert mahler_jensen(moved) == pytest.approx(mahler_jensen(orig), rel=1e-12)
     rotated = alg.dilate(cmath.exp(1j * a))
-    assert disk_mean(rotated, 2.0) == pytest.approx(disk_mean(alg, 2.0), rel=1e-13)
+    assert disk_mean(rotated, 2.0) == pytest.approx(disk_mean(alg, 2.0), rel=4e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -482,11 +482,11 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
 
 # sha256 of the default sweep's JSONL and CSV at three seeds
 DEFAULT_SWEEP_DIGESTS = {
-    0xBE2257: ("8011a7a5c1c297372509bac75cdd2439947891b2449ff552a864964b8ab2cf90",
+    0xBE2257: ("8b24cc8a95e38dbdc199b20f18df374bf0443e92c984129f33d83158b4d76fa8",
                "f0f159412dee5f2ba4c39326ec759f49e7ae43be5e66614fda2a7f14cb0f8e48"),
-    1: ("79be4847910e2b550e54de4ce36fec485ae7c36fa0cb7b55778e78e52f13db3b",
+    1: ("daecbc8b433df335e7eb79d85aa1358aaebf2bd367eecd3219d0d2c033fd0e45",
         "0d56b8158f600b9dba89bb2b9e5d65e12aa5a324fd2926042bd2208fc081db84"),
-    4242: ("9cd198f13a3a778cf7aa567c35bbe3d9d2b683695e2487b4e8c1c6b4144fb2a6",
+    4242: ("539c9c41ba84e6bd5f5cf272d4b0fa70917569c68ed4a94054553e4bc220aae5",
            "f6c8a4314782bd354f8fcda4330204b56f5a2c7c44aac4b38120a3c18c0acb4b"),
 }
 
