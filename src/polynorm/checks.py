@@ -17,10 +17,15 @@ with its own check id, digest payload and params.
 Degenerate inputs (zero polynomial, degree too small) yield a report with
 status "degenerate" instead of a verdict; every inequality is vacuous there.
 
-Every check but gauss_lucas and the two identities is batched: its compute
-returns, per live input, only the _report keywords (measured, bound, and
-witnesses or abs_slack where it has them), and _batched alone joins them to
-each report's check id, digest payload, params and tol.
+Every check but power_identity has a batch form, and all but gauss_lucas
+and the two identities go through _batched: a check's compute returns, per
+live input, only the _report keywords (measured, bound, and witnesses or
+abs_slack where it has them), and _batched alone joins them to each report's
+check id, digest payload, params and tol. gauss_lucas, whose degenerate
+inputs are every effective degree below 2 and whose params name the worst
+root, builds its reports itself, as logplus does; its roots, like those of
+the Mahler rungs p = 0, come from one stacked solve per degree
+(poly._root_arrays).
 """
 from __future__ import annotations
 
@@ -41,16 +46,16 @@ from .norms import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _circle_means,
+    _mahler_jensens,
     besov_111_seminorms,
     besov_inf1_seminorms,
     circle_max,
     lp_norms,
-    mahler_jensen,
     sup_norms_argmax,
     wiener_norm,
 )
-from .poly import (AlgebraicPoly, TrigPoly, _refuse_nonfinite, _require_real, poly_to_json,
-                   root_array, roots)
+from .poly import (AlgebraicPoly, TrigPoly, _refuse_nonfinite, _require_real, _root_arrays,
+                   poly_to_json)
 
 DEFAULT_TOL = 1e-8
 HULL_TOL = 1e-7
@@ -185,13 +190,16 @@ def _sup_bound(live, image, factor) -> list:
 
 def _rung_norms(args, cfg) -> list:
     """_report keywords measured ||P'||_p and bound n ||P||_p, n the declared
-    degree, as floats, for each (P, p) in ``args`` with finite p: p = 0 is the
-    Mahler norm through Jensen, one input at a time, and every P' and P at
-    p > 0 goes through one lp_norms call."""
+    degree, as floats, for each (P, p) in ``args`` with finite p: at p = 0
+    every nonzero P' and P takes the Mahler norm through Jensen from one
+    _mahler_jensens call (a zero one takes 0), and every P' and P at p > 0
+    goes through one lp_norms call."""
     polys = [t.derivative() for t, _ in args] + [t for t, _ in args]
     powers = [p for _, p in args] * 2
-    vals = [0.0 if p > 0 or poly.is_zero() else mahler_jensen(poly)
-            for poly, p in zip(polys, powers)]
+    vals = [0.0] * len(polys)
+    mahler = [i for i, p in enumerate(powers) if p == 0 and not polys[i].is_zero()]
+    for i, v in zip(mahler, _mahler_jensens([polys[i] for i in mahler])):
+        vals[i] = v
     lp = [i for i, p in enumerate(powers) if p > 0]
     for i, v in zip(lp, lp_norms([polys[i] for i in lp], [powers[i] for i in lp], cfg)):
         vals[i] = v
@@ -267,10 +275,11 @@ def _require_rho(cases):
 
 def _require_roots_outside(live):
     """Reject the ``live`` args (p, rho, ...) where p has a root of modulus
-    below rho - 1e-6; a constant p has none."""
-    for p, rho, *_ in live:
-        if p.effective_degree:
-            lo = float(np.abs(root_array(p)).min())
+    below rho - 1e-6 (a constant p has none), with the roots of every p from
+    one poly._root_arrays call."""
+    for (_, rho, *_), rts in zip(live, _root_arrays([p for p, *_ in live])):
+        if rts.size:
+            lo = float(np.abs(rts).min())
             if lo < rho - 1e-6:
                 raise RootInForbiddenRegion(
                     f"root of modulus {lo:.6g} violates the requirement >= {rho:g}")
@@ -409,7 +418,7 @@ def _hull_distances(w: np.ndarray, hull: np.ndarray) -> np.ndarray:
     if len(hull) == 1:
         return np.abs(w - hull[0])
     a = hull if len(hull) > 2 else hull[:1]  # two vertices are one segment [a, b]
-    b = np.roll(hull, -1)[:len(a)]
+    b = np.concatenate([hull[1:], hull[:1]])[:len(a)]
     ab = b - a
     pa = w[:, None] - a
     cross = (np.conj(ab) * pa).imag
@@ -428,25 +437,37 @@ def check_gauss_lucas(p: AlgebraicPoly, tol: float = HULL_TOL) -> VerificationRe
     measured is the largest distance from a derivative root to the hull;
     bound is zero with absolute slack tol * (1 + root scale).
     """
+    return check_gauss_lucas_batch([(p,)], tol)[0]
+
+
+def check_gauss_lucas_batch(cases, tol: float = HULL_TOL) -> list:
+    """check_gauss_lucas of each (p,) in ``cases``: an input of effective
+    degree below 2 (the zero polynomial included) gets a degenerate report,
+    and the roots of the others and of their derivatives come from one
+    poly._root_arrays call each."""
     _require_real(tol, "tol", lambda v: v >= 0, ">= 0")
-    payload = {"op": "gauss_lucas", "poly": poly_to_json(p)}
-    params = {"n": p.degree}
-    if p.effective_degree is None or p.effective_degree < 2:
-        return _degenerate("gauss_lucas", payload, params)
-    base = root_array(p)
-    deriv_roots = roots(p.derivative()).roots
-    hull = _convex_hull(base)
-    dists = _hull_distances(deriv_roots, hull)
-    measured = float(dists.max())
-    scale = float(np.abs(base).max())
-    slack = tol * (1.0 + scale)
-    witnesses = []
-    if measured > 0.0:  # when every root is inside, no root is worse than another
-        worst = complex(deriv_roots[np.argmax(dists)])
-        witnesses = [(worst.real, measured)]
-        params["worst_root"] = [worst.real, worst.imag]
-    return _report("gauss_lucas", payload, measured, 0.0, tol, abs_slack=slack,
-                   witnesses=witnesses, params=params)
+    degenerate = [(p.effective_degree or 0) < 2 for p, in cases]
+    live = [p for (p,), skip in zip(cases, degenerate) if not skip]
+    found = iter(zip(_root_arrays(live), _root_arrays([p.derivative() for p in live])))
+    reports = []
+    for (p,), skip in zip(cases, degenerate):
+        payload = {"op": "gauss_lucas", "poly": poly_to_json(p)}
+        params = {"n": p.degree}
+        if skip:
+            reports.append(_degenerate("gauss_lucas", payload, params))
+            continue
+        base, deriv_roots = next(found)
+        dists = _hull_distances(deriv_roots, _convex_hull(base))
+        measured = float(dists.max())
+        slack = tol * (1.0 + float(np.abs(base).max()))
+        witnesses = []
+        if measured > 0.0:  # when every root is inside, no root is worse than another
+            worst = complex(deriv_roots[np.argmax(dists)])
+            witnesses = [(worst.real, measured)]
+            params["worst_root"] = [worst.real, worst.imag]
+        reports.append(_report("gauss_lucas", payload, measured, 0.0, tol, abs_slack=slack,
+                               witnesses=witnesses, params=params))
+    return reports
 
 
 # kind -> (its norms of a list of inputs under a cfg, its constant at degree n)

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
 from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _grid_values, _in_range, _prescaled,
-                   _require_integer, _require_real, root_array, roots)
+                   _require_integer, _require_real, _root_arrays, root_array, roots)
 
 
 @dataclass(frozen=True)
@@ -491,13 +491,32 @@ def mahler_jensen(p) -> float:
     which has the same Mahler norm since |z^n| = 1 on the circle). Uses root
     provenance attached by generators when available.
     """
-    if isinstance(p, TrigPoly):
-        p = p.to_algebraic()
-    d_eff = p.effective_degree
+    lift, lead = _mahler_lift(p)
+    return _jensen(lead, root_array(lift))
+
+
+def _mahler_jensens(polys) -> list:
+    """mahler_jensen of each polynomial of ``polys``, with the roots of those
+    without known roots from one poly._root_arrays call."""
+    pairs = [_mahler_lift(p) for p in polys]
+    return [_jensen(lead, rts)
+            for (_, lead), rts in zip(pairs, _root_arrays([lift for lift, _ in pairs]))]
+
+
+def _mahler_lift(p):
+    """(p, or the lift of a TrigPoly p, and its leading coefficient);
+    ZeroPolynomial on a zero p."""
+    lift = p.to_algebraic() if isinstance(p, TrigPoly) else p
+    d_eff = lift.effective_degree
     if d_eff is None:
         raise ZeroPolynomial("mahler norm of the zero polynomial")
-    log_val = math.log(abs(complex(p.coeffs[d_eff])))
-    log_val += float(np.log(np.maximum(1.0, np.abs(root_array(p)))).sum())
+    return lift, lift.coeffs[d_eff]
+
+
+def _jensen(lead, rts: np.ndarray) -> float:
+    """|lead| * prod max(1, |z_j|) over the roots ``rts``."""
+    log_val = math.log(abs(complex(lead)))
+    log_val += float(np.log(np.maximum(1.0, np.abs(rts))).sum())
     return math.exp(log_val)
 
 

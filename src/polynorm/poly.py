@@ -10,6 +10,12 @@ the coefficient array of ``T`` read as an algebraic polynomial of degree 2n.
 
 The declared degree (length of the coefficient vector) is the bound that
 enters inequality constants; the effective degree tracks the actual data.
+
+Root products and root solves each have one group form that the one-input
+calls share: _root_products builds the coefficients of a block of root rows
+with no BLAS call (from_roots is a block of one), and _root_sets solves a
+group of polynomials with one stacked eigenvalue call per degree (roots is
+a group of one). Each row or input gets the bits of its own call.
 """
 from __future__ import annotations
 
@@ -269,15 +275,9 @@ class AlgebraicPoly:
         """P_r with P_r(z) = P(rz), i.e. coefficients a_k r^k, for a finite
         real or complex r (a bool is neither: InvalidParam); a coefficient
         beyond the float range raises OutOfRange (no warning escapes)."""
-        try:
-            good = (isinstance(r, numbers.Number) and not isinstance(r, bool)
-                    and cmath.isfinite(r))
-        except OverflowError:  # an integer beyond the float range
-            good = False
-        if not good:
-            raise InvalidParam(f"the dilation radius must be a finite number, got {r!r}")
+        r = _require_number(r, "the dilation radius")
         with np.errstate(over="ignore", invalid="ignore"):
-            c = self.coeffs * (complex(r) ** np.arange(len(self.coeffs)))
+            c = self.coeffs * (r ** np.arange(len(self.coeffs)))
         return AlgebraicPoly(_in_range(c, "a dilated coefficient"))
 
     def values_on_grid(self, grid: int) -> np.ndarray:
@@ -465,44 +465,112 @@ class RootSet:
 
 
 def _leja_order(rts: np.ndarray) -> np.ndarray:
-    """Order roots so successive partial products stay balanced.
+    """Order the roots of each row (the last axis) so successive partial
+    products stay balanced; every row of a block is ordered at once.
 
-    Start from the largest modulus, then repeatedly take the root whose
-    product of distances to the chosen ones is largest (tracked in logs).
-    Plain left-to-right multiplication can lose all precision at degree
-    beyond ~100; this ordering keeps the product ladder well conditioned.
-    Row j of the log-distance table holds log|rts - rts[j]|, computed once.
+    A row starts from its largest modulus, then repeatedly takes the root
+    whose product of distances to the chosen ones is largest (tracked in
+    logs; the first maximum on a tie). Plain left-to-right multiplication can
+    lose all precision at degree beyond ~100; this ordering keeps the product
+    ladder well conditioned. Row j of a row's log-distance table holds
+    log|rts - rts[j]|, computed once. A root equal to a chosen one is at
+    log-distance -inf, so once only such repeats are left, the row takes its
+    first root not yet chosen. The tables and the chosen flags of all rows
+    are indexed flat (row k's entry j at k * d + j).
     """
-    d = len(rts)
+    d = rts.shape[-1]
     if d <= 2:
         return rts
-    with np.errstate(divide="ignore"):
-        table = np.log(np.abs(rts[None, :] - rts[:, None]))
-    picked = np.zeros(d, dtype=bool)
-    order = np.empty(d, dtype=np.intp)
-    order[0] = int(np.argmax(np.abs(rts)))
-    picked[order[0]] = True
-    logdist = table[order[0]].copy()
-    for i in range(1, d):
-        logdist[picked] = -np.inf
-        nxt = int(np.argmax(logdist))
-        order[i] = nxt
-        picked[nxt] = True
-        logdist = logdist + table[nxt]
-    return rts[order]
+    rows = rts.reshape(-1, d)
+    base = np.arange(len(rows)) * d
+    picked = np.zeros(rows.size, dtype=bool)
+    chosen = picked.reshape(rows.shape)
+    order = np.empty((d, len(rows)), dtype=np.intp)
+    order[0] = np.argmax(np.abs(rows), axis=1)
+    picked[base + order[0]] = True
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        table = np.log(np.abs(rows[:, None, :] - rows[:, :, None])).reshape(-1, d)
+        logdist = table[base + order[0]]
+        for i in range(1, d):
+            np.putmask(logdist, chosen, -np.inf)
+            nxt = logdist.argmax(axis=1)
+            spent = picked[base + nxt]
+            if spent.any():
+                nxt[spent] = chosen[spent].argmin(axis=1)
+            order[i] = nxt
+            picked[base + nxt] = True
+            logdist += table[base + nxt]
+    return rows.ravel()[(base + order).T].reshape(rts.shape)
+
+
+def _root_products(rows: np.ndarray, leads: np.ndarray) -> np.ndarray:
+    """Coefficients of leads[k] * prod_j (z - rows[k, j]) for each row k of a
+    (K, d) block of roots, as a (K, d + 1) array.
+
+    Each row's roots are taken in Leja order (_leja_order), and the
+    coefficients start from the leading one and take each root r by the
+    recurrence c_i <- c_{i-1} - r c_i, in real arithmetic over the real and
+    imaginary parts, elementwise over the whole block. So every coefficient
+    is a sequence of exactly rounded real products and sums within its own
+    row, with no BLAS call and no fused multiply-add: a row's bits depend
+    neither on the rows beside it nor on the machine's BLAS kernel. An
+    overflow leaves inf or nan, with no warning.
+    """
+    count, d = rows.shape
+    ordered = _leja_order(rows).T
+    re = ordered.real[:, :, None]
+    # -Im r multiplies the imaginary part into the real one, +Im r the reverse
+    im = np.stack([-ordered.imag, ordered.imag], axis=1)[..., None]
+    # c[0] real and c[1] imaginary parts; column 0 stays zero (c_{-1})
+    c = np.zeros((2, count, d + 2))
+    c[0, :, 1], c[1, :, 1] = leads.real, leads.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            a = c[:, :, 1 : j + 3]
+            t = re[j] * a
+            t += im[j] * a[::-1]
+            np.subtract(c[:, :, : j + 2], t, out=a)
+    out = np.empty((count, d + 1), dtype=np.complex128)
+    out.real, out.imag = c[0, :, 1:], c[1, :, 1:]
+    return out
 
 
 def _coeffs_from_roots(rts, leading: complex) -> np.ndarray:
-    c = np.array([1.0 + 0j])
-    for r in _leja_order(np.asarray(rts, dtype=np.complex128)):
-        c = np.convolve(c, np.array([-r, 1.0 + 0j]))
-    return c * leading
+    """_root_products of one row."""
+    return _root_products(np.asarray(rts, dtype=np.complex128).reshape(1, -1),
+                          np.array([leading], dtype=np.complex128))[0]
+
+
+def _require_number(value, what: str) -> complex:
+    """``value`` as a complex, or InvalidParam unless it is a finite real or
+    complex number (a bool is neither, nor is a string)."""
+    try:
+        good = (isinstance(value, numbers.Number) and not isinstance(value, bool)
+                and cmath.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        good = False
+    if not good:
+        raise InvalidParam(f"{what} must be a finite number, got {value!r}")
+    return complex(value)
+
+
+def _from_root_rows(rows: np.ndarray, leads: np.ndarray) -> list:
+    """The AlgebraicPoly with root provenance of each row of a (K, d) block
+    of finite roots and its leading coefficient, from one _root_products
+    call; a coefficient beyond the float range raises OutOfRange."""
+    coeffs = _in_range(_root_products(rows, leads), "a coefficient of the root product")
+    return [AlgebraicPoly(c, known_roots=tuple(r.tolist())) for c, r in zip(coeffs, rows)]
 
 
 def from_roots(rts, leading: complex = 1.0) -> AlgebraicPoly:
-    """Monomial coefficients of leading * prod (z - z_j), with root provenance."""
-    rts = [complex(r) for r in rts]
-    return AlgebraicPoly(_coeffs_from_roots(rts, complex(leading)), known_roots=tuple(rts))
+    """Monomial coefficients of leading * prod (z - z_j), with root provenance.
+
+    Every root and ``leading`` must be a finite number (InvalidParam); a
+    coefficient beyond the float range raises OutOfRange (no warning
+    escapes)."""
+    row = np.array([_require_number(r, "every root") for r in rts], dtype=np.complex128)
+    lead = np.array([_require_number(leading, "leading")])
+    return _from_root_rows(row.reshape(1, -1), lead)[0]
 
 
 def _newton_blocks(w: np.ndarray) -> np.ndarray:
@@ -628,22 +696,43 @@ def _aberth(w: np.ndarray) -> np.ndarray:
                             f"{_ABERTH_SWEEPS} sweeps (last largest correction {step.max():.2e})")
 
 
-def _companion_roots(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix of a monic polynomial.
+def _root_sets(polys) -> list:
+    """roots(p) of each polynomial of ``polys``, in order.
 
-    ``w`` holds coefficients a_0..a_{d-1}, 1. The eigenvalue route is
-    backward stable for the coefficients (Edelman & Murakami, Math. Comp.
-    1995); LAPACK balances the matrix first.
+    The companion matrices of the inputs that share an eigenvalue-path degree
+    (up to ``_EIGVALS_MAX_DEGREE``) are stacked and solved by one
+    np.linalg.eigvals call, which runs LAPACK on each matrix of the stack as
+    on a lone one, so every input gets the bits its own call would; the
+    inputs above that degree take Aberth one at a time. The eigenvalue route
+    is backward stable for the coefficients (Edelman & Murakami, Math. Comp.
+    1995); LAPACK balances each matrix first.
     """
-    d = len(w) - 1
-    comp = np.zeros((d, d), dtype=np.complex128)
-    comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -w[:-1]
-    return np.linalg.eigvals(comp)
+    sets, stacks = [], {}
+    for p in polys:
+        nonzero = np.flatnonzero(p.coeffs)
+        if not nonzero.size:
+            raise ZeroPolynomial("the zero polynomial has no root set")
+        m0, d_eff = nonzero[0], nonzero[-1]  # m0 exact roots at the origin
+        c = p.coeffs[: d_eff + 1]
+        found = np.zeros(d_eff, dtype=np.complex128)
+        if d_eff - m0 > _EIGVALS_MAX_DEGREE:
+            work = _prescaled(c[m0:])[0]
+            found[m0:] = _aberth(work / work[-1])
+        elif d_eff > m0:
+            stacks.setdefault(d_eff - m0, []).append((found[m0:], c[m0:]))
+        sets.append((found, c))
+    for d, stack in stacks.items():
+        work = _prescaled(np.array([c for _, c in stack]), axis=1)[0]
+        comp = np.zeros((len(stack), d, d), dtype=np.complex128)
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, :, -1] = -(work[:, :-1] / work[:, -1:])
+        for (out, _), vals in zip(stack, np.linalg.eigvals(comp)):
+            out[:] = vals
+    return [RootSet(found, c) for found, c in sets]
 
 
 def roots(p: AlgebraicPoly) -> RootSet:
-    """All effective-degree roots with multiplicity.
+    """All effective-degree roots with multiplicity: _root_sets of one input.
 
     Exact zero coefficients at the bottom are factored out as exact roots at
     the origin, and the rest are scaled by a power of two (_prescaled) before
@@ -653,26 +742,30 @@ def roots(p: AlgebraicPoly) -> RootSet:
     Raises ZeroPolynomial on the zero polynomial, and RootsNotConverged when
     Aberth runs out of sweeps; a nonzero constant yields an empty root set.
     """
-    d_eff = p.effective_degree
-    if d_eff is None:
-        raise ZeroPolynomial("the zero polynomial has no root set")
-    c = p.coeffs[: d_eff + 1]
-    m0 = int(np.nonzero(c)[0][0])  # exact roots at the origin
-    work = _prescaled(c[m0:])[0]
-    found = np.zeros(d_eff, dtype=np.complex128)
-    if len(work) > 1:
-        w = work / work[-1]
-        solve = _companion_roots if len(w) - 1 <= _EIGVALS_MAX_DEGREE else _aberth
-        found[m0:] = solve(w)
-    return RootSet(found, c)
+    return _root_sets([p])[0]
+
+
+def _known_roots(p: AlgebraicPoly):
+    """The generator's ``known_roots`` of p as a complex array when they
+    cover the effective degree, else None."""
+    if p.known_roots is not None and len(p.known_roots) == p.effective_degree:
+        return np.asarray(p.known_roots, dtype=np.complex128)
+    return None
 
 
 def root_array(p: AlgebraicPoly) -> np.ndarray:
     """The roots of p as a complex array: the generator's ``known_roots``
     when they cover the effective degree, else ``roots(p).roots``."""
-    if p.known_roots is not None and len(p.known_roots) == p.effective_degree:
-        return np.asarray(p.known_roots, dtype=np.complex128)
-    return roots(p).roots
+    known = _known_roots(p)
+    return roots(p).roots if known is None else known
+
+
+def _root_arrays(polys) -> list:
+    """root_array of each polynomial of ``polys``: known roots where they
+    cover, and the others from one _root_sets call."""
+    known = [_known_roots(p) for p in polys]
+    solved = iter(_root_sets([p for p, k in zip(polys, known) if k is None]))
+    return [next(solved).roots if k is None else k for k in known]
 
 
 _GENERATE_KINDS = (
@@ -710,14 +803,37 @@ def generate(kind: str, n: int, seed: int = 0, rho: float | None = None):
         return TrigPoly(c)
     if kind == "lax-extremal":
         _require_real(rho, "lax-extremal's rho", lambda r: r >= 1, ">= 1")
-        return from_roots([-rho] * n, leading=(1.0 + rho) ** (-n))
+        return _lax_extremal(n, [rho])[0]
     if kind == "roots-outside":
         _require_real(rho, "roots-outside's rho", lambda r: r > 0, "> 0")
+        return _roots_outside(n, [rng], [rho])[0]
+    raise InvalidParam(f"unknown generator kind {kind!r}; choices: {_GENERATE_KINDS}")
+
+
+def _lax_extremal(n: int, rhos) -> list:
+    """generate("lax-extremal", n, rho=rho) for each of ``rhos``, from one
+    _from_root_rows call; a leading coefficient (1 + rho)^-n that underflows
+    to zero raises OutOfRange."""
+    leads = np.array([(1.0 + rho) ** (-n) for rho in rhos], dtype=np.complex128)
+    if not leads.all():
+        raise OutOfRange("lax-extremal's (1 + rho)^n exceeds the floating-point range")
+    rows = np.multiply.outer(-np.asarray(rhos, dtype=np.float64), np.ones(n)).astype(np.complex128)
+    return _from_root_rows(rows, leads)
+
+
+def _roots_outside(n: int, rngs, rhos) -> list:
+    """generate("roots-outside", n, seed=rng, rho=rho) for each pair of
+    ``rngs`` and ``rhos``: each generator draws its roots and leading
+    coefficient in generate's order, and one _from_root_rows call makes
+    every product."""
+    rows = np.empty((len(rngs), n), dtype=np.complex128)
+    leads = np.empty(len(rngs), dtype=np.complex128)
+    for k, (rng, rho) in enumerate(zip(rngs, rhos)):
         moduli = rho * (1.0 + rng.random(n))
         angles = _TWO_PI * rng.random(n)
-        lead = np.exp(2j * np.pi * rng.random()) * (0.5 + rng.random())
-        return from_roots(moduli * np.exp(1j * angles), leading=lead)
-    raise InvalidParam(f"unknown generator kind {kind!r}; choices: {_GENERATE_KINDS}")
+        rows[k] = moduli * np.exp(1j * angles)
+        leads[k] = np.exp(2j * np.pi * rng.random()) * (0.5 + rng.random())
+    return _from_root_rows(rows, leads)
 
 
 # ---------------------------------------------------------------------------

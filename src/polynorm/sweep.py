@@ -7,12 +7,14 @@ Known equality witnesses (one family per check and degree) are appended when
 enabled, and a debug bound-scale below 1 turns the sweep into a negative
 control that must fail.
 
-Every check is one entry of ``REGISTRY``: a builder that draws the trial's
-input from its seeded generator, and an evaluator that checks a list of
-inputs of one degree. A trial builds its input once. Trials and witness
-families take one path: the inputs of one check and degree are checked as
-one group, and every failing report, from a trial or a family, embeds the
-input it checked as JSON.
+Every check is one entry of ``REGISTRY``: a builder that draws the inputs
+of a group of trials of one degree, each from its trial's seeded generator,
+and an evaluator that checks a list of inputs of one degree. A trial builds
+its input once, and the roots-outside checks make a group's root products
+as one block (poly._roots_outside). Trials and witness families take one
+path: the inputs of one check and degree are built and checked as one
+group, and every failing report, from a trial or a family, embeds the input
+it checked as JSON.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ import numpy as np
 from . import checks as C
 from .errors import InvalidParam
 from .norms import QuadratureConfig
-from .poly import (AlgebraicPoly, TrigPoly, _is_integer, _require_integer, _require_real,
-                   generate, poly_to_json)
+from .poly import (AlgebraicPoly, TrigPoly, _is_integer, _lax_extremal, _require_integer,
+                   _require_real, _roots_outside, generate, poly_to_json)
 
 DEFAULT_SEED = 0xBE2257
 
@@ -129,14 +131,21 @@ def _cycle(values, index):
     return values[index % len(values)]
 
 
-def _roots_outside(rng, n, index, sc):
-    rho = _cycle(sc.rho_list, index)
-    return generate("roots-outside", n, seed=rng, rho=rho), rho
+def _each(build):
+    """The group builder that calls build(rng, n, index, sc) once per trial."""
+    return lambda rngs, n, indices, sc: [build(rng, n, i, sc) for rng, i in zip(rngs, indices)]
 
 
-def _build_ankeny_rivlin(rng, n, index, sc):
-    radius = _cycle(sc.radius_list, index // len(sc.rho_list))
-    return (*_roots_outside(rng, n, index, sc), radius)
+def _build_roots_outside(rngs, n, indices, sc):
+    """(p, rho) per trial, p generate("roots-outside", n, rng, rho) with rho
+    cycling through rho_list, every product from one block."""
+    rhos = [_cycle(sc.rho_list, i) for i in indices]
+    return list(zip(_roots_outside(n, rngs, rhos), rhos))
+
+
+def _build_ankeny_rivlin(rngs, n, indices, sc):
+    return [(*args, _cycle(sc.radius_list, i // len(sc.rho_list)))
+            for args, i in zip(_build_roots_outside(rngs, n, indices, sc), indices)]
 
 
 def _build_logplus(rng, n, index, sc):
@@ -158,9 +167,11 @@ def _extremal_exp_family(n, sc):
 class CheckSpec:
     """One sweep check.
 
-    build(rng, n, index, sc) returns the check's arguments, drawing from
-    the trial's generator; evaluate(args_list, tol, qcfg) takes the argument
-    tuples of inputs of one degree and returns their reports in order.
+    build(rngs, n, indices, sc) returns the argument tuples of the trials
+    ``indices`` of degree n, in order, each drawn from its own generator of
+    ``rngs`` (a trial rebuilt alone, as build([rng], n, [index], sc)[0], gets
+    the same bits); evaluate(args_list, tol, qcfg) takes the argument tuples
+    of inputs of one degree and returns their reports in order.
     tol is the check's tolerance when tol_overrides has no entry (None: the
     SweepConfig's tol), and lists the SweepConfig lists that build cycles
     through, which must not be empty. A check with equality witnesses names
@@ -178,56 +189,57 @@ class CheckSpec:
 
 # Evaluators look each check function up on the checks module at call time,
 # so a function replaced there (a traced wrapper, say) is the one that runs.
-# Every check but gauss_lucas and power_identity takes a whole group through
-# its batch form; those two check one input at a time.
+# Every check but power_identity takes a whole group through its batch form;
+# that one checks one input at a time. The roots-outside checks build each
+# group's products as one block; the others build one trial at a time.
 REGISTRY = {
     "bernstein": CheckSpec(
-        lambda rng, n, i, sc: (generate("gaussian-random", n, seed=rng), _cycle(sc.p_list, i)),
+        _each(lambda rng, n, i, sc: (generate("gaussian-random", n, seed=rng),
+                                     _cycle(sc.p_list, i))),
         lambda a, tol, q: C.check_bernstein_batch(a, tol, q), lists=("p_list",),
         family="extremal-exp", family_inputs=_extremal_exp_family),
     "malik": CheckSpec(
-        lambda rng, n, i, sc: (_random_alg(rng, n),),
+        _each(lambda rng, n, i, sc: (_random_alg(rng, n),)),
         lambda a, tol, q: C.check_malik_batch(a, tol),
         family="monomial", family_inputs=lambda n, sc: [(AlgebraicPoly([0.0] * n + [1.0]),)]),
     "laguerre": CheckSpec(
-        _roots_outside,
+        _build_roots_outside,
         lambda a, tol, q: C.check_laguerre_batch(a, tol), lists=("rho_list",)),
     "lax_malik": CheckSpec(
-        _roots_outside,
+        _build_roots_outside,
         lambda a, tol, q: C.check_lax_malik_batch(a, tol), lists=("rho_list",),
         family="lax-extremal",
-        family_inputs=lambda n, sc: [(generate("lax-extremal", n, rho=rho), rho)
-                                     for rho in sc.rho_list]),
+        family_inputs=lambda n, sc: list(zip(_lax_extremal(n, sc.rho_list), sc.rho_list))),
     "ankeny_rivlin": CheckSpec(
         _build_ankeny_rivlin,
         lambda a, tol, q: C.check_ankeny_rivlin_batch(a, tol),
         lists=("rho_list", "radius_list")),
     "svdc": CheckSpec(
-        lambda rng, n, i, sc: (_random_real_trig(rng, n),),
+        _each(lambda rng, n, i, sc: (_random_real_trig(rng, n),)),
         lambda a, tol, q: C.check_svdc_batch(a, tol),
         family="cos-n",  # cos(nx)
         family_inputs=lambda n, sc: [(TrigPoly([0.5] + [0.0] * (2 * n - 1) + [0.5]),)]),
     "gauss_lucas": CheckSpec(
-        lambda rng, n, i, sc: (_random_alg(rng, max(n, 2)),),
-        lambda a, tol, q: [C.check_gauss_lucas(*x, tol) for x in a],
-        tol=C.HULL_TOL),
+        _each(lambda rng, n, i, sc: (_random_alg(rng, max(n, 2)),)),
+        lambda a, tol, q: C.check_gauss_lucas_batch(a, tol), tol=C.HULL_TOL),
     "embedding": CheckSpec(
-        lambda rng, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i)),
+        _each(lambda rng, n, i, sc: (_random_alg(rng, n), _cycle(C._EMBEDDING_KINDS, i))),
         lambda a, tol, q: C.check_embedding_batch(a, tol, q)),
     "dominated_derivative": CheckSpec(
-        lambda rng, n, i, sc: (_random_alg(rng, n),),
+        _each(lambda rng, n, i, sc: (_random_alg(rng, n),)),
         lambda a, tol, q: C.check_dominated_derivative_batch(a, tol)),
     "logplus": CheckSpec(
-        _build_logplus,
+        _each(_build_logplus),
         lambda a, tol, q: C.check_identity_logplus_batch(a, tol, q)),
     "power_identity": CheckSpec(
-        lambda rng, n, i, sc: (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.1, 4.0))),
+        _each(lambda rng, n, i, sc: (float(rng.uniform(0.0, 3.0)),
+                                     float(rng.uniform(0.1, 4.0)))),
         lambda a, tol, q: [C.check_identity_power(*x, tol) for x in a]),
     "chi": CheckSpec(
-        lambda rng, n, i, sc: (generate("gaussian-random", n, seed=rng),
-                               C.ChiFunction.parse(_cycle(sc.chi_list, i))),
+        _each(lambda rng, n, i, sc: (generate("gaussian-random", n, seed=rng),
+                                     C.ChiFunction.parse(_cycle(sc.chi_list, i)))),
         lambda a, tol, q: C.check_chi_version_batch(a, tol, q), lists=("chi_list",)),
-    "mate_nevai": CheckSpec(_build_mate_nevai,
+    "mate_nevai": CheckSpec(_each(_build_mate_nevai),
                             lambda a, tol, q: C.mate_nevai_compare_batch(a, tol, q)),
 }
 
@@ -266,16 +278,20 @@ def _profile_entry(profile: dict, check_id: str) -> dict:
 
 
 def _trials(check_id: str, sc: SweepConfig, profile: dict | None) -> list:
-    """(n, args, {trial, seed}) of each trial of one check, in trial order,
-    its input built once from the trial's seeded generator."""
+    """(n, args, {trial, seed}) of each trial of one check, in trial order:
+    the inputs of each degree are built by one spec.build call, each once,
+    from its trial's seeded generator."""
     spec = REGISTRY[check_id]
     t0 = time.perf_counter()
-    trials = []
+    groups: dict = {}
     for index in range(sc.trials):
-        seed = trial_seed(sc.seed, check_id, index)
-        n = _cycle(sc.degrees, index)
-        args = spec.build(np.random.default_rng(seed), n, index, sc)
-        trials.append((n, args, {"trial": index, "seed": seed}))
+        groups.setdefault(_cycle(sc.degrees, index), []).append(index)
+    trials = [None] * sc.trials
+    for n, indices in groups.items():
+        seeds = [trial_seed(sc.seed, check_id, i) for i in indices]
+        built = spec.build([np.random.default_rng(s) for s in seeds], n, indices, sc)
+        for index, seed, args in zip(indices, seeds, built):
+            trials[index] = (n, args, {"trial": index, "seed": seed})
     if profile is not None:
         _profile_entry(profile, check_id)["build_s"] += time.perf_counter() - t0
     return trials

@@ -220,6 +220,22 @@ def test_gauss_lucas_witness_names_the_worst_root():
     assert rep.witnesses == [(re, rep.measured)]
 
 
+def test_gauss_lucas_batch_equals_one_input_calls():
+    # the batch solves every input's and every derivative's roots in stacks
+    # per degree and gives each the report of its own call, degenerate inputs
+    # (zero, constant, linear, trailing zeros) and known roots included
+    rng = np.random.default_rng(12)
+    cases = [(_rand_alg(rng, n),) for n in (2, 5, 5, 16, 16, 40)]
+    cases += [(AlgebraicPoly([0.0, 0.0, 0.0]),), (AlgebraicPoly([2.0, 0.0]),),
+              (AlgebraicPoly([1.0, -2.0, 0.0, 0.0]),), (AlgebraicPoly([0.0, 0.0, 1.0, 1j]),),
+              (from_roots([1, 1, 1]),), (generate("roots-outside", 7, seed=2, rho=1.5),)]
+    batch = C.check_gauss_lucas_batch(cases, 1e-7)
+    alone = [C.check_gauss_lucas(p, 1e-7) for p, in cases]
+    assert [r.to_json() for r in batch] == [r.to_json() for r in alone]
+    assert [r.status for r in batch[6:9]] == ["degenerate"] * 3
+    assert batch[9].status == batch[10].status == "ok"
+
+
 def _cross(a, b):
     return (np.conj(a) * b).imag
 

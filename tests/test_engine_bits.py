@@ -30,10 +30,6 @@ norm, make no BLAS call, so child processes under other OpenBLAS kernels
 must reproduce their bits, where the grid product's bits move.
 """
 import json
-import os
-import platform
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +39,8 @@ import pytest
 from polynorm.norms import (QuadratureConfig, _circle_means, besov_111_seminorms,
                             besov_inf1_seminorms, circle_max, disk_means, lp_norms)
 from polynorm.poly import AlgebraicPoly, TrigPoly
+
+from blas_kernels import KERNELS, under_kernel
 
 
 def _gauss(rng, *shape):
@@ -156,27 +154,8 @@ def _closed_form_bits() -> list:
     return [float(v).hex() for v in values]
 
 
-def _has_avx2() -> bool:
-    try:
-        return "avx2" in Path("/proc/cpuinfo").read_text().split()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_closed_forms_do_not_depend_on_the_blas_kernel(kernel):
-    # numpy's bundled OpenBLAS picks its kernel per CPU at load time, and
-    # OPENBLAS_CORETYPE forces one in a child process; a grid product
-    # (zgemm) rounds differently under Prescott and Haswell, the closed forms
-    # must not. Haswell's kernel needs AVX2.
-    if kernel == "Haswell" and not _has_avx2():
-        pytest.skip("this CPU has no AVX2 for the Haswell kernel")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
-    code = "import json, test_engine_bits as t; print(json.dumps(t._closed_form_bits()))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300, check=True)
-    assert json.loads(out.stdout) == _closed_form_bits()
+    # a grid product (zgemm) rounds differently under Prescott and Haswell;
+    # the closed forms make no BLAS call, so their bits must not move
+    assert under_kernel(kernel, "test_engine_bits", "_closed_form_bits") == _closed_form_bits()

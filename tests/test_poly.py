@@ -22,6 +22,8 @@ from polynorm.poly import (
     roots,
 )
 
+from blas_kernels import KERNELS, under_kernel
+
 
 def _rand_alg(rng, n):
     return AlgebraicPoly(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
@@ -430,6 +432,119 @@ def test_leja_order_matches_row_by_row_reference(d):
     assert np.array_equal(poly_mod._leja_order(rts), _leja_order_by_rows(rts))
 
 
+def test_leja_order_takes_every_root_once_beside_repeats():
+    # once only repeats of chosen roots are left, every log-distance is -inf;
+    # the order takes the first root not yet chosen, not the first index
+    # again, so (z - 3)(z - 1)^2(z - 5) keeps both copies of 1
+    assert poly_mod._leja_order(np.array([3, 1, 1, 5], dtype=complex)).tolist() == [5, 1, 3, 1]
+    assert from_roots([3, 1, 1, 5]).coeffs.tolist() == [15, -38, 32, -10, 1]
+
+
+def _root_rows(rng, count, d):
+    """count rows of d roots at mixed moduli 0.1..10, each row with one root
+    repeated three times (d >= 4) and one at the origin (d >= 6)."""
+    rows = 10.0 ** rng.uniform(-1, 1, (count, d)) * np.exp(2j * np.pi * rng.random((count, d)))
+    if d >= 4:
+        rows[:, 1:3] = rows[:, :1]
+    if d >= 6:
+        rows[:, 5] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 17, 40])
+def test_root_product_rows_match_one_row_calls_bit_for_bit(d):
+    # a row of the block product is a sequence of its own exactly rounded real
+    # operations, so it has the same bits in a block of any size
+    rng = np.random.default_rng(100 + d)
+    rows = _root_rows(rng, 13, d)
+    leads = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    alone = np.array([poly_mod._coeffs_from_roots(r, lead) for r, lead in zip(rows, leads)])
+    for count in (1, 2, 5, 13):
+        block = poly_mod._root_products(rows[:count], leads[:count])
+        assert np.array_equal(block.view(np.float64), alone[:count].view(np.float64))
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_root_product_error_against_a_50_digit_product(d):
+    # 30 seeded root sets at moduli 1.5..3: the largest coefficient error
+    # over the largest coefficient stays within 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(d)
+    rows = rng.uniform(1.5, 3.0, (30, d)) * np.exp(2j * np.pi * rng.random((30, d)))
+    block = poly_mod._root_products(rows, np.ones(30, dtype=complex))
+    with mpmath.workdps(50):
+        for row, got in zip(rows, block):
+            ref = [mpmath.mpc(1)]
+            for r in row:
+                r = mpmath.mpc(complex(r))
+                ref = [a - r * b for a, b in zip([0] + ref, ref + [0])]
+            err = max(abs(mpmath.mpc(complex(g)) - c) for g, c in zip(got, ref))
+            assert err <= 1e-15 * max(abs(c) for c in ref)
+
+
+def _root_product_bits() -> list:
+    """float.hex of from_roots, generate("roots-outside") and
+    generate("lax-extremal") coefficients on seeded inputs at d = 1..16."""
+    rng = np.random.default_rng(71)
+    polys = [from_roots(_root_rows(rng, 1, d)[0], leading=complex(rng.standard_normal(), 1.0))
+             for d in range(1, 17)]
+    polys += [generate("roots-outside", d, seed=d, rho=rho) for d in range(1, 17)
+              for rho in (1.0, 1.5)]
+    polys += [generate("lax-extremal", d, rho=rho) for d in range(1, 17) for rho in (1.0, 2.0)]
+    return [x.hex() for p in polys for x in p.coeffs.view(np.float64).tolist()]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_root_products_do_not_depend_on_the_blas_kernel(kernel):
+    # the root product makes no BLAS call (np.convolve made one per root)
+    assert under_kernel(kernel, "test_poly", "_root_product_bits") == _root_product_bits()
+
+
+def _companion_eigvals(p):
+    """The roots of p by one np.linalg.eigvals call on its own companion
+    matrix, prepared as roots() prepares it: the reference for the stacked
+    solve, on inputs of the eigenvalue path."""
+    c = p.coeffs[: p.effective_degree + 1]
+    m0 = int(np.nonzero(c)[0][0])
+    w = poly_mod._prescaled(c[m0:])[0]
+    w = w / w[-1]
+    d = len(w) - 1
+    if d == 0:
+        return np.zeros(m0, dtype=complex)
+    comp = np.zeros((d, d), dtype=np.complex128)
+    comp[1:, :-1] = np.eye(d - 1)
+    comp[:, -1] = -w[:-1]
+    return np.concatenate([np.zeros(m0, dtype=complex), np.linalg.eigvals(comp)])
+
+
+def test_root_sets_of_a_group_match_one_input_calls():
+    # one stacked eigvals per eigenvalue-path degree gives each input the
+    # bits of its own call; Aberth serves the degrees above the crossover,
+    # and root_array's group form keeps the generators' known roots
+    rng = np.random.default_rng(8)
+    top = poly_mod._EIGVALS_MAX_DEGREE
+    polys = [_rand_alg(rng, d) for d in (2, 4, 8, 16, 16, 16, 2, top, top, top + 1, top + 3)]
+    polys += [AlgebraicPoly([0, 0, 1, 2j, 0, 0]), AlgebraicPoly([0, 0, 0, 3.0]),
+              AlgebraicPoly([0, 1.5, -1, 0.5j]), AlgebraicPoly([2.0, 0, 0]),
+              AlgebraicPoly(np.concatenate([[0.0], _rand_alg(rng, 16).coeffs])),
+              from_roots([1.5, -2.0, 1j]), generate("roots-outside", 9, seed=3, rho=1.5)]
+    group = poly_mod._root_sets(polys)
+    for p, got in zip(polys, group):
+        alone = roots(p)
+        assert np.array_equal(got.roots, alone.roots)
+        assert np.array_equal(got.coeffs, alone.coeffs)
+        if 0 < (p.effective_degree or 0) <= top:
+            assert np.array_equal(got.roots, _companion_eigvals(p))
+    assert [len(s.roots) for s in group[-7:-2]] == [3, 3, 3, 0, 17]
+    assert group[-6].roots.tolist() == [0, 0, 0]
+    arrays = poly_mod._root_arrays(polys)
+    for p, got in zip(polys, arrays):
+        assert np.array_equal(got, poly_mod.root_array(p))
+    assert arrays[-2].tolist() == [1.5, -2.0, 1j]
+    with pytest.raises(ZeroPolynomial):
+        poly_mod._root_sets([polys[0], AlgebraicPoly([0.0, 0.0])])
+
+
 # -------------------------------------------------------------------- generate
 
 def test_generate_extremal_exp():
@@ -627,3 +742,30 @@ def test_shift_and_dilate_refuse_bools_and_non_finite():
     assert t.shift(np.float64(0.5)) == t.shift(0.5)
     assert p.dilate(1j).coeffs.tolist() == [1.0, -2j, -0.5j]
     assert p.dilate(np.int64(2)) == p.dilate(2.0)
+
+
+@pytest.mark.parametrize("roots_, leading", [([True, 2.0], 1.0), (["1", 2], 1.0),
+                                             ([1, 2], True), ([1.0, math.nan], 1.0),
+                                             ([complex(1.0, math.inf)], 1.0), ([1, 2], math.inf),
+                                             ([10**400], 1.0), ([1, 2], "1")],
+                         ids=["bool-root", "string-root", "bool-leading", "nan-root",
+                              "inf-root", "inf-leading", "huge-int-root", "string-leading"])
+def test_from_roots_refuses_what_is_not_a_finite_number(roots_, leading):
+    # the package's input rule: a bool or a string is not a number, and a
+    # root or leading coefficient must be finite
+    with pytest.raises(InvalidParam):
+        from_roots(roots_, leading=leading)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build", [lambda: from_roots([1e200, 1e200]),
+                                   lambda: from_roots([1e200, -1e200, 3.0], leading=1e300),
+                                   lambda: generate("roots-outside", 3, seed=1, rho=1e160),
+                                   lambda: generate("lax-extremal", 3, rho=1e160)],
+                         ids=["from-roots", "from-roots-leading", "roots-outside", "lax-extremal"])
+def test_root_products_beyond_float_range_are_out_of_range(build):
+    # an overflowing coefficient, or a leading (1 + rho)^-n that underflows
+    # to zero, raises OutOfRange with no warning, as dilate does
+    with pytest.raises(OutOfRange):
+        build()
+

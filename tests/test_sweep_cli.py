@@ -108,7 +108,8 @@ def test_sweep_failing_inputs_replay():
             continue
         spec = sweep.REGISTRY[check_id]
         seed = rep.params["seed"]
-        args = spec.build(np.random.default_rng(seed), sc.degrees[i % len(sc.degrees)], i, sc)
+        args = spec.build([np.random.default_rng(seed)], sc.degrees[i % len(sc.degrees)], [i],
+                          sc)[0]
         again = spec.evaluate([(poly_from_json(rep.params["input"]),) + args[1:]], rep.tol,
                               sc.cfg())[0]
         assert (again.measured, again.digest) == (rep.measured, rep.digest), check_id
@@ -151,7 +152,7 @@ def test_sweep_equals_per_input_checks(seed, bound_scale):
         for i in range(sc.trials):
             seed_i = sweep.trial_seed(seed, check_id, i)
             n = sc.degrees[i % len(sc.degrees)]
-            args = spec.build(np.random.default_rng(seed_i), n, i, sc)
+            args = spec.build([np.random.default_rng(seed_i)], n, [i], sc)[0]
             rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
             rep.params.setdefault("n", n)
             rep.params.update(trial=i, seed=seed_i)
@@ -482,12 +483,12 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
 
 # sha256 of the default sweep's JSONL and CSV at three seeds
 DEFAULT_SWEEP_DIGESTS = {
-    0xBE2257: ("8b24cc8a95e38dbdc199b20f18df374bf0443e92c984129f33d83158b4d76fa8",
-               "f0f159412dee5f2ba4c39326ec759f49e7ae43be5e66614fda2a7f14cb0f8e48"),
-    1: ("daecbc8b433df335e7eb79d85aa1358aaebf2bd367eecd3219d0d2c033fd0e45",
-        "0d56b8158f600b9dba89bb2b9e5d65e12aa5a324fd2926042bd2208fc081db84"),
-    4242: ("539c9c41ba84e6bd5f5cf272d4b0fa70917569c68ed4a94054553e4bc220aae5",
-           "f6c8a4314782bd354f8fcda4330204b56f5a2c7c44aac4b38120a3c18c0acb4b"),
+    0xBE2257: ("8417e2f879507251fe29e103844f24a61ac05713193c20e771904e7f46ed3ebb",
+               "6464e8aa0a2f7d425e1adaaadb2e370df594bf81bb904277067b350ecfa0c855"),
+    1: ("2a8bfe5ac8a047da80104d06cba2e699425a8913c6b4a7f0c39714b6003fd689",
+        "9ea8c9207ecdbd36e8aec3e031f1e8095d0a33c9b88d29159f00d5dad19d8277"),
+    4242: ("4c814575641a7821a01d74e76bf8128b5e228441f2baf53d2b1c337e7372a2ff",
+           "0a51652af3cf8bcf4ca02aa3f59fd63914d5cde4ad2d39c7aa47b8437c9178dc"),
 }
 
 
