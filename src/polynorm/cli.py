@@ -192,9 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="negative control: multiply every bound by this factor")
     p_verify.add_argument("--profile", default=None, metavar="PATH",
                           help="write the wall times of the sweep (sweep_s) and of writing "
-                               "its outputs (write_s), and wall times, group and report "
-                               "counts per check, to this JSON file (the reports do not "
-                               "change)")
+                               "its outputs (write_s), and per check the wall times of "
+                               "building and checking inputs, the group count (one per "
+                               "degree, trials and witness family together) and the report "
+                               "count, to this JSON file (the reports do not change)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_const = sub.add_parser("constants", help="print explicit constants for degree n")

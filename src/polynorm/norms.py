@@ -38,14 +38,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import InvalidParam, NearCircleRoot, ZeroPolynomial
+from .errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolynomial
 from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _grid_values, _in_range, _prescaled,
-                   _require_integer, _require_real, _root_arrays, root_array, roots)
+                   _require_integer, _require_real, _root_arrays, roots)
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np.ndarray:
     """For each row c of ``rows``, the circle power mean M_p of |T|,
     T(x) = sum_j c_j e^{ijx}: (mean |T|^p)^(1/p), or exp(mean log|T|) at
@@ -119,7 +121,9 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     arrays, cut down only on a level where some row stops. The test is
     applied to each row on its own, because the rule converges at a
     different rate on each circle. A row that runs out of budget keeps its
-    last value; one whose value exceeds the float range raises OutOfRange.
+    last value. A row whose sum of powers overflows (a large exponent) stops
+    at that level, and a value beyond the float range raises OutOfRange
+    naming its exponent; no warning escapes.
 
     Rows are independent: a row's value is the same, bit for bit, whatever
     other rows and exponents share its call; the rows of each distinct
@@ -127,9 +131,7 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     """
     rows, e = _prescaled(np.atleast_2d(np.ascontiguousarray(rows, dtype=np.complex128)), axis=1)
     width = rows.shape[1]
-    if grid0 < width:
-        raise InvalidParam(f"grid {grid0} too small for {width} coefficients")
-    p = np.asarray(p, dtype=np.float64)
+    p = exponents = np.asarray(p, dtype=np.float64)
     steps = _twiddles(grid0, width, max_doublings)
     # shifted[r, s]: row r times e^{ij theta} for the s-th offset theta of a
     # level; first the initial grid (theta = 0) and the first level's pi/grid0
@@ -147,16 +149,21 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
             shifted, a = shifted[:, 1:], a[:, 1:]
         sums += _each_exponent(_power_sums, a, p)
         last, cur = cur, _each_exponent(_power_means, sums / (2 * (grid0 << level)), p)
-        done = np.abs(cur - last) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
-        if done.any():
+        # an inf (overflowed) value compares False, so its row stops here
+        keep = np.abs(cur - last) > rel_tol * np.maximum(np.abs(cur), 1e-300)
+        if not keep.all():
             value[active] = cur
-            keep = ~done
             active, shifted, sums, cur = active[keep], shifted[keep], sums[keep], cur[keep]
             p = p[keep] if p.ndim else p
             if active.size == 0:
                 break
     value[active] = cur
-    return _scaled_back(value, e[:, 0], "circle mean")
+    value = np.ldexp(value, e[:, 0])
+    bad = ~np.isfinite(value)
+    if bad.any():
+        power = float(np.broadcast_to(exponents, bad.shape)[bad][0])
+        raise OutOfRange(f"the circle mean of |T|^{power:g} exceeds the floating-point range")
+    return value
 
 
 @functools.lru_cache(maxsize=128)
@@ -277,7 +284,8 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     as narrow as the zero is near the circle, which the bandwidth does not
     bound, and two such peaks within one spacing of the coarser grid hid the
     higher (3 of 1000 laguerre rows of degree 8, roots at modulus 1..1.05;
-    none at 32 width). A given ``grid`` (at least 2 width - 1) overrides both.
+    none at 32 width). A given ``grid``, an integer at least 2 width - 1,
+    overrides both; rows need at least one coefficient.
 
     Each candidate takes Newton steps x <- x - F'/F'' on exact derivatives,
     or half-spacing ascent steps where F'' >= 0, inside a bracket of a maximum
@@ -292,14 +300,15 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     from h_t, h_t' and h_t'' (a term adds no derivative at its zeros): square
     roots of |h_t|^2 would lose half the digits where a term nearly vanishes.
     """
-    h, e = _prescaled(np.ascontiguousarray(h, dtype=np.complex128), axis=(1, 2))
+    h = np.ascontiguousarray(h, dtype=np.complex128)
     width = h.shape[-1]
+    _require_integer(width, 1, "the row width (coefficients per term)")
+    h, e = _prescaled(h, axis=(1, 2))
     single = h.shape[1] == 1
     w = np.asarray(weights, dtype=np.float64)
     if grid is None:
         grid = 32 * width if (w < 0.0).any() else 16 * (width + 1)
-    if grid < 2 * width - 1:
-        raise InvalidParam(f"grid {grid} too small for {width} coefficients")
+    _require_integer(grid, 2 * width - 1, f"the grid of {width}-coefficient rows")
     # the lags sum_j c_{j+m} conj(c_j), m >= 0, of every |h_t|^2
     padded = np.zeros(h.shape[:-1] + (2 * width - 1,), dtype=np.complex128)
     padded[..., :width] = h
@@ -430,8 +439,9 @@ def lp_norms(polys, powers, cfg: QuadratureConfig | None = None) -> list:
     out = [0.0] * len(polys)
     groups: dict = {}
     for i, (p, power) in enumerate(zip(polys, powers)):
-        _require_real(power, "the L^p exponent", lambda v: v > 0,
-                      "> 0 (the mahler functions cover p = 0)")
+        # below the smallest normal float, p log|T| is subnormal and loses digits
+        _require_real(power, "the L^p exponent", lambda v: v >= sys.float_info.min,
+                      ">= sys.float_info.min (the mahler functions cover p = 0)")
         if not isinstance(p, (TrigPoly, AlgebraicPoly)):
             raise InvalidParam(f"expected a polynomial, got {type(p).__name__}")
         rule = (0, 0) if power == 2 else _grid_rule(power, p, cfg)
@@ -489,10 +499,10 @@ def mahler_jensen(p) -> float:
 
     Accepts an algebraic polynomial or a trig polynomial (through its lift,
     which has the same Mahler norm since |z^n| = 1 on the circle). Uses root
-    provenance attached by generators when available.
+    provenance attached by generators when available: _mahler_jensens of
+    the one input p.
     """
-    lift, lead = _mahler_lift(p)
-    return _jensen(lead, root_array(lift))
+    return _mahler_jensens([p])[0]
 
 
 def _mahler_jensens(polys) -> list:
@@ -529,10 +539,7 @@ def mahler_quadrature(p, cfg: QuadratureConfig | None = None) -> float:
     authoritative. Roots that do not converge raise RootsNotConverged.
     """
     cfg = cfg or DEFAULT_CONFIG
-    lift = p.to_algebraic() if isinstance(p, TrigPoly) else p
-    if lift.effective_degree is None:
-        raise ZeroPolynomial("mahler norm of the zero polynomial")
-    rset = roots(lift)
+    rset = roots(_mahler_lift(p)[0])
     if rset.roots.size:
         gap = float(np.abs(np.abs(rset.roots) - 1.0).min())
         if gap < 1e-3:

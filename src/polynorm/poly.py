@@ -122,8 +122,8 @@ def _dft_block(kmin: int, width: int, grid: int) -> np.ndarray:
 def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
     """Values of sum_j coeffs[..., j] e^{i(kmin+j)x} at x = 2*pi*t/grid,
     t = 0..grid-1, for every row of ``coeffs`` (leading axes are batch axes);
-    requires grid >= coeffs.shape[-1] so the frequency residues mod grid stay
-    distinct.
+    ``grid`` must be an integer >= coeffs.shape[-1] (_require_integer), so
+    the frequency residues mod grid stay distinct.
 
     Rows at most ``_DFT_MAX_WIDTH`` wide, whose block has at most
     ``_DFT_MAX_ENTRIES`` entries, are one matrix product of the rows, as a
@@ -134,8 +134,8 @@ def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
     its call.
     """
     m = coeffs.shape[-1]
-    if grid < m:
-        raise InvalidParam(f"grid {grid} too small for {m} coefficients")
+    if type(grid) is not int or grid < m:  # the hot path skips the full rule
+        _require_integer(grid, m, f"the grid of {m}-coefficient rows")
     if m > _DFT_MAX_WIDTH or m * grid > _DFT_MAX_ENTRIES:
         if kmin % grid == 0:  # numpy pads each row itself: no grid-sized copy of the batch
             return np.fft.ifft(coeffs, grid, norm="forward")
@@ -444,7 +444,7 @@ class RootSet:
     ``coeffs`` is the effective-degree coefficient vector the roots belong
     to. ``residual``, the relative max-norm error of rebuilding it as
     leading * prod (z - z_j), is computed on first read and cached: the
-    rebuild is an O(d^2) Python loop that the library itself never needs.
+    rebuild, one _root_products row, is work the library itself never needs.
     """
 
     roots: np.ndarray
@@ -753,16 +753,10 @@ def _known_roots(p: AlgebraicPoly):
     return None
 
 
-def root_array(p: AlgebraicPoly) -> np.ndarray:
-    """The roots of p as a complex array: the generator's ``known_roots``
-    when they cover the effective degree, else ``roots(p).roots``."""
-    known = _known_roots(p)
-    return roots(p).roots if known is None else known
-
-
 def _root_arrays(polys) -> list:
-    """root_array of each polynomial of ``polys``: known roots where they
-    cover, and the others from one _root_sets call."""
+    """The roots of each polynomial of ``polys`` as a complex array: the
+    generator's ``known_roots`` where they cover the effective degree, and
+    the others' roots(p).roots from one _root_sets call."""
     known = [_known_roots(p) for p in polys]
     solved = iter(_root_sets([p for p, k in zip(polys, known) if k is None]))
     return [next(solved).roots if k is None else k for k in known]

@@ -3,18 +3,19 @@
 Each check runs ``trials`` seeded random inputs; the per-trial seed is derived
 from the master seed, the check id, and the trial index, so results are
 order-independent and two runs with the same config are byte-identical.
-Known equality witnesses (one family per check and degree) are appended when
+Known equality witnesses (one family per check and degree) are checked when
 enabled, and a debug bound-scale below 1 turns the sweep into a negative
 control that must fail.
 
 Every check is one entry of ``REGISTRY``: a builder that draws the inputs
 of a group of trials of one degree, each from its trial's seeded generator,
-and an evaluator that checks a list of inputs of one degree. A trial builds
-its input once, and the roots-outside checks make a group's root products
-as one block (poly._roots_outside). Trials and witness families take one
-path: the inputs of one check and degree are built and checked as one
-group, and every failing report, from a trial or a family, embeds the input
-it checked as JSON.
+and an evaluator that checks a list of inputs of one degree. The sweep
+makes one pass per check and degree (_check): one build call for the
+degree's trials (the roots-outside checks make the group's root products as
+one block, poly._roots_outside), the degree's witness family added to
+them, and one evaluate call on the whole group. The reports list every
+check's trials first and the families after them, and every failing
+report, from a trial or a family, embeds the input it checked as JSON.
 """
 from __future__ import annotations
 
@@ -259,66 +260,51 @@ def _apply_bound_scale(rep: C.VerificationReport, scale: float) -> C.Verificatio
     return rep
 
 
-def _evaluate(check_id: str, args: list, sc: SweepConfig, qcfg: QuadratureConfig,
-              profile: dict | None) -> list:
-    """The reports of one group: inputs of one check and one degree."""
-    t0 = time.perf_counter()
-    reports = REGISTRY[check_id].evaluate(args, _check_tol(check_id, sc), qcfg)
-    if profile is not None:
-        entry = _profile_entry(profile, check_id)
-        entry["check_s"] += time.perf_counter() - t0
-        entry["groups"] += 1
-        entry["reports"] += len(reports)
-    return reports
+def _check(check_id: str, sc: SweepConfig, qcfg: QuadratureConfig,
+           profile: dict | None) -> tuple:
+    """The reports of one check: (its trials' reports in trial order, its
+    witness family's reports per degree).
 
-
-def _profile_entry(profile: dict, check_id: str) -> dict:
-    return profile.setdefault(check_id, {"build_s": 0.0, "check_s": 0.0, "groups": 0,
-                                         "reports": 0})
-
-
-def _trials(check_id: str, sc: SweepConfig, profile: dict | None) -> list:
-    """(n, args, {trial, seed}) of each trial of one check, in trial order:
-    the inputs of each degree are built by one spec.build call, each once,
-    from its trial's seeded generator."""
-    spec = REGISTRY[check_id]
-    t0 = time.perf_counter()
-    groups: dict = {}
+    Per degree, one spec.build call builds the degree's trials, each from
+    its trial's seeded generator, the degree's family inputs join them when
+    include_witness_families is on (a degree with no trial still gets its
+    family), and one evaluate call checks the group. Each report gets n,
+    its trial and seed or its family, the bound scale, and, if it fails,
+    the polynomial it checked as JSON.
+    """
+    spec, tol = REGISTRY[check_id], _check_tol(check_id, sc)
+    family = spec.family if sc.include_witness_families else None
+    groups: dict = {n: [] for n in sc.degrees} if family else {}
     for index in range(sc.trials):
         groups.setdefault(_cycle(sc.degrees, index), []).append(index)
-    trials = [None] * sc.trials
+    trials, families = [None] * sc.trials, {}
     for n, indices in groups.items():
+        t0 = time.perf_counter()
         seeds = [trial_seed(sc.seed, check_id, i) for i in indices]
         built = spec.build([np.random.default_rng(s) for s in seeds], n, indices, sc)
-        for index, seed, args in zip(indices, seeds, built):
-            trials[index] = (n, args, {"trial": index, "seed": seed})
-    if profile is not None:
-        _profile_entry(profile, check_id)["build_s"] += time.perf_counter() - t0
-    return trials
-
-
-def _checked(check_id: str, inputs: list, sc: SweepConfig, qcfg: QuadratureConfig,
-             profile: dict | None) -> list:
-    """The reports of ``inputs``, (n, args, params) triples of one check, in
-    order: the inputs of each degree are checked as one group, and each
-    report gets n and the given params, the bound scale, and, if it fails,
-    the polynomial it checked as JSON."""
-    groups: dict = {}
-    for index, (n, _, _) in enumerate(inputs):
-        groups.setdefault(n, []).append(index)
-    reports = [None] * len(inputs)
-    for indices in groups.values():
-        group = _evaluate(check_id, [inputs[i][1] for i in indices], sc, qcfg, profile)
+        inputs = [(args, {"trial": i, "seed": s}) for args, i, s in zip(built, indices, seeds)]
+        inputs += [(args, {"family": family})
+                   for args in (spec.family_inputs(n, sc) if family else ())]
+        t1 = time.perf_counter()
+        group = spec.evaluate([args for args, _ in inputs], tol, qcfg)
+        if profile is not None:
+            entry = profile.setdefault(check_id, {"build_s": 0.0, "check_s": 0.0, "groups": 0,
+                                                  "reports": 0})
+            entry["build_s"] += t1 - t0
+            entry["check_s"] += time.perf_counter() - t1
+            entry["groups"] += 1
+            entry["reports"] += len(group)
+        for (args, params), rep in zip(inputs, group):
+            rep.params.setdefault("n", n)
+            rep.params.update(params)
+            _apply_bound_scale(rep, sc.bound_scale)
+            # the identity checks take scalars, which their params already record
+            if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
+                rep.params["input"] = poly_to_json(args[0])
         for index, rep in zip(indices, group):
-            reports[index] = rep
-    for (n, args, params), rep in zip(inputs, reports):
-        rep.params.setdefault("n", n)
-        rep.params.update(params)
-        _apply_bound_scale(rep, sc.bound_scale)
-        # the identity checks take scalars, which their params already record
-        if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
-            rep.params["input"] = poly_to_json(args[0])
-    return reports
+            trials[index] = rep
+        families[n] = group[len(indices):]
+    return trials, families
 
 
 @dataclass
@@ -332,22 +318,21 @@ class SweepResult:
 
 
 def run_sweep(sc: SweepConfig, profile: dict | None = None) -> SweepResult:
-    """Run the sweep: every check's trials in order, then the witness families,
-    per degree and check (margin must be ~0).
+    """Run the sweep: every check's trials in order, then the witness family
+    reports (margin must be ~0) by ascending degree and in REGISTRY order.
 
-    Each check's trials are grouped by degree, and each group is checked by
-    one evaluate call. If ``profile`` is a dict, it receives per check id the
-    wall time spent building inputs and checking them, the group count and
-    the report count; the reports do not depend on it.
+    Each check's inputs are grouped by degree, a degree's trials with its
+    family, and each group is checked by one evaluate call (_check). If
+    ``profile`` is a dict, it receives per check id the wall time spent
+    building inputs and checking them, the group count and the report count;
+    the reports do not depend on it.
     """
     qcfg = sc.cfg()
-    reports = [rep for check_id in sc.checks
-               for rep in _checked(check_id, _trials(check_id, sc, profile), sc, qcfg, profile)]
-    for n in sorted(set(sc.degrees)) if sc.include_witness_families else ():
-        for check_id, spec in REGISTRY.items():
-            if spec.family is not None and check_id in sc.checks:
-                family = [(n, args, {"family": spec.family}) for args in spec.family_inputs(n, sc)]
-                reports += _checked(check_id, family, sc, qcfg, profile)
+    done = {check_id: _check(check_id, sc, qcfg, profile) for check_id in sc.checks}
+    families = [done[check_id][1] for check_id in REGISTRY if check_id in done]
+    reports = [rep for trials, _ in done.values() for rep in trials]
+    reports += [rep for n in sorted(set(sc.degrees)) for family in families
+                for rep in family.get(n, ())]
     all_passed = all(r.passed for r in reports)
     return SweepResult(reports=reports, all_passed=all_passed, summary=_summarize(reports))
 

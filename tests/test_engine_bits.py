@@ -27,7 +27,10 @@ are equal, and they are held to the exact rational value of that sum over
 the float inputs instead of to an older engine's pins (which were up to
 7e-15 off it). The closed forms, that sum at every even power and the L^2
 norm, make no BLAS call, so child processes under other OpenBLAS kernels
-must reproduce their bits, where the grid product's bits move.
+must reproduce their bits, where the grid product's bits move. The pins of
+the grid engines were recorded under OpenBLAS's SkylakeX kernel; under
+Haswell a row's zgemm bits can also move with the number of rows in its
+batch, so those pins hold on SkylakeX only.
 """
 import json
 from fractions import Fraction

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -176,6 +177,17 @@ def test_circle_max_matches_convolve_reference():
             assert abs((x[r] - ref_x + np.pi) % (2 * np.pi) - np.pi) <= 1e-7, (h.shape, r)
 
 
+@pytest.mark.parametrize("h, grid", [
+    (np.ones((1, 1, 3)), 8.0),  # a float grid, once an IndexError
+    (np.ones((1, 1, 3)), True),
+    (np.ones((1, 1, 3)), 4),  # below 2 width - 1
+    (np.zeros((1, 1, 0)), None),  # no coefficient, once numpy's zero-size reduction error
+], ids=["float", "bool", "small", "zero_width"])
+def test_circle_max_refuses_a_bad_grid_or_an_empty_row(h, grid):
+    with pytest.raises(InvalidParam, match="integer"):
+        circle_max(h, grid)
+
+
 def test_circle_max_reaches_dense_grid_maximum_of_laguerre_rows():
     # rho|P'| - |Q'| for P of degree 8 with every root at modulus 1..1.05: a
     # near-zero of Q' close to the circle is a peak of F narrower than a grid
@@ -295,6 +307,31 @@ def test_lp_rejects_nonpositive_p():
         lp_norm(TrigPoly([1, 0, 1]), 0.0)
     with pytest.raises(InvalidParam):
         lp_norm(TrigPoly([1, 0, 1]), -2.0)
+
+
+def test_lp_refuses_a_subnormal_exponent():
+    # p log|T| is subnormal below the smallest normal float, so expm1 lost
+    # digits: p = 1e-320 gave 3.000398 for a Mahler measure of 3
+    p = AlgebraicPoly([1, 2, 3])
+    for power in (1e-320, 5e-324, sys.float_info.min / 2):
+        with pytest.raises(InvalidParam):
+            lp_norm(p, power)
+    assert lp_norm(p, sys.float_info.min) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_lp_at_a_large_exponent_raises_out_of_range_with_no_warning():
+    # |T|^2000 overflows: the first level that overflows raises OutOfRange
+    # naming the exponent, where all six doublings once ran on inf sums and
+    # let 13 RuntimeWarnings out first
+    g = np.random.default_rng(1)
+    t = TrigPoly(g.standard_normal(9) + 1j * g.standard_normal(9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_norm(t, 1000.0) == pytest.approx(3.9829456, rel=1e-7)
+        with pytest.raises(OutOfRange, match="2000"):
+            lp_norm(t, 2000.0)
+        with pytest.raises(OutOfRange, match="2000"):
+            norms.lp_norms([t, t], [1.0, 2000.0])
 
 
 def test_lp_rejects_non_polynomial():

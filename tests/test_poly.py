@@ -310,6 +310,16 @@ def test_grid_values_rows_match_one_row_calls_bit_for_bit():
                 assert np.array_equal(pairs.reshape(count, grid), batch), (m, count)
 
 
+@pytest.mark.parametrize("grid", [8.0, True, np.float64(8.0)])
+@pytest.mark.parametrize("coeffs", [[1, 2, 3], [5]])
+def test_grid_values_refuse_a_grid_that_is_no_integer(grid, coeffs):
+    # one integer rule for every grid: a float grid used to reach numpy as
+    # an index (IndexError), and True passed as the grid 1
+    for p in (AlgebraicPoly(coeffs), TrigPoly(coeffs)):
+        with pytest.raises(InvalidParam, match="integer"):
+            p.values_on_grid(grid)
+
+
 def test_grid_values_branches_match_the_direct_sum():
     # the product (narrow rows, short grids) and the FFT (wide rows, or a
     # block past _DFT_MAX_ENTRIES) both give sum_j c_j e^{i(kmin+j)x} to
@@ -520,7 +530,7 @@ def _companion_eigvals(p):
 def test_root_sets_of_a_group_match_one_input_calls():
     # one stacked eigvals per eigenvalue-path degree gives each input the
     # bits of its own call; Aberth serves the degrees above the crossover,
-    # and root_array's group form keeps the generators' known roots
+    # and _root_arrays keeps the generators' known roots
     rng = np.random.default_rng(8)
     top = poly_mod._EIGVALS_MAX_DEGREE
     polys = [_rand_alg(rng, d) for d in (2, 4, 8, 16, 16, 16, 2, top, top, top + 1, top + 3)]
@@ -539,7 +549,8 @@ def test_root_sets_of_a_group_match_one_input_calls():
     assert group[-6].roots.tolist() == [0, 0, 0]
     arrays = poly_mod._root_arrays(polys)
     for p, got in zip(polys, arrays):
-        assert np.array_equal(got, poly_mod.root_array(p))
+        known = p.known_roots
+        assert np.array_equal(got, roots(p).roots if known is None else np.array(known))
     assert arrays[-2].tolist() == [1.5, -2.0, 1j]
     with pytest.raises(ZeroPolynomial):
         poly_mod._root_sets([polys[0], AlgebraicPoly([0.0, 0.0])])

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blas_kernels import KERNELS, under_kernel
 from polynorm.norms import lp_norms, mahler_jensen
 from reference import lp_corpus, mahler_clusters
 
@@ -49,12 +50,23 @@ def test_mahler_cluster_module_reproduces_its_json():
     assert mahler_clusters.corpus_json() == _MAHLER
 
 
+def _mahler_input_digest() -> str:
+    return mahler_clusters.input_digest([p for *_, p in mahler_clusters.inputs()])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_mahler_cluster_inputs_do_not_depend_on_the_blas_kernel(kernel):
+    # the mixed cluster's product is exact arithmetic rounded once, not np.convolve
+    digest = under_kernel(kernel, "test_reference", "_mahler_input_digest")
+    assert digest == json.loads(_MAHLER)["input_sha256"]
+
+
 @pytest.fixture(scope="module")
 def mahler_errors():
     """Relative errors of mahler_jensen, one per cluster input and rotation."""
     corpus = json.loads(_MAHLER)
     cases = mahler_clusters.inputs()
-    assert mahler_clusters.input_digest([p for *_, p in cases]) == corpus["input_sha256"]
+    assert _mahler_input_digest() == corpus["input_sha256"]
     ref = np.array([float.fromhex(corpus["references"][name]) for name, *_ in cases])
     return np.abs(np.array([mahler_jensen(p) for *_, p in cases]) - ref) / ref
 

@@ -132,17 +132,18 @@ def _one_input(check_id, args, tol, qcfg):
     return fn(*args, tol, qcfg) if takes_cfg else fn(*args, tol)
 
 
-@pytest.mark.parametrize("seed", [1, 4242])
-@pytest.mark.parametrize("bound_scale", [1.0, 0.99])
-def test_sweep_equals_per_input_checks(seed, bound_scale):
-    # grouping trials by degree changes no byte of any report
-    sc = sweep.SweepConfig(trials=40, seed=seed, bound_scale=bound_scale)
+def _per_input_reports(sc):
+    """The sweep's reports made one input at a time by the public check
+    functions: every check's trials in trial order, then the witness
+    families by ascending degree and in REGISTRY order."""
     qcfg = sc.cfg()
     expected = []
 
-    def scaled(rep, args):
+    def finished(rep, args, n, params):
         # a failing trial or family record embeds the input it checked
-        rep = sweep._apply_bound_scale(rep, bound_scale)
+        rep.params.setdefault("n", n)
+        rep.params.update(params)
+        rep = sweep._apply_bound_scale(rep, sc.bound_scale)
         if not rep.passed and isinstance(args[0], (AlgebraicPoly, TrigPoly)):
             rep.params["input"] = poly_to_json(args[0])
         return rep
@@ -150,24 +151,60 @@ def test_sweep_equals_per_input_checks(seed, bound_scale):
     for check_id in sc.checks:
         spec = sweep.REGISTRY[check_id]
         for i in range(sc.trials):
-            seed_i = sweep.trial_seed(seed, check_id, i)
+            seed_i = sweep.trial_seed(sc.seed, check_id, i)
             n = sc.degrees[i % len(sc.degrees)]
             args = spec.build([np.random.default_rng(seed_i)], n, [i], sc)[0]
             rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
-            rep.params.setdefault("n", n)
-            rep.params.update(trial=i, seed=seed_i)
-            expected.append(scaled(rep, args))
-    for n in sorted(set(sc.degrees)):
+            expected.append(finished(rep, args, n, {"trial": i, "seed": seed_i}))
+    for n in sorted(set(sc.degrees)) if sc.include_witness_families else ():
         for check_id, spec in sweep.REGISTRY.items():
-            for args in spec.family_inputs(n, sc) if spec.family else ():
-                rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
-                rep.params["family"] = spec.family
-                expected.append(scaled(rep, args))
-    got = sweep.run_sweep(sc).reports
+            if spec.family and check_id in sc.checks:
+                for args in spec.family_inputs(n, sc):
+                    rep = _one_input(check_id, args, sweep._check_tol(check_id, sc), qcfg)
+                    expected.append(finished(rep, args, n, {"family": spec.family}))
+    return expected
+
+
+def _assert_same_reports(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("bound_scale", [1.0, 0.99])
+def test_sweep_equals_per_input_checks(seed, bound_scale):
+    # grouping a degree's trials and witness family changes no byte of any report
+    sc = sweep.SweepConfig(trials=40, seed=seed, bound_scale=bound_scale)
+    got = sweep.run_sweep(sc).reports
+    _assert_same_reports(got, _per_input_reports(sc))
     assert (bound_scale < 1.0) == any(not r.passed for r in got)
+
+
+@pytest.mark.parametrize("fields", [
+    # fewer trials than degrees: degrees 3 and 4 have no trial, but their families
+    {"degrees": [1, 2, 3, 4], "trials": 2},
+    {"degrees": [1, 2, 3], "trials": 7, "include_witness_families": False},
+    # a repeated degree: its trials form one group, and its family comes once
+    {"degrees": [2, 3, 2], "trials": 7},
+    # failing trial and family records embed their inputs
+    {"degrees": [1, 2, 3], "trials": 7, "bound_scale": 0.99},
+])
+def test_sweep_groups_keep_the_order_and_bytes_of_per_input_checks(fields):
+    # checks listed out of REGISTRY order: the families still come in REGISTRY order
+    sc = sweep.SweepConfig(checks=["svdc", "gauss_lucas", "lax_malik", "malik", "bernstein",
+                                   "power_identity"], p_list=[0.5, 2.0, math.inf], seed=7,
+                           **fields)
+    got = sweep.run_sweep(sc).reports
+    _assert_same_reports(got, _per_input_reports(sc))
+    families = [(r.params["n"], r.check_id) for r in got if "family" in r.params]
+    if sc.include_witness_families:
+        order = list(sweep.REGISTRY)
+        assert families == sorted(families, key=lambda f: (f[0], order.index(f[1])))
+        assert {n for n, _ in families} == set(sc.degrees)
+    else:
+        assert not families
+    assert (sc.bound_scale < 1.0) == any(not r.passed for r in got)
 
 
 def test_mate_nevai_uses_sharp_bound():
@@ -497,7 +534,9 @@ def test_cli_verify_default_sweep_output_is_pinned(tmp_path, capsys, seed):
     """The default sweep's output, byte for byte, as in test_engine_bits.py:
     a change that only reorders or speeds up work keeps both digests, and
     one that moves output on purpose re-records the digests it moves and
-    lists the moved reports, with their largest change, in CHANGES.md."""
+    lists the moved reports, with their largest change, in CHANGES.md. The
+    digests were recorded under OpenBLAS's SkylakeX kernel; the grid product
+    rounds differently under Haswell and Prescott, so they hold on SkylakeX only."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": seed}))
     prefix = str(tmp_path / "out")
@@ -524,8 +563,8 @@ def test_cli_verify_profile_leaves_outputs_alone(tmp_path, capsys):
     assert profile["sweep_s"] > 0.0
     checks = profile["checks"]
     assert set(checks) == {"bernstein", "malik", "gauss_lucas"}
-    # three degree groups of trials, plus one witness group per degree
-    assert [checks[c]["groups"] for c in ("bernstein", "malik", "gauss_lucas")] == [6, 6, 3]
+    # one group per degree: its trials with its witness family
+    assert [checks[c]["groups"] for c in ("bernstein", "malik", "gauss_lucas")] == [3, 3, 3]
     assert [checks[c]["reports"] for c in ("bernstein", "malik", "gauss_lucas")] == [13, 10, 7]
     assert all(entry["check_s"] > 0.0 and entry["build_s"] > 0.0 for entry in checks.values())
 
