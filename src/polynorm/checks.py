@@ -26,6 +26,9 @@ inputs are every effective degree below 2 and whose params name the worst
 root, builds its reports itself, as logplus does; its roots, like those of
 the Mahler rungs p = 0, come from one stacked solve per degree
 (poly._root_arrays).
+
+A report's digest names its input from a payload holding the polynomial
+itself; _digest alone knows the digest format.
 """
 from __future__ import annotations
 
@@ -54,11 +57,12 @@ from .norms import (
     sup_norms_argmax,
     wiener_norm,
 )
-from .poly import (AlgebraicPoly, TrigPoly, _refuse_nonfinite, _require_real, _root_arrays,
-                   poly_to_json)
+from .poly import (AlgebraicPoly, TrigPoly, _poly_header, _refuse_nonfinite, _require_real,
+                   _root_arrays)
 
 DEFAULT_TOL = 1e-8
 HULL_TOL = 1e-7
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -101,8 +105,17 @@ class VerificationReport:
 
 
 def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """The first 16 hex digits of sha256 over the canonical JSON of
+    ``payload``, its polynomial "poly" standing as type ("alg" or "trig")
+    and declared degree, then over that polynomial's coefficients as
+    C-ordered little-endian complex128 bytes (so -0.0 is not 0.0)."""
+    poly = payload.get("poly") if isinstance(payload, dict) else None
+    if poly is not None:
+        payload = dict(payload, poly=_poly_header(poly))
+    blob = hashlib.sha256(_CANONICAL_JSON.encode(payload).encode())
+    if poly is not None:
+        blob.update(poly.coeffs.astype("<c16").tobytes())
+    return blob.hexdigest()[:16]
 
 
 def passes(measured: float, bound: float, tol: float, abs_slack: float | None = None) -> bool:
@@ -144,8 +157,7 @@ def parse_p(p) -> float:
     if (isinstance(p, str) and p.lower() in ("inf", "infinity", "sup")
             or isinstance(p, float) and p == math.inf):
         return math.inf
-    _require_real(p, "p", lambda v: v >= 0, ">= 0, or inf, 'inf' or 'sup'")
-    return float(p)
+    return float(_require_real(p, "p", lambda v: v >= 0, ">= 0, or inf, 'inf' or 'sup'"))
 
 
 def _batched(cases, tol, compute) -> list:
@@ -238,7 +250,7 @@ def check_bernstein_batch(cases, tol: float = DEFAULT_TOL,
     """check_bernstein of each (t, p) in ``cases``, all t of one degree."""
     cases = [(t, parse_p(p)) for t, p in cases]
     return _derivative_bound([("bernstein",
-                               {"op": "bernstein", "p": repr(p), "poly": poly_to_json(t)},
+                               {"op": "bernstein", "p": repr(p), "poly": t},
                                {"n": t.degree, "p": p}, (t, p)) for t, p in cases], tol, cfg)
 
 
@@ -264,13 +276,14 @@ def check_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
         val, x = circle_max(np.stack(terms), weights=(1.0, 1.0))
         return _witnessed(val, x, [polys[0].degree] * len(live))
 
-    return _batched([("malik", {"op": "malik", "poly": poly_to_json(p)}, {"n": p.degree}, (p,))
+    return _batched([("malik", {"op": "malik", "poly": p}, {"n": p.degree}, (p,))
                      for p, in cases], tol, compute)
 
 
-def _require_rho(cases):
-    for _, rho, *_ in cases:
-        _require_real(rho, "rho", lambda v: v >= 1, ">= 1")
+def _with_rho(cases) -> list:
+    """``cases`` (p, rho, ...) with each rho, refused below 1, a Python number."""
+    return [(p, _require_real(rho, "rho", lambda v: v >= 1, ">= 1"), *rest)
+            for p, rho, *rest in cases]
 
 
 def _require_roots_outside(live):
@@ -297,7 +310,7 @@ def check_laguerre(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> Ve
 def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_laguerre of each (p, rho) in ``cases``, all p of one degree n:
     one circle_max call with weights (rho, -1) per row, and one for the sups."""
-    _require_rho(cases)
+    cases = _with_rho(cases)
 
     def compute(live):
         _require_roots_outside(live)
@@ -307,7 +320,7 @@ def check_laguerre_batch(cases, tol: float = DEFAULT_TOL) -> list:
         return [dict(kw, abs_slack=tol * p.degree * s) for kw, p, s in
                 zip(_witnessed(val, x, [0.0] * len(live)), polys, _sups(polys))]
 
-    return _batched([("laguerre", {"op": "laguerre", "rho": rho, "poly": poly_to_json(p)},
+    return _batched([("laguerre", {"op": "laguerre", "rho": rho, "poly": p},
                       {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], tol, compute)
 
 
@@ -319,14 +332,14 @@ def check_lax_malik(p: AlgebraicPoly, rho: float, tol: float = DEFAULT_TOL) -> V
 def check_lax_malik_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_lax_malik of each (p, rho) in ``cases``, all p of one degree, with
     one circle_max call per norm."""
-    _require_rho(cases)
+    cases = _with_rho(cases)
 
     def compute(live):
         _require_roots_outside(live)
         return _sup_bound(live, lambda p, rho: p.derivative(),
                           lambda p, rho: p.degree / (1.0 + rho))
 
-    return _batched([("lax_malik", {"op": "lax_malik", "rho": rho, "poly": poly_to_json(p)},
+    return _batched([("lax_malik", {"op": "lax_malik", "rho": rho, "poly": p},
                       {"n": p.degree, "rho": rho}, (p, rho)) for p, rho in cases], tol, compute)
 
 
@@ -339,9 +352,8 @@ def check_ankeny_rivlin(p: AlgebraicPoly, rho: float, radius: float,
 def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_ankeny_rivlin of each (p, rho, radius) in ``cases``, all p of one
     degree, with one circle_max call per norm."""
-    _require_rho(cases)
-    for *_, radius in cases:
-        _require_real(radius, "the growth radius R", lambda v: v > 1, "> 1")
+    cases = [(p, rho, _require_real(radius, "the growth radius R", lambda v: v > 1, "> 1"))
+             for p, rho, radius in _with_rho(cases)]
 
     def compute(live):
         _require_roots_outside(live)
@@ -349,7 +361,7 @@ def check_ankeny_rivlin_batch(cases, tol: float = DEFAULT_TOL) -> list:
                           lambda p, rho, radius: (radius**p.degree + rho) / (1.0 + rho))
 
     return _batched([("ankeny_rivlin",
-                      {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": poly_to_json(p)},
+                      {"op": "ankeny_rivlin", "rho": rho, "R": radius, "poly": p},
                       {"n": p.degree, "rho": rho, "R": radius}, (p, rho, radius))
                      for p, rho, radius in cases], tol, compute)
 
@@ -376,7 +388,7 @@ def check_svdc_batch(cases, tol: float = DEFAULT_TOL) -> list:
         val, x = circle_max(np.stack(rows)[:, None])
         return _witnessed([float(v) ** 2 for v in val], x, [float(n * n)] * len(live))
 
-    return _batched([("svdc", {"op": "svdc", "poly": poly_to_json(t)}, {"n": t.degree}, (t,))
+    return _batched([("svdc", {"op": "svdc", "poly": t}, {"n": t.degree}, (t,))
                      for t, in cases], tol, compute)
 
 
@@ -451,7 +463,7 @@ def check_gauss_lucas_batch(cases, tol: float = HULL_TOL) -> list:
     found = iter(zip(_root_arrays(live), _root_arrays([p.derivative() for p in live])))
     reports = []
     for (p,), skip in zip(cases, degenerate):
-        payload = {"op": "gauss_lucas", "poly": poly_to_json(p)}
+        payload = {"op": "gauss_lucas", "poly": p}
         params = {"n": p.degree}
         if skip:
             reports.append(_degenerate("gauss_lucas", payload, params))
@@ -508,7 +520,7 @@ def check_embedding_batch(cases, tol: float = DEFAULT_TOL,
                 out[i] = {"measured": value, "bound": const(live[i][0].degree) * sups[i]}
         return out
 
-    return _batched([(f"embedding_{kind}", {"op": f"embedding_{kind}", "poly": poly_to_json(p)},
+    return _batched([(f"embedding_{kind}", {"op": f"embedding_{kind}", "poly": p},
                       {"n": p.degree, "kind": kind}, (p, kind)) for p, kind in cases], tol, compute)
 
 
@@ -523,7 +535,7 @@ def check_dominated_derivative_batch(cases, tol: float = DEFAULT_TOL) -> list:
     """check_dominated_derivative of each (p,) in ``cases``, all p of one
     degree: the derivative-bound evaluator at p = inf."""
     return _derivative_bound([("dominated_derivative",
-                               {"op": "dominated_derivative", "poly": poly_to_json(p)},
+                               {"op": "dominated_derivative", "poly": p},
                                {"n": p.degree}, (p, math.inf)) for p, in cases], tol, None)
 
 
@@ -580,8 +592,8 @@ def check_identity_power(u: float, p: float, tol: float = DEFAULT_TOL) -> Verifi
     Substituting a = u e^(-s) and then t = p s turns the right side into
     u^p * integral of t e^(-t) dt, evaluated by Gauss-Laguerre quadrature.
     """
-    _require_real(u, "u", lambda v: v >= 0, ">= 0")
-    _require_real(p, "p", lambda v: v > 0, "> 0")
+    u = _require_real(u, "u", lambda v: v >= 0, ">= 0")
+    p = _require_real(p, "p", lambda v: v > 0, "> 0")
     _require_real(tol, "tol", lambda v: v >= 0, ">= 0")
     rhs = _pow(u, p)
     quad = float(rhs * np.sum(_LAGUERRE_WEIGHTS * _LAGUERRE_NODES))
@@ -603,7 +615,7 @@ class ChiFunction:
 
     @staticmethod
     def power(exponent: float) -> "ChiFunction":
-        _require_real(exponent, "a power chi's exponent", lambda v: v > 0, "> 0")
+        exponent = _require_real(exponent, "a power chi's exponent", lambda v: v > 0, "> 0")
         return ChiFunction(name=f"x^{exponent:g}", exponent=exponent)
 
     @staticmethod
@@ -643,7 +655,7 @@ def check_chi_version_batch(cases, tol: float = DEFAULT_TOL,
         return [{k: _pow(v, e) for k, v in kw.items()} if e else kw
                 for (_, e), kw in zip(live, _rung_norms(live, cfg))]
 
-    return _batched([("chi_bound", {"op": "chi", "chi": chi.name, "poly": poly_to_json(t)},
+    return _batched([("chi_bound", {"op": "chi", "chi": chi.name, "poly": t},
                       {"n": t.degree, "chi": chi.name}, (t, chi.exponent))
                      for t, chi in cases], tol, compute)
 
@@ -659,10 +671,10 @@ def mate_nevai_compare(p: AlgebraicPoly, power: float, tol: float = DEFAULT_TOL,
 def mate_nevai_compare_batch(cases, tol: float = DEFAULT_TOL,
                              cfg: QuadratureConfig | None = None) -> list:
     """mate_nevai_compare of each (p, power) in ``cases``, all p of one degree."""
-    for _, power in cases:
-        _require_real(power, "the Mate-Nevai power p", lambda v: 0 < v < 1, "in (0, 1)")
+    cases = [(p, _require_real(power, "the Mate-Nevai power p", lambda v: 0 < v < 1, "in (0, 1)"))
+             for p, power in cases]
     reps = _derivative_bound([("mate_nevai",
-                               {"op": "mate_nevai", "p": power, "poly": poly_to_json(p)},
+                               {"op": "mate_nevai", "p": power, "poly": p},
                                {"n": p.degree, "p": power,
                                 "factor": (4.0 * math.e) ** (1.0 / power)}, (p, power))
                               for p, power in cases], tol, cfg)

@@ -91,7 +91,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np.ndarray:
     """For each row c of ``rows``, the circle power mean M_p of |T|,
     T(x) = sum_j c_j e^{ijx}: (mean |T|^p)^(1/p), or exp(mean log|T|) at
@@ -121,17 +121,44 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
     arrays, cut down only on a level where some row stops. The test is
     applied to each row on its own, because the rule converges at a
     different rate on each circle. A row that runs out of budget keeps its
-    last value. A row whose sum of powers overflows (a large exponent) stops
-    at that level, and a value beyond the float range raises OutOfRange
-    naming its exponent; no warning escapes.
+    last value. A row whose sum of powers overflows or falls below the
+    smallest normal float (a large exponent) is redone divided by the power
+    of two nearest its largest sample, again exact; a value still beyond the
+    float range raises OutOfRange naming its exponent. No warning escapes.
 
     Rows are independent: a row's value is the same, bit for bit, whatever
     other rows and exponents share its call; the rows of each distinct
     exponent are raised to it as one scalar (_each_exponent).
     """
     rows, e = _prescaled(np.atleast_2d(np.ascontiguousarray(rows, dtype=np.complex128)), axis=1)
+    e, p = e[:, 0], np.asarray(p, dtype=np.float64)
+    scaled = _means(rows, p, grid0, rel_tol, max_doublings)
+    value = np.ldexp(scaled, e)
+    # M_p below 2^(-1022/p) is a mean of |T|^p below the smallest normal
+    # float, short of digits or 0; a zero row's is 0, and any other is redone
+    # divided by 2^k, its largest sample / 2^k in [2^-1/2, 2^1/2)
+    least = np.exp2(-1022.0 / p) if p.ndim else 2.0 ** (-1022.0 / float(p)) if p else 0.0
+    if (scaled >= least).all() and np.isfinite(value).all():
+        return value
+    least = np.broadcast_to(least, value.shape)
+    peak = np.abs(_grid_values(rows, 0, grid0)).max(axis=1)
+    redo = np.flatnonzero(~((scaled >= least) & np.isfinite(value)) & (peak > 0))
+    if redo.size:
+        k = np.frexp(peak[redo] * math.sqrt(2.0))[1] - 1
+        again = _means(np.ldexp(rows[redo].view(np.float64), -k[:, None]).view(np.complex128),
+                       p[redo] if p.ndim else p, grid0, rel_tol, max_doublings)
+        value[redo] = np.ldexp(again, e[redo] + k)
+        bad = redo[~((again >= least[redo]) & np.isfinite(value[redo]))]
+        if bad.size:
+            power = float(p[bad[0]] if p.ndim else p)
+            raise OutOfRange(f"the circle mean of |T|^{power:g} exceeds the floating-point range")
+    return value
+
+
+def _means(rows: np.ndarray, p: np.ndarray, grid0: int, rel_tol: float,
+           max_doublings: int) -> np.ndarray:
+    """The doubling loop of _circle_means: M_p per row, inf or 0 beyond the float range."""
     width = rows.shape[1]
-    p = exponents = np.asarray(p, dtype=np.float64)
     steps = _twiddles(grid0, width, max_doublings)
     # shifted[r, s]: row r times e^{ij theta} for the s-th offset theta of a
     # level; first the initial grid (theta = 0) and the first level's pi/grid0
@@ -158,11 +185,6 @@ def _circle_means(rows, p, grid0: int, rel_tol: float, max_doublings: int) -> np
             if active.size == 0:
                 break
     value[active] = cur
-    value = np.ldexp(value, e[:, 0])
-    bad = ~np.isfinite(value)
-    if bad.any():
-        power = float(np.broadcast_to(exponents, bad.shape)[bad][0])
-        raise OutOfRange(f"the circle mean of |T|^{power:g} exceeds the floating-point range")
     return value
 
 

@@ -189,12 +189,13 @@ def _require_integer(value, least: int, what: str) -> None:
         raise InvalidParam(f"{what} must be an integer >= {least}")
 
 
-def _require_real(value, what: str, ok, rule: str) -> None:
-    """InvalidParam unless ``value`` is a finite real number for which
-    ok(value) holds, ``rule`` saying so in words. A bool is not a real number
-    (numpy's is no numbers.Real either), nor is a string; a numpy float or
-    integer is. Every real parameter of the package (exponents, radii,
-    tolerances, bandwidths) goes through this one rule."""
+def _require_real(value, what: str, ok, rule: str):
+    """``value`` as the Python int or float of the same value, or
+    InvalidParam unless it is a finite real number for which ok(value) holds,
+    ``rule`` saying so in words. A bool is not a real number (numpy's is no
+    numbers.Real either), nor is a string; a numpy float or integer is. Every
+    real parameter of the package (exponents, radii, tolerances, bandwidths)
+    goes through this one rule."""
     try:
         good = (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value) and ok(value))
@@ -202,6 +203,7 @@ def _require_real(value, what: str, ok, rule: str) -> None:
         good = False
     if not good:
         raise InvalidParam(f"{what} must be a finite real number {rule}, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def _equal_arrays(self, other):
@@ -841,18 +843,15 @@ def _roots_outside(n: int, rngs, rhos) -> list:
 # ---------------------------------------------------------------------------
 
 
-def poly_to_json(p) -> dict:
-    if isinstance(p, AlgebraicPoly):
-        kind, deg = "alg", p.degree
-    elif isinstance(p, TrigPoly):
-        kind, deg = "trig", p.degree
-    else:
+def _poly_header(p) -> dict:
+    """The interchange format of a polynomial less its coefficients."""
+    if not isinstance(p, (AlgebraicPoly, TrigPoly)):
         raise ParseError(f"cannot serialize object of type {type(p).__name__}")
-    return {
-        "type": kind,
-        "degree": deg,
-        "coeffs": p.coeffs.view(np.float64).reshape(-1, 2).tolist(),
-    }
+    return {"type": "alg" if isinstance(p, AlgebraicPoly) else "trig", "degree": p.degree}
+
+
+def poly_to_json(p) -> dict:
+    return {**_poly_header(p), "coeffs": p.coeffs.view(np.float64).reshape(-1, 2).tolist()}
 
 
 @contextmanager

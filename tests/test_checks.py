@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -656,3 +658,82 @@ def test_batch_forms_match_single_inputs_around_a_zero_polynomial():
         assert [r.to_json() for r in reps] == [single(*case).to_json() for case in cases]
         assert [r.status for r in reps] == [
             "degenerate" if case[0].is_zero() else "ok" for case in cases]
+
+
+# ----------------------------------------------------------------- digests
+
+def _with_coeffs(poly, coeffs):
+    """``poly`` holding ``coeffs`` exactly as given, past the constructor,
+    which would copy them to a C-ordered native array."""
+    object.__setattr__(poly, "coeffs", coeffs)
+    return poly
+
+
+def test_digest_hashes_the_payload_then_the_coefficient_bytes():
+    # the JSON of the payload with the polynomial as type and declared
+    # degree, then its coefficients as little-endian complex128
+    c = np.array([1.5, -2j, 0.25 + 1j])
+    head = json.dumps({"op": "malik", "poly": {"degree": 2, "type": "alg"}},
+                      sort_keys=True, separators=(",", ":")).encode()
+    want = hashlib.sha256(head + c.astype("<c16").tobytes()).hexdigest()[:16]
+    assert C._digest({"op": "malik", "poly": AlgebraicPoly(c)}) == want
+    assert C.check_malik(AlgebraicPoly(c)).digest == want
+    # a payload with no polynomial is its JSON alone
+    logplus = {"op": "logplus", "v": [0.5, 0.0]}
+    assert C.check_identity_logplus(0.5).digest == hashlib.sha256(json.dumps(
+        logplus, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
+def test_digest_names_the_coefficients_whatever_their_layout():
+    rng = np.random.default_rng(73)
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    base = C._digest({"op": "malik", "poly": AlgebraicPoly(c)})
+    layouts = [c[::-1].copy()[::-1],                 # a reversed view
+               np.stack([c, 2 * c], axis=1)[:, 0],   # a strided view
+               np.asfortranarray(c[:, None])[:, 0],  # a Fortran-ordered copy
+               c.astype(">c16")]                     # big-endian
+    for view in layouts:
+        assert np.array_equal(view, c)
+        assert C._digest({"op": "malik", "poly": _with_coeffs(AlgebraicPoly(c), view)}) == base
+        assert C.check_malik(AlgebraicPoly(view)).digest == C.check_malik(AlgebraicPoly(c)).digest
+
+
+def test_digest_tells_apart_what_the_coefficient_text_told_apart():
+    c = np.array([1.0, 2.0, 0.5])
+    digest = C.check_malik(AlgebraicPoly(c)).digest
+    # -0.0 is not 0.0: its JSON text is "-0.0", and its sign bit is set
+    assert C.check_malik(AlgebraicPoly([1.0, 0.0])).digest != \
+        C.check_malik(AlgebraicPoly([1.0, -0.0])).digest
+    assert digest != C.check_malik(AlgebraicPoly(np.nextafter(c, 3.0))).digest
+    # the same array as an algebraic and as a trig polynomial
+    assert (C._digest({"op": "x", "poly": AlgebraicPoly(c)})
+            != C._digest({"op": "x", "poly": TrigPoly(c)}))
+    # one parameter changed
+    t = TrigPoly(c)
+    p = AlgebraicPoly([3.0, 1.0])
+    pairs = [(C.check_bernstein(t, 1.0), C.check_bernstein(t, 2.0)),
+             (C.check_laguerre(p, 1.0), C.check_laguerre(p, 1.5)),
+             (C.check_lax_malik(p, 1.0), C.check_lax_malik(p, 1.5)),
+             (C.check_ankeny_rivlin(p, 1.0, 1.5), C.check_ankeny_rivlin(p, 1.0, 2.0)),
+             (C.check_ankeny_rivlin(p, 1.0, 2.0), C.check_ankeny_rivlin(p, 1.5, 2.0)),
+             (C.check_embedding(p, "wiener"), C.check_embedding(p, "besov111")),
+             (C.mate_nevai_compare(p, 0.5), C.mate_nevai_compare(p, 0.25))]
+    for a, b in pairs:
+        assert a.digest != b.digest, a.check_id
+
+
+def test_numpy_scalar_parameters_give_the_report_of_the_python_number():
+    # each parameter is made the Python number of its value where it enters
+    # the digest payload and the params, so an int stays an int
+    p = AlgebraicPoly([3.0, 1.0])
+    calls = [(C.check_laguerre, (p, np.int64(2)), (p, 2)),
+             (C.check_laguerre, (p, np.float32(2)), (p, 2.0)),
+             (C.check_lax_malik, (p, np.float64(1.5)), (p, 1.5)),
+             (C.check_ankeny_rivlin, (p, 1.5, np.int64(2)), (p, 1.5, 2)),
+             (C.mate_nevai_compare, (p, np.float32(0.5)), (p, 0.5)),
+             (C.check_identity_power, (np.int64(2), np.float32(1.5)), (2, 1.5))]
+    for fn, numpy_args, python_args in calls:
+        got, want = fn(*numpy_args), fn(*python_args)
+        assert got.digest == want.digest, fn.__name__
+        assert got.params == want.params
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())

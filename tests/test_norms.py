@@ -320,18 +320,40 @@ def test_lp_refuses_a_subnormal_exponent():
 
 
 def test_lp_at_a_large_exponent_raises_out_of_range_with_no_warning():
-    # |T|^2000 overflows: the first level that overflows raises OutOfRange
-    # naming the exponent, where all six doublings once ran on inf sums and
-    # let 13 RuntimeWarnings out first
+    # |T|^1e7 overflows however the row is scaled by a power of two: the
+    # first level that overflows stops the row, and the redone row overflows
+    # too, so OutOfRange names the exponent, with no RuntimeWarning on the way
     g = np.random.default_rng(1)
     t = TrigPoly(g.standard_normal(9) + 1j * g.standard_normal(9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert lp_norm(t, 1000.0) == pytest.approx(3.9829456, rel=1e-7)
-        with pytest.raises(OutOfRange, match="2000"):
-            lp_norm(t, 2000.0)
-        with pytest.raises(OutOfRange, match="2000"):
-            norms.lp_norms([t, t], [1.0, 2000.0])
+        with pytest.raises(OutOfRange, match=r"1e\+07"):
+            lp_norm(t, 1e7)
+        with pytest.raises(OutOfRange, match=r"1e\+07"):
+            norms.lp_norms([t, t], [1.0, 1e7])
+
+
+def test_lp_at_a_large_exponent_redoes_the_rows_beyond_the_float_range():
+    # scaled by the power of two of its largest coefficient, the row's
+    # |T|^1000 overflows, and a constant 0.3 (scaled to 0.6) has 0.6^1455
+    # subnormal, short of digits, and 0.6^1500 0; each such row is redone
+    # scaled by the power of two nearest its largest sample. References:
+    # means on 2^16 points.
+    g = np.random.default_rng(1)
+    t = TrigPoly((g.standard_normal(9) + 1j * g.standard_normal(9)) / np.sqrt(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_norm(t, 500.0) == pytest.approx(2.80436127107, abs=1e-10)
+        assert lp_norm(t, 1000.0) == pytest.approx(2.81636785381, abs=1e-10)
+        assert lp_norm(t, 2000.0) == pytest.approx(2.82287970705, abs=1e-10)
+        assert lp_norm(TrigPoly([0.3]), 1455.0) == lp_norm(TrigPoly([0.3]), 1500.0) == 0.3
+        assert lp_norm(AlgebraicPoly([0.5, 0.0, 0.01]), 2000.0) == pytest.approx(
+            0.50930161, rel=1e-7)
+        # a redone row keeps its value whatever rows share its call
+        c = TrigPoly(np.eye(9)[4] * 0.3)
+        assert norms.lp_norms([t, c, t], [1000.0, 1500.0, 3.0]) == [
+            lp_norm(t, 1000.0), 0.3, lp_norm(t, 3.0)]
 
 
 def test_lp_rejects_non_polynomial():

@@ -110,9 +110,14 @@ def test_sweep_failing_inputs_replay():
         seed = rep.params["seed"]
         args = spec.build([np.random.default_rng(seed)], sc.degrees[i % len(sc.degrees)], [i],
                           sc)[0]
-        again = spec.evaluate([(poly_from_json(rep.params["input"]),) + args[1:]], rep.tol,
-                              sc.cfg())[0]
-        assert (again.measured, again.digest) == (rep.measured, rep.digest), check_id
+        back = poly_from_json(rep.params["input"])
+        # the batch form on the input as read and as a big-endian copy, and
+        # the per-input form, each name it by the same digest
+        for poly in (back, type(back)(back.coeffs.astype(">c16"))):
+            again = spec.evaluate([(poly,) + args[1:]], rep.tol, sc.cfg())[0]
+            assert (again.measured, again.digest) == (rep.measured, rep.digest), check_id
+        single = _one_input(check_id, (back,) + args[1:], rep.tol, sc.cfg())
+        assert (single.measured, single.digest) == (rep.measured, rep.digest), check_id
         replayed.add(check_id)
     assert {"malik", "svdc", "mate_nevai"} <= replayed
 
@@ -518,32 +523,50 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-# sha256 of the default sweep's JSONL and CSV at three seeds
+# sha256 of the default sweep's JSONL and CSV at three seeds, and of its
+# numbers: the JSONL with every record's digest removed (_numbers_sha256)
 DEFAULT_SWEEP_DIGESTS = {
-    0xBE2257: ("8417e2f879507251fe29e103844f24a61ac05713193c20e771904e7f46ed3ebb",
-               "6464e8aa0a2f7d425e1adaaadb2e370df594bf81bb904277067b350ecfa0c855"),
-    1: ("2a8bfe5ac8a047da80104d06cba2e699425a8913c6b4a7f0c39714b6003fd689",
-        "9ea8c9207ecdbd36e8aec3e031f1e8095d0a33c9b88d29159f00d5dad19d8277"),
-    4242: ("4c814575641a7821a01d74e76bf8128b5e228441f2baf53d2b1c337e7372a2ff",
-           "0a51652af3cf8bcf4ca02aa3f59fd63914d5cde4ad2d39c7aa47b8437c9178dc"),
+    0xBE2257: ("c2af7e7971b185eb5f3daad2ecd6a2c4a1c929ef2e848da96c1be2ce0090a6ee",
+               "6464e8aa0a2f7d425e1adaaadb2e370df594bf81bb904277067b350ecfa0c855",
+               "c60fb78591478634fc50e5af57a5348bcc216f7d57bec5cb04db42d4b5a360c4"),
+    1: ("7ece100e32442637233724e98e29bf4444bb5b4031320a66c01fe0faee19b099",
+        "9ea8c9207ecdbd36e8aec3e031f1e8095d0a33c9b88d29159f00d5dad19d8277",
+        "ef5bdf7d195a868451d688fb6b463ef843538942bf55a194a54a0e5965512007"),
+    4242: ("8ed2ea514a8bdc97f399e10f94085fa9d1df1cfec2c4c4d23568af80020de54e",
+           "0a51652af3cf8bcf4ca02aa3f59fd63914d5cde4ad2d39c7aa47b8437c9178dc",
+           "d0ef448a4e5f9685f6b68342b6016326967b7c1d3b1da19e873e92e86b3509e3"),
 }
+
+
+def _numbers_sha256(jsonl: bytes) -> str:
+    """sha256 of the JSONL's records with their digest key removed, each
+    re-dumped by json.dumps(sort_keys=True) on its own line: it moves only
+    when a report's numbers, verdicts or params do, not its input's name."""
+    records = [json.loads(line) for line in jsonl.splitlines()]
+    for rec in records:
+        rec.pop("digest", None)
+    text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("seed", sorted(DEFAULT_SWEEP_DIGESTS))
 def test_cli_verify_default_sweep_output_is_pinned(tmp_path, capsys, seed):
     """The default sweep's output, byte for byte, as in test_engine_bits.py:
-    a change that only reorders or speeds up work keeps both digests, and
+    a change that only reorders or speeds up work keeps every digest, and
     one that moves output on purpose re-records the digests it moves and
-    lists the moved reports, with their largest change, in CHANGES.md. The
-    digests were recorded under OpenBLAS's SkylakeX kernel; the grid product
-    rounds differently under Haswell and Prescott, so they hold on SkylakeX only."""
+    lists the moved reports, with their largest change, in CHANGES.md. A
+    change of the report digest's format alone moves the JSONL digest and
+    keeps the numbers digest. The digests were recorded under OpenBLAS's
+    SkylakeX kernel; the grid product rounds differently under Haswell and
+    Prescott, so they hold on SkylakeX only."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": seed}))
     prefix = str(tmp_path / "out")
     assert main(["verify", str(cfg_path), "--out", prefix]) == 0
     capsys.readouterr()
-    digests = tuple(hashlib.sha256(Path(prefix + ext).read_bytes()).hexdigest()
-                    for ext in (".jsonl", ".csv"))
+    jsonl, csv = (Path(prefix + ext).read_bytes() for ext in (".jsonl", ".csv"))
+    digests = (hashlib.sha256(jsonl).hexdigest(), hashlib.sha256(csv).hexdigest(),
+               _numbers_sha256(jsonl))
     assert digests == DEFAULT_SWEEP_DIGESTS[seed]
 
 
