@@ -29,10 +29,11 @@ Maxima over the circle go through one engine, circle_max: each objective
 is a weighted sum of moduli of polynomials with exact coefficients (|p| for
 the sup norm and the radial sups, |Re T' + i n Re T| for the svdc check,
 |zP'| and |nP - zP'| for the malik and laguerre checks). F is sampled on
-the engine's own grid by one _grid_values call on the exact lags of each
-|h|^2, with no loop over rows or terms, and grid maxima are refined by
-bracketed Newton steps on exact derivatives; a single term steps on the w
-nonnegative lags of |h|^2, a sum of w frequencies in place of 2w - 1.
+the engine's own grid by one poly._real_grid_values call (a real product)
+on the exact lags of each |h|^2, with no loop over rows or terms, and grid
+maxima are refined by bracketed Newton steps on exact derivatives; a single
+term refines only the maxima Szego's bound lets near the top, and steps on
+the w nonnegative lags of |h|^2, a sum of w frequencies in place of 2w - 1.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InvalidParam, NearCircleRoot, OutOfRange, ZeroPolynomial
 from .poly import (_TWO_PI, AlgebraicPoly, TrigPoly, _grid_values, _in_range, _prescaled,
-                   _require_integer, _require_real, _root_arrays, roots)
+                   _real_grid_values, _require_integer, _require_real, _root_arrays, roots)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def _each_exponent(fn, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_candidates(vals: np.ndarray):
+def _grid_candidates(vals: np.ndarray, ratio: float | None = None, slack=0.0):
     """(row, column) of every refinement candidate of periodic functions
     sampled one per row of ``vals`` on a uniform grid, rows ascending and
     columns in grid order.
@@ -254,17 +255,22 @@ def _grid_candidates(vals: np.ndarray):
     The candidates are the grid-local maxima within the top quarter of their
     row's spread: with at least 16 samples per oscillation (circle_max's
     grid), refinement lifts a value by well under 1% of the spread, so only
-    near-top maxima can compete.
+    near-top maxima can compete. With a ``ratio``, a candidate must also be
+    at least ratio times its row's grid max less ``slack`` (one value, or
+    one per row), the floor circle_max draws from Szego's bound.
     A row whose spread is negligible or not finite is flat to working
     precision, and its only candidate is its grid argmax.
     """
     gmax = vals.max(axis=1)
     spread = gmax - vals.min(axis=1)
     flat = ~(np.isfinite(spread) & (spread > 1e-14 * np.maximum(1.0, np.abs(gmax))))
-    # a candidate is at least its two neighbours and the top quarter's floor
+    least = gmax - 0.25 * spread
+    if ratio is not None:
+        least = np.maximum(least, ratio * gmax - slack)
+    # a candidate is at least its two neighbours and the floor
     wrapped = np.concatenate([vals[:, -1:], vals, vals[:, :1]], axis=1)
     floor = np.maximum(wrapped[:, :-2], wrapped[:, 2:])
-    cand = vals >= np.maximum(floor, (gmax - 0.25 * spread)[:, None], out=floor)
+    cand = vals >= np.maximum(floor, least[:, None], out=floor)
     if flat.any():
         cand[flat] = False
         cand[flat, vals[flat].argmax(axis=1)] = True
@@ -298,16 +304,28 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     zero-padded coefficients gives the lags b_m = sum_j c_{j+m} conj(c_j),
     m = 0..width-1, of every |h_t|^2 (exactly [|c|^2, 0, ...] for a single
     frequency: a flat grid, which an FFT autocorrelation would round), and
-    the real part of one _grid_values call on b_0, 2 b_1, ..., 2 b_{width-1}
-    (the product with a cached DFT block up to poly._DFT_MAX_WIDTH lags, the
-    FFT above) gives F on 16 (width + 1) points, over 16 samples per period
-    of the top lag, as _grid_candidates needs. A call with a negative weight
+    one poly._real_grid_values call, Re sum_m b_m e^{imx} on b_0, 2 b_1, ...,
+    2 b_{width-1} (a real product with a cached block of cos and -sin rows
+    up to poly._DFT_MAX_WIDTH lags, the real part of the FFT above), gives
+    F on 16 (width + 1) points, over 16 samples per period of the top lag,
+    as _grid_candidates needs. A call with a negative weight
     gets 32 width points: a near-zero of a negatively weighted term is a peak of F
     as narrow as the zero is near the circle, which the bandwidth does not
     bound, and two such peaks within one spacing of the coarser grid hid the
     higher (3 of 1000 laguerre rows of degree 8, roots at modulus 1..1.05;
     none at 32 width). A given ``grid``, an integer at least 2 width - 1,
     overrides both; rows need at least one coefficient.
+
+    The candidates are the grid-local maxima of _grid_candidates. A single
+    term keeps only those at least max(the top quarter's floor,
+    gmax cos(m dx) - 2e), gmax the row's grid max, m = width - 1,
+    dx = 2 pi/grid and e = 3 width (2 width + 1) eps b_0 a bound on one grid
+    value's rounding: by Szego's form of Bernstein's inequality,
+    |h|^2(x* + t) >= M cos(m t) for |t| <= pi/m at a maximizer x*, and
+    dx <= pi/m on every allowed grid, so a candidate whose Newton bracket
+    holds x* is never dropped; where cos(m dx) <= 0 the floor drops nothing.
+    Several terms keep the top-quarter rule, since a weighted sum of moduli
+    is no trig polynomial.
 
     Each candidate takes Newton steps x <- x - F'/F'' on exact derivatives,
     or half-spacing ascent steps where F'' >= 0, inside a bracket of a maximum
@@ -339,10 +357,17 @@ def circle_max(h, grid: int | None = None, weights=(1.0,)):
     m = np.arange(width)
     # |h_t|^2 = Re sum_m b_m e^{imx}, b the lags with those of m >= 1 doubled
     b = (windows @ np.conj(h)[..., None])[..., 0] * np.where(m > 0, 2.0, 1.0)
-    g = _grid_values(b, 0, grid).real
-    vals = g[:, 0] if single else (np.sqrt(np.maximum(g, 0.0)) * w[..., None]).sum(axis=1)
-    rows, cols = _grid_candidates(vals)
+    g = _real_grid_values(b, grid)
     dx = _TWO_PI / grid
+    if single:
+        # Szego's floor (see above); a grid value rounds by at most (2 width
+        # + 1) eps sum_m (|Re b_m| + |Im b_m|) <= e, as |b_m| <= 2 b_0
+        vals = g[:, 0]
+        slack = 6 * width * (2 * width + 1) * sys.float_info.epsilon * b[:, 0, 0].real
+        rows, cols = _grid_candidates(vals, math.cos((width - 1) * dx), slack)
+    else:
+        vals = (np.sqrt(np.maximum(g, 0.0)) * w[..., None]).sum(axis=1)
+        rows, cols = _grid_candidates(vals)
     x0 = cols * dx
     wk = w[rows].T if w.ndim == 2 else w[:, None]  # (T, candidates) or (T, 1)
 

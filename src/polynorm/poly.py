@@ -92,31 +92,74 @@ def _poly_values(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
                            for i in range(0, z.size, step)])
 
 
-# Widest row that _grid_values evaluates by one matrix product with a DFT
-# block; wider rows take the FFT. With one BLAS thread on a 2-core Xeon
-# (medians of 9, ns per grid point of 16 (n + 1) points, FFT against
-# product), 64 rows: width 15 on 240 points 5.0 against 2.1, 33 on 272 6.9
-# against 3.4, 41 on 336 4.8 against 4.0, 49 on 400 5.0 against 4.7, 65 on
-# 528 5.3 against 6.1, 257 on 2064 11.1 against 23.4; two rows: 15 on 240
-# 22.4 against 8.9, 41 on 336 18.8 against 15.6, 49 on 400 17.1 against
-# 17.2; a lone row (beside a zero row): 33 on 272 45.6 against 47.9, 41 on
-# 336 33.9 against 42.8. Every row of the default sweep, the ladder and
-# the embedding workload is at most 33 wide.
+# Widest row that the grid evaluators (_grid_values, _real_grid_values)
+# evaluate by one matrix product with a DFT block; wider rows take the FFT.
+# With one BLAS thread on a 2-core Xeon (medians of 9, ns per grid point of
+# 16 (n + 1) points, FFT against complex product), 64 rows: width 15 on 240
+# points 5.0 against 2.1, 33 on 272 6.9 against 3.4, 41 on 336 4.8 against
+# 4.0, 49 on 400 5.0 against 4.7, 65 on 528 5.3 against 6.1, 257 on 2064
+# 11.1 against 23.4; two rows: 15 on 240 22.4 against 8.9, 41 on 336 18.8
+# against 15.6, 49 on 400 17.1 against 17.2; a lone row (beside a zero
+# row): 33 on 272 45.6 against 47.9, 41 on 336 33.9 against 42.8. Every row
+# of the default sweep, the ladder and the embedding workload is at most 33
+# wide.
 _DFT_MAX_WIDTH = 40
-# Largest DFT block (width x grid entries, 1 MB) _grid_values builds; a
-# longer grid takes the FFT, so the cached blocks stay within 256 MB.
+# Largest DFT block (width x grid entries, 1 MB complex or real) the grid
+# evaluators build; a longer grid takes the FFT, so each of the two block
+# caches stays within 256 MB.
 _DFT_MAX_ENTRIES = 1 << 16
+
+
+def _unity_powers(kmin: int, width: int, grid: int) -> np.ndarray:
+    """U[j, t] = e^{2 pi i ((kmin + j) t mod grid)/grid}, j < width, t < grid,
+    each entry one of the grid roots of unity."""
+    unity = np.exp(2j * np.pi * np.arange(grid) / grid)
+    return unity[np.multiply.outer(np.arange(kmin, kmin + width), np.arange(grid)) % grid]
 
 
 @lru_cache(maxsize=256)
 def _dft_block(kmin: int, width: int, grid: int) -> np.ndarray:
-    """E[j, t] = e^{2 pi i ((kmin + j) t mod grid)/grid}, j < width, t < grid,
-    each entry one of the grid roots of unity; built once per shape and
-    returned read-only, since every call shares it."""
-    unity = np.exp(2j * np.pi * np.arange(grid) / grid)
-    block = unity[np.multiply.outer(np.arange(kmin, kmin + width), np.arange(grid)) % grid]
+    """The DFT block _unity_powers(kmin, width, grid), built once per shape
+    and returned read-only, since every call shares it."""
+    block = _unity_powers(kmin, width, grid)
     block.flags.writeable = False
     return block
+
+
+@lru_cache(maxsize=256)
+def _real_dft_block(width: int, grid: int) -> np.ndarray:
+    """The (2 width, grid) real block whose rows 2j and 2j + 1 are Re U[j]
+    and -Im U[j], U = _unity_powers(0, width, grid): a complex row b read as
+    floats (Re b_0, Im b_0, Re b_1, ...) times it is Re(b @ U). Built once
+    per shape and returned read-only; no complex copy is kept."""
+    unity = _unity_powers(0, width, grid)
+    block = np.empty((2 * width, grid))
+    block[0::2] = unity.real
+    np.negative(unity.imag, out=block[1::2])
+    block.flags.writeable = False
+    return block
+
+
+def _by_product(width: int, grid: int) -> bool:
+    """Whether rows ``width`` wide on ``grid`` points are one matrix product
+    with a cached block (at most ``_DFT_MAX_WIDTH`` wide, at most
+    ``_DFT_MAX_ENTRIES`` entries) rather than one FFT each."""
+    return width <= _DFT_MAX_WIDTH and width * grid <= _DFT_MAX_ENTRIES
+
+
+def _block_product(coeffs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The rows of ``coeffs`` (leading axes are batch axes), as one
+    contiguous two-dimensional array of the block's dtype, times ``block``,
+    with the batch axes given back. A lone row is multiplied beside a zero
+    row: numpy sends a one-row product to gemv, whose rounding differs from
+    gemm's, and each row must come out the same, bit for bit, whatever rows
+    share its call."""
+    rows = np.ascontiguousarray(np.reshape(coeffs, (-1, len(block))), dtype=block.dtype)
+    count = len(rows)
+    if count == 1:
+        rows = np.concatenate([rows, np.zeros_like(rows)])
+    vals = rows @ block
+    return vals[:count].reshape(coeffs.shape[:-1] + (block.shape[1],))
 
 
 def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
@@ -125,29 +168,37 @@ def _grid_values(coeffs: np.ndarray, kmin: int, grid: int) -> np.ndarray:
     ``grid`` must be an integer >= coeffs.shape[-1] (_require_integer), so
     the frequency residues mod grid stay distinct.
 
-    Rows at most ``_DFT_MAX_WIDTH`` wide, whose block has at most
-    ``_DFT_MAX_ENTRIES`` entries, are one matrix product of the rows, as a
-    two-dimensional array, with the cached block (_dft_block); wider rows are
-    one zero-padded inverse FFT. A lone row is multiplied beside a zero row:
-    numpy sends a one-row product to gemv, whose rounding differs from gemm's,
-    and each row must come out the same, bit for bit, whatever rows share
-    its call.
+    Rows that _by_product sends to the product are one matrix product of the
+    rows, as a two-dimensional array, with the cached block (_dft_block,
+    through _block_product, which pads a lone row); wider rows are one
+    zero-padded inverse FFT.
     """
     m = coeffs.shape[-1]
     if type(grid) is not int or grid < m:  # the hot path skips the full rule
         _require_integer(grid, m, f"the grid of {m}-coefficient rows")
-    if m > _DFT_MAX_WIDTH or m * grid > _DFT_MAX_ENTRIES:
+    if not _by_product(m, grid):
         if kmin % grid == 0:  # numpy pads each row itself: no grid-sized copy of the batch
             return np.fft.ifft(coeffs, grid, norm="forward")
         c = np.zeros(coeffs.shape[:-1] + (grid,), dtype=np.complex128)
         c[..., (np.arange(m) + kmin) % grid] = coeffs
         return np.fft.ifft(c, norm="forward")
-    rows = np.ascontiguousarray(np.reshape(coeffs, (-1, m)), dtype=np.complex128)
-    count = len(rows)
-    if count == 1:
-        rows = np.concatenate([rows, np.zeros_like(rows)])
-    vals = rows @ _dft_block(kmin % grid, m, grid)
-    return vals[:count].reshape(coeffs.shape[:-1] + (grid,))
+    return _block_product(coeffs, _dft_block(kmin % grid, m, grid))
+
+
+def _real_grid_values(coeffs: np.ndarray, grid: int) -> np.ndarray:
+    """Re _grid_values(coeffs, 0, grid), in real arithmetic where
+    _grid_values takes the product: the rows read as floats (Re and Im
+    interleaved, no copy) times the cached real block (_real_dft_block), half
+    the flops of the complex product, and a contiguous real result. The same
+    rule (_by_product) picks the branch, a lone row is padded as there, and
+    wider rows keep the real part of the FFT."""
+    m = coeffs.shape[-1]
+    if type(grid) is not int or grid < m:
+        _require_integer(grid, m, f"the grid of {m}-coefficient rows")
+    if not _by_product(m, grid):
+        return _grid_values(coeffs, 0, grid).real
+    rows = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64)
+    return _block_product(rows, _real_dft_block(m, grid))
 
 
 def _prescaled(c: np.ndarray, axis=None):

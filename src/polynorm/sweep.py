@@ -36,6 +36,9 @@ from .poly import (AlgebraicPoly, TrigPoly, _is_integer, _lax_extremal, _require
                    _require_real, _roots_outside, generate, poly_to_json)
 
 DEFAULT_SEED = 0xBE2257
+# write_jsonl's encoder: the text of json.dumps(..., sort_keys=True), which
+# would build a fresh encoder for each report
+_REPORT_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -361,8 +364,7 @@ def _summarize(reports) -> list:
 
 def write_jsonl(path: str, reports) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for r in reports:
-            handle.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
+        handle.writelines(_REPORT_JSON.encode(r.to_json()) + "\n" for r in reports)
 
 
 def write_csv(path: str, rows) -> None:

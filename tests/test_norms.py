@@ -29,7 +29,10 @@ from polynorm.norms import (
     sup_norm_argmax,
     wiener_norm,
 )
-from polynorm.poly import AlgebraicPoly, ExponentialSum, TrigPoly, _grid_values, from_roots, generate
+from polynorm.poly import (AlgebraicPoly, ExponentialSum, TrigPoly, _grid_values, _real_grid_values,
+                           from_roots, generate)
+
+from blas_kernels import KERNELS, under_kernel
 
 
 def _rand_trig(rng, n):
@@ -137,10 +140,11 @@ def test_circle_max_rows_are_independent():
     assert circle_max(one_term, 288)[0][-3:-1].tolist() == [1.0, 1.0]
 
 
-def _convolve_sup(c, grid):
-    """(max of |h|, an angle attaining it), h(x) = sum_j c_j e^{ijx}, from the
-    full lag spectrum np.convolve(c, conj(c[::-1])) of |h|^2: Newton steps on
-    |h|^2 from every grid-local maximum, the best kept."""
+def _refined_maxima(c, grid):
+    """(values, angles) of |h|^2, h(x) = sum_j c_j e^{ijx}, refined from every
+    grid-local maximum by Newton steps on the full lag spectrum
+    np.convolve(c, conj(c[::-1])) of |h|^2, highest first (ties in grid
+    order)."""
     b = np.convolve(c, np.conj(c[::-1]))
     m = np.arange(1 - len(c), len(c))
     f = _grid_values(b, 1 - len(c), grid).real
@@ -150,7 +154,14 @@ def _convolve_sup(c, grid):
         f1, f2 = (e @ (1j * m)).real, (e @ -(m * m).astype(float)).real
         x = x - np.where(f2 < 0.0, f1 / np.where(f2 < 0.0, f2, -1.0), 0.0)
     f = (np.exp(1j * np.multiply.outer(x, m)) @ b).real
-    return math.sqrt(f.max()), x[np.argmax(f)] % (2 * np.pi)
+    order = np.argsort(-f, kind="stable")
+    return f[order], x[order] % (2 * np.pi)
+
+
+def _convolve_sup(c, grid):
+    """(max of |h|, an angle attaining it) by _refined_maxima."""
+    f, x = _refined_maxima(c, grid)
+    return math.sqrt(f[0]), x[0]
 
 
 def test_circle_max_matches_convolve_reference():
@@ -175,6 +186,31 @@ def test_circle_max_matches_convolve_reference():
             assert default[r] == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
             assert at_x == pytest.approx(ref_val, rel=1e-14, abs=0.0), (h.shape, r)
             assert abs((x[r] - ref_x + np.pi) % (2 * np.pi) - np.pi) <= 1e-7, (h.shape, r)
+
+
+def _circle_max_bits() -> list:
+    """float.hex of circle_max's values and angles on seeded rows at widths
+    on both sides of poly._DFT_MAX_WIDTH: one-term rows, two-term rows with
+    shared weights and with per-row weights, some negative, each call
+    stacked and on a lone row."""
+    rng = np.random.default_rng(83)
+    out = []
+    for width in (1, 2, 9, 17, 33, poly_mod._DFT_MAX_WIDTH, poly_mod._DFT_MAX_WIDTH + 1, 65):
+        rows = rng.standard_normal((5, 2, width)) + 1j * rng.standard_normal((5, 2, width))
+        per_row = np.stack([rng.uniform(1.0, 2.0, 5), rng.uniform(-1.0, 1.0, 5)], axis=1)
+        for h, wts in ((rows[:, :1], (1.0,)), (rows, (1.0, 1.0)), (rows, per_row)):
+            lone = wts[:1] if np.ndim(wts) == 2 else wts
+            for val, x in (circle_max(h, weights=wts), circle_max(h[:1], weights=lone)):
+                out += [float(v).hex() for v in (*val, *x)]
+    return out
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_circle_max_does_not_depend_on_the_blas_kernel(kernel):
+    # the grid product (dgemm) rounds differently under Prescott and
+    # Haswell, but it only picks the candidates; the lags and the Newton
+    # steps make no BLAS call, so the values and angles keep their bits
+    assert under_kernel(kernel, "test_norms", "_circle_max_bits") == _circle_max_bits()
 
 
 @pytest.mark.parametrize("h, grid", [
@@ -236,11 +272,11 @@ def test_circle_max_stacked_rows_equal_one_row_calls():
                 assert (val[r], x[r]) == (alone[0][0], alone[1][0]), (width, h.shape, r)
 
 
-def _grid_candidates_by_definition(vals):
+def _grid_candidates_by_definition(vals, least=None):
     # the rule of _grid_candidates, one point at a time: a row whose spread is
     # not finite or at most 1e-14 of its max offers its grid argmax alone;
-    # any other row offers each point at least its two (periodic) neighbours
-    # and the top quarter's floor
+    # any other row offers each point at least its two (periodic) neighbours,
+    # the top quarter's floor and least[r], if given
     rows, cols = [], []
     for r, row in enumerate(vals):
         top = row.max()
@@ -250,6 +286,8 @@ def _grid_candidates_by_definition(vals):
             cols.append(int(np.argmax(row)))
             continue
         floor, n = top - 0.25 * spread, len(row)
+        if least is not None:
+            floor = max(floor, least[r])
         for j in range(n):
             if row[j] >= floor and row[j] >= row[j - 1] and row[j] >= row[(j + 1) % n]:
                 rows.append(r)
@@ -285,6 +323,116 @@ def test_grid_candidates_follow_their_rule_point_by_point(width):
             with np.errstate(invalid="ignore"):  # inf - inf: a row holding inf is flat
                 got, want = _grid_candidates(v), _grid_candidates_by_definition(v)
             assert [x.tolist() for x in got] == list(want)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 97, 512])
+def test_grid_candidates_with_a_floor_keep_the_candidates_above_it(width):
+    # ratio and slack (one value or one per row) add the floor
+    # ratio * (row max) - slack: a row keeps exactly those of today's
+    # candidates at or above it, and a flat row its grid argmax
+    rng = np.random.default_rng(width + 100)
+    for vals in _candidate_grids(rng, width):
+        top = vals.max(axis=1)
+        for ratio in (0.0, 0.5, 0.92, 1.0):
+            for slack in (0.0, 0.1, rng.uniform(0.0, 0.5, len(vals))):
+                with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf
+                    got = [x.tolist() for x in _grid_candidates(vals, ratio, slack)]
+                    want = _grid_candidates_by_definition(vals, ratio * top - slack)
+                    today = [x.tolist() for x in _grid_candidates(vals)]
+                assert got == list(want)
+                assert set(zip(*got)) <= set(zip(*today))
+
+
+def _apart(x, y):
+    """The distance of angles x and y on the circle."""
+    return np.abs((x - y + np.pi) % (2 * np.pi) - np.pi)
+
+
+def _as_near_tie(c, grid, gap):
+    """(c, |h| at its top, the top's angle, |h| at the second peak) if the two
+    highest maxima of |h|^2, h(x) = sum_j c_j e^{ijx}, differ by gap/4 to
+    4 gap relative and the highest sample of the ``grid``-point grid lies at
+    a lower peak, away from the top; else None."""
+    dx, j = 2 * np.pi / grid, np.arange(len(c))
+    f, x = _refined_maxima(c, 64 * len(c))
+    far = np.flatnonzero(_apart(x, x[0]) > 1e-6)
+    if far.size == 0:
+        return None
+    samples = np.abs(np.exp(1j * np.multiply.outer(np.arange(grid) * dx, j)) @ c) ** 2
+    at_top = _apart(np.argmax(samples) * dx, x[0]) < 2 * dx
+    if at_top or not gap / 4 <= 1 - f[far[0]] / f[0] <= 4 * gap:
+        return None
+    return c, math.sqrt(f[0]), x[0], math.sqrt(f[far[0]])
+
+
+def _near_tie_row(rng, width, grid, gap):
+    """_as_near_tie of a random row of ``width`` coefficients whose lower top
+    peak sits on a grid point. A real row makes |h|^2 even, so its top is a
+    pair of equal maxima at +-x*; adding i s v, v real, lifts one and lowers
+    the other to first order in s; a rotation puts the lower one on a grid
+    point."""
+    dx, dense, j = 2 * np.pi / grid, 64 * width, np.arange(width)
+    for _ in range(200):
+        c = rng.standard_normal(width)
+        f, x = _refined_maxima(c, dense)
+        if _apart(2 * x[0], 0.0) < 4 * dx:
+            continue  # +-x* too close to tell apart on the grid
+        v = rng.standard_normal(width)
+        e = np.exp(1j * x[0] * j)
+        tilt = -2 * (np.conj(e @ c) * (e @ v)).imag  # d|h|^2/ds at x*, minus it at -x*
+        c = c + 1j * (0.5 * gap * f[0] / tilt) * v
+        f, x = _refined_maxima(c, dense)
+        far = np.flatnonzero(_apart(x, x[0]) > 1e-6)
+        if far.size == 0:
+            continue  # the lower peak is gone
+        lower = x[far[0]]
+        tie = _as_near_tie(c * np.exp(-1j * j * (np.round(lower / dx) * dx - lower)), grid, gap)
+        if tie is not None:
+            return tie
+    raise AssertionError(f"no near tie at width {width}, grid {grid}")
+
+
+def _extremal_tie_row(width, grid, gap):
+    """_as_near_tie of h = 1 + z^m + gap K(x - x_a)/width, m = width - 1 and
+    K(x) = sum_j e^{ijx}, if it is one: |1 + z^m|^2 = 2 + 2 cos(mx) has m
+    equal peaks, as sharp as Szego's bound allows, one on the grid point 0;
+    the bump lifts the peak x_a = 2 pi k/m farthest from the grid."""
+    m = width - 1
+    k = 1 + np.argmin(np.abs((np.arange(1, m) * grid % m) / m - 0.5))
+    c = np.exp(-2j * np.pi * k / m * np.arange(width)) * gap / width
+    c[0] += 1.0
+    c[m] += 1.0
+    return _as_near_tie(c, grid, gap)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3])
+def test_circle_max_keeps_the_higher_of_two_near_equal_peaks(gap):
+    # a single term's candidates are pruned below (grid max) cos((w - 1) dx)
+    # (Szego's bound): rows whose highest grid sample lies at a lower peak
+    # still return the higher peak of a refined dense evaluation, at every
+    # width of both branches of the grid evaluator, on the default grid and
+    # a given one of 8 w points: random rows, and rows of peaks as sharp as
+    # the bound allows, the higher about half a spacing off the grid; widths
+    # 1 and 2 have one peak
+    rng = np.random.default_rng(int(-math.log10(gap)))
+    sharp = 0
+    for width in range(1, 66):
+        for grid in (None, 8 * width):
+            points = grid or 16 * (width + 1)
+            if width < 3:
+                c = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+                ties = [(c, *_convolve_sup(c, 64 * width), 0.0)]
+            else:
+                ties = [_near_tie_row(rng, width, points, gap),
+                        _extremal_tie_row(width, points, gap)]
+                sharp += ties[-1] is not None
+            for c, top, at, second in filter(None, ties):
+                val, x = circle_max(c[None, None], grid)
+                assert val[0] == pytest.approx(top, rel=1e-13, abs=0.0), (width, grid)
+                assert top - val[0] < 0.25 * (top - second), (width, grid)
+                if width >= 2:
+                    assert _apart(x[0], at) <= 1e-6, (width, grid)
+    assert sharp >= 100, sharp
 
 
 # -------------------------------------------------------------------- lp norm
@@ -460,16 +608,16 @@ def grid_shapes(monkeypatch):
 
 def test_circle_max_grid_of_a_single_frequency_is_flat(monkeypatch):
     # the lags of |c e^{ikx}|^2 are exactly (|c|^2, 0, ..., 0), so in either
-    # branch of _grid_values every grid point of F is exactly |c|^2, and the
-    # row's one candidate is its first point
+    # branch of _real_grid_values every grid point of F is exactly |c|^2, and
+    # the row's one candidate is its first point
     grids = []
 
     def recording(b, *args):
-        values = _grid_values(b, *args)
-        grids.append(values.real)
+        values = _real_grid_values(b, *args)
+        grids.append(values)
         return values
 
-    monkeypatch.setattr(norms, "_grid_values", recording)
+    monkeypatch.setattr(norms, "_real_grid_values", recording)
     for width in (1, 2, 9, poly_mod._DFT_MAX_WIDTH, poly_mod._DFT_MAX_WIDTH + 1, 65):
         for k in {0, width // 2, width - 1}:
             h = np.zeros((3, 1, width), dtype=np.complex128)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -15,6 +16,7 @@ from polynorm.poly import (
     ExponentialSum,
     TrigPoly,
     _grid_values,
+    _real_grid_values,
     from_roots,
     generate,
     poly_from_json,
@@ -291,22 +293,26 @@ def test_poly_values_in_chunks_past_the_table_cap():
 
 
 def test_grid_values_rows_match_one_row_calls_bit_for_bit():
-    # every width of the product branch and the first of the FFT branch: a
-    # row's values do not depend on the rows beside it, in a flat batch or
-    # a (rows, offsets) one as _circle_means passes; a lone row is
-    # multiplied beside a zero row, since numpy's gemv rounds a one-row
-    # product differently from the gemm of a batch
+    # every width of the product branch and the first of the FFT branch, for
+    # both evaluators: a row's values do not depend on the rows beside it,
+    # in a flat batch or a (rows, offsets) one as _circle_means passes; a
+    # lone row is multiplied beside a zero row, since numpy's gemv rounds a
+    # one-row product differently from the gemm of a batch
     rng = np.random.default_rng(29)
-    for m in range(1, poly_mod._DFT_MAX_WIDTH + 2):
+    for m, real in itertools.product(range(1, poly_mod._DFT_MAX_WIDTH + 2), (False, True)):
         grid, kmin = 16 * (m + 1), -(m // 2)
+
+        def evaluate(c):
+            return _real_grid_values(c, grid) if real else _grid_values(c, kmin, grid)
+
         for count in (1, 2, 3, 7, 64, 65):
             c = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
-            batch = _grid_values(c, kmin, grid)
+            batch = evaluate(c)
             assert batch.shape == (count, grid)
             for row, got in zip(c, batch):
-                assert np.array_equal(got, _grid_values(row, kmin, grid)), (m, count)
+                assert np.array_equal(got, evaluate(row)), (m, count)
             if count % 2 == 0:
-                pairs = _grid_values(c.reshape(count // 2, 2, m), kmin, grid)
+                pairs = evaluate(c.reshape(count // 2, 2, m))
                 assert np.array_equal(pairs.reshape(count, grid), batch), (m, count)
 
 
@@ -323,7 +329,8 @@ def test_grid_values_refuse_a_grid_that_is_no_integer(grid, coeffs):
 def test_grid_values_branches_match_the_direct_sum():
     # the product (narrow rows, short grids) and the FFT (wide rows, or a
     # block past _DFT_MAX_ENTRIES) both give sum_j c_j e^{i(kmin+j)x} to
-    # 1e-14 of sum |c_j|, against a sum of e^{2 pi i ((kmin+j) t mod grid)/grid}
+    # 1e-14 of sum |c_j|, against a sum of e^{2 pi i ((kmin+j) t mod grid)/grid},
+    # and at kmin = 0 the real evaluator gives its real part as closely
     rng = np.random.default_rng(31)
     wide = poly_mod._DFT_MAX_WIDTH + 1
     for m, grid in ((1, 1), (1, 16), (2, 3), (9, 160), (17, 544), (wide - 1, wide - 1),
@@ -337,8 +344,13 @@ def test_grid_values_branches_match_the_direct_sum():
             got = _grid_values(c, kmin, grid)
             scale = np.abs(c).sum(axis=1)[:, None]
             assert np.all(np.abs(got - want) <= 1e-14 * scale), (m, grid, kmin)
+            if kmin == 0:
+                real = _real_grid_values(c, grid)
+                assert np.all(np.abs(real - want.real) <= 1e-14 * scale), (m, grid)
     with pytest.raises(InvalidParam):
         _grid_values(np.ones(5), 0, 4)
+    with pytest.raises(InvalidParam):
+        _real_grid_values(np.ones(5), 4)
 
 
 def test_eval_of_an_array_keeps_its_shape_and_bits():

@@ -526,15 +526,15 @@ def test_cli_verify_deterministic_output(tmp_path, capsys):
 # sha256 of the default sweep's JSONL and CSV at three seeds, and of its
 # numbers: the JSONL with every record's digest removed (_numbers_sha256)
 DEFAULT_SWEEP_DIGESTS = {
-    0xBE2257: ("c2af7e7971b185eb5f3daad2ecd6a2c4a1c929ef2e848da96c1be2ce0090a6ee",
-               "6464e8aa0a2f7d425e1adaaadb2e370df594bf81bb904277067b350ecfa0c855",
-               "c60fb78591478634fc50e5af57a5348bcc216f7d57bec5cb04db42d4b5a360c4"),
-    1: ("7ece100e32442637233724e98e29bf4444bb5b4031320a66c01fe0faee19b099",
+    0xBE2257: ("28e614a5ac70d63f9745eaf985b42f2b2f14126b3fec0df282e5fd37080b403a",
+               "a8c61d8b8d6e79884af412fa8e875f21ba648ad104dddd90302761613ad19210",
+               "7f764ec2c0e82f7b3cf1b8a4f17aacf4a3157ef1bc5c7a1b06ca7c7477a20979"),
+    1: ("b4d44a397ffba54e7bedd3887f319eb223fbea0700ae97a22be377b03063982f",
         "9ea8c9207ecdbd36e8aec3e031f1e8095d0a33c9b88d29159f00d5dad19d8277",
-        "ef5bdf7d195a868451d688fb6b463ef843538942bf55a194a54a0e5965512007"),
-    4242: ("8ed2ea514a8bdc97f399e10f94085fa9d1df1cfec2c4c4d23568af80020de54e",
-           "0a51652af3cf8bcf4ca02aa3f59fd63914d5cde4ad2d39c7aa47b8437c9178dc",
-           "d0ef448a4e5f9685f6b68342b6016326967b7c1d3b1da19e873e92e86b3509e3"),
+        "c572d8615f4ca0aac882a317937f23026f1b1426c84e28d589028d257e56a407"),
+    4242: ("ef95e85e6c6bec1891d88d7228d8d36ec070dd9d8ac7f2e31ed2375bd76a98ef",
+           "bd4a14e6f106d9d509a1e6463d6adbb49514623773e899e0a3d6b789edfc645c",
+           "5f6d367c2d9e2edf2942098f2eda24e388e2bc362538bf330b0a778c0de28365"),
 }
 
 
